@@ -1,9 +1,10 @@
 """Exact expansion machinery and chord-midpoint experiments for
 non-degenerate plane curves in affine arclength.
 
-The symbolic half works over Q(sqrt2) with differential-polynomial
-coefficients and proves the structural identities of the expansion
-pipeline by exact computation.  The numeric half realizes curves from a
+The symbolic half computes with rational differential-polynomial
+coefficients, applies sqrt2 once when the pipeline is assembled, and
+proves the structural identities of the expansion pipeline by exact
+computation.  The numeric half realizes curves from a
 prescribed curvature or a parametric plot and measures flatness and
 straightness of the chord-midpoint curve.
 """
@@ -46,6 +47,6 @@ from .numcurve import (
     wronskian_drift,
 )
 from .powerseries import ExplicitnessReport, Series, bell, bell_via_conv, conv
-from .scalar import QR2Scalar, Rational
+from .scalar import QR2Scalar
 
 __version__ = "0.1.0"

@@ -371,6 +371,9 @@ def cmd_gravity(
     except BracketingError as exc:
         click.echo(f"bracketing failure: {exc}", err=True)
         ctx.exit(2)
+    except VerificationError as exc:
+        click.echo(f"verification failure: {exc}", err=True)
+        ctx.exit(1)
 
 
 def _gravity_single(cfg: Config, curve, kappa_prime) -> None:

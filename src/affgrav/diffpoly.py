@@ -5,13 +5,21 @@ i-th derivative of the curvature with respect to arclength.  The ring
 carries the arclength derivation (``ki`` maps to ``k(i+1)`` under the
 Leibniz rule) and a parity grading by *odd degree*: the total exponent of
 factors with odd derivative order.
+
+Storage.  A polynomial keeps one positive integer denominator and, per
+monomial, an integer numerator, reduced so that their common gcd is 1.
+The symbolic pipeline runs over Q, so its products are pure integer
+arithmetic.  A coefficient with a sqrt2 part keeps its numerator as a
+``QR2Scalar`` with integer parts instead.  The inspection methods hand
+coefficients out as ``QR2Scalar`` either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from math import gcd, lcm
+from typing import Iterable, Mapping
 
 from .errors import MissingAssignmentError
 from .scalar import QR2Scalar
@@ -30,19 +38,18 @@ class DiffMonomial:
     coeff: QR2Scalar
     exponents: ExponentMap
 
-    def degree(self) -> int:
-        return sum(e for _, e in self.exponents)
-
     def odd_degree(self) -> int:
         """Total exponent over odd derivative orders."""
         return sum(e for order, e in self.exponents if order % 2 == 1)
 
     def __str__(self) -> str:
-        factors = "*".join(
-            f"k{order}" if e == 1 else f"k{order}^{e}" for order, e in self.exponents
-        )
-        head = f"({self.coeff})"
-        return head if not factors else f"{head}*{factors}"
+        return _format_term(self.coeff, self.exponents)
+
+
+def _format_term(coeff, exps: ExponentMap) -> str:
+    factors = "*".join(f"k{order}" if e == 1 else f"k{order}^{e}" for order, e in exps)
+    head = f"({coeff})"
+    return head if not factors else f"{head}*{factors}"
 
 
 def _monomial_key(exps: ExponentMap) -> tuple:
@@ -51,10 +58,57 @@ def _monomial_key(exps: ExponentMap) -> tuple:
 
 
 def _merge_exponents(e1: ExponentMap, e2: ExponentMap) -> ExponentMap:
+    if not e1:
+        return e2
+    if not e2:
+        return e1
     merged: dict[int, int] = dict(e1)
     for order, e in e2:
         merged[order] = merged.get(order, 0) + e
     return tuple(sorted(merged.items()))
+
+
+def _split(c) -> tuple[int | QR2Scalar, int]:
+    """An exact scalar as (numerator, positive denominator)."""
+    if isinstance(c, QR2Scalar):
+        if c.b:
+            den = lcm(c.a.denominator, c.b.denominator)
+            return QR2Scalar(c.a * den, c.b * den), den
+        c = c.a
+    q = Fraction(c)
+    return q.numerator, q.denominator
+
+
+def _reduce(
+    den: int, nums: dict[ExponentMap, int | QR2Scalar]
+) -> tuple[int, dict[ExponentMap, int | QR2Scalar]]:
+    """Canonical (den, terms) of sum(nums[e] * k^e) / den: zero terms
+    dropped, sqrt2-free numerators as int, common gcd divided out."""
+    terms: dict[ExponentMap, int | QR2Scalar] = {}
+    g = den
+    for exps, n in nums.items():
+        if type(n) is not int:
+            if n.b:
+                g = gcd(g, n.a.numerator, n.b.numerator)
+                terms[exps] = n
+                continue
+            n = n.a.numerator
+        if n:
+            g = gcd(g, n)
+            terms[exps] = n
+    if not terms:
+        den = 1
+    elif g != 1:
+        den //= g
+        for exps, n in terms.items():
+            terms[exps] = n // g if type(n) is int else QR2Scalar(n.a / g, n.b / g)
+    return den, terms
+
+
+def _reduced(den: int, nums: dict[ExponentMap, int | QR2Scalar]) -> DiffPoly:
+    poly = DiffPoly.__new__(DiffPoly)
+    poly._den, poly._terms = _reduce(den, nums)
+    return poly
 
 
 class DiffPoly:
@@ -65,15 +119,13 @@ class DiffPoly:
     (total degree, exponent map).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_terms")
 
-    def __init__(self, terms: Mapping[ExponentMap, QR2Scalar] | None = None):
-        clean: dict[ExponentMap, QR2Scalar] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if coeff:
-                    clean[exps] = coeff
-        self._terms = clean
+    def __init__(self, terms: Mapping[ExponentMap, object] | None = None):
+        split = {exps: _split(c) for exps, c in (terms or {}).items() if c}
+        den = lcm(*(d for _, d in split.values())) if split else 1
+        nums = {exps: n * (den // d) for exps, (n, d) in split.items()}
+        self._den, self._terms = _reduce(den, nums)
 
     # -- constructors ----------------------------------------------------
 
@@ -83,37 +135,61 @@ class DiffPoly:
 
     @classmethod
     def constant(cls, value) -> DiffPoly:
-        c = value if isinstance(value, QR2Scalar) else QR2Scalar(value)
-        return cls({(): c})
+        return cls({(): value})
 
     @classmethod
     def kappa(cls, order: int = 0) -> DiffPoly:
         """The single variable k<order>, i.e. the order-th derivative of kappa."""
         if order < 0:
             raise ValueError("derivative order must be nonnegative")
-        return cls({((order, 1),): QR2Scalar(1)})
+        return cls({((order, 1),): 1})
 
     @classmethod
     def monomial(cls, coeff, exponents: Mapping[int, int]) -> DiffPoly:
-        c = coeff if isinstance(coeff, QR2Scalar) else QR2Scalar(coeff)
         for order, e in exponents.items():
             if order < 0 or e < 0:
                 raise ValueError("orders and exponents must be nonnegative")
         exps = tuple(sorted((o, e) for o, e in exponents.items() if e > 0))
-        return cls({exps: c})
+        return cls({exps: coeff})
+
+    @staticmethod
+    def sum_of_products(pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
+        """The sum of p * q over the pairs, accumulated over one common
+        denominator; the coefficient kernel of every series product."""
+        pairs = [(p, q) for p, q in pairs if p._terms and q._terms]
+        if not pairs:
+            return DiffPoly()
+        den = lcm(*(p._den * q._den for p, q in pairs))
+        nums: dict[ExponentMap, int | QR2Scalar] = {}
+        get = nums.get
+        for p, q in pairs:
+            f = den // (p._den * q._den)
+            q_items = list(q._terms.items())
+            for e1, n1 in p._terms.items():
+                n1 *= f
+                for e2, n2 in q_items:
+                    exps = _merge_exponents(e1, e2)
+                    nums[exps] = get(exps, 0) + n1 * n2
+        return _reduced(den, nums)
 
     # -- inspection ------------------------------------------------------
+
+    def _value(self, n: int | QR2Scalar) -> QR2Scalar:
+        if type(n) is int:
+            return QR2Scalar(Fraction(n, self._den))
+        den = self._den
+        return QR2Scalar(Fraction(n.a.numerator, den), Fraction(n.b.numerator, den))
 
     def monomials(self) -> list[DiffMonomial]:
         """Terms in canonical order."""
         return [
-            DiffMonomial(self._terms[exps], exps)
+            DiffMonomial(self._value(self._terms[exps]), exps)
             for exps in sorted(self._terms, key=_monomial_key)
         ]
 
     def coefficient_of(self, exponents: Mapping[int, int]) -> QR2Scalar:
         exps = tuple(sorted((o, e) for o, e in exponents.items() if e > 0))
-        return self._terms.get(exps, QR2Scalar(0))
+        return self._value(self._terms.get(exps, 0))
 
     @property
     def is_zero(self) -> bool:
@@ -127,25 +203,17 @@ class DiffPoly:
         """Value of a constant polynomial (0 for the zero polynomial)."""
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get((), QR2Scalar(0))
-
-    def max_order(self) -> int:
-        """Highest derivative order appearing, or -1 for constants."""
-        orders = [order for exps in self._terms for order, _ in exps]
-        return max(orders, default=-1)
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in exps) for exps in self._terms), default=0)
+        return self._value(self._terms.get((), 0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction, QR2Scalar)):
             other = DiffPoly.constant(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -153,7 +221,13 @@ class DiffPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(str(m) for m in self.monomials())
+        # a rational coefficient prints as its Fraction, as QR2Scalar prints it
+        return " + ".join(
+            _format_term(
+                Fraction(n, self._den) if type(n) is int else self._value(n), exps
+            )
+            for exps, n in sorted(self._terms.items(), key=lambda t: _monomial_key(t[0]))
+        )
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"
@@ -164,11 +238,16 @@ class DiffPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = terms.get(exps)
-            terms[exps] = coeff if acc is None else acc + coeff
-        return DiffPoly(terms)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        nums = {exps: n * f1 for exps, n in self._terms.items()}
+        for exps, n in other._terms.items():
+            nums[exps] = nums.get(exps, 0) + n * f2
+        return _reduced(den, nums)
 
     __radd__ = __add__
 
@@ -182,35 +261,26 @@ class DiffPoly:
         return (-self) + other
 
     def __neg__(self) -> DiffPoly:
-        return DiffPoly({exps: -c for exps, c in self._terms.items()})
+        return _reduced(self._den, {exps: -n for exps, n in self._terms.items()})
 
     def __mul__(self, other) -> DiffPoly:
         if isinstance(other, (int, Fraction, QR2Scalar)):
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        terms: dict[ExponentMap, QR2Scalar] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = _merge_exponents(e1, e2)
-                c = c1 * c2
-                acc = terms.get(exps)
-                terms[exps] = c if acc is None else acc + c
-        return DiffPoly(terms)
+        return DiffPoly.sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> DiffPoly:
-        f = factor if isinstance(factor, QR2Scalar) else QR2Scalar(factor)
-        if not f:
-            return DiffPoly.zero()
-        return DiffPoly({exps: c * f for exps, c in self._terms.items()})
+        num, den = _split(factor)
+        return _reduced(self._den * den, {exps: n * num for exps, n in self._terms.items()})
 
     def differentiate(self) -> DiffPoly:
         """Arclength derivation: Leibniz rule with ki mapping to k(i+1)."""
-        terms: dict[ExponentMap, QR2Scalar] = {}
-        for exps, coeff in self._terms.items():
-            for i, (order, e) in enumerate(exps):
+        nums: dict[ExponentMap, int | QR2Scalar] = {}
+        for exps, n in self._terms.items():
+            for order, e in exps:
                 factors = dict(exps)
                 if e == 1:
                     del factors[order]
@@ -218,10 +288,8 @@ class DiffPoly:
                     factors[order] = e - 1
                 factors[order + 1] = factors.get(order + 1, 0) + 1
                 new = tuple(sorted(factors.items()))
-                c = coeff * e
-                acc = terms.get(new)
-                terms[new] = c if acc is None else acc + c
-        return DiffPoly(terms)
+                nums[new] = nums.get(new, 0) + n * e
+        return _reduced(self._den, nums)
 
     # -- grading -----------------------------------------------------------
 
@@ -240,12 +308,13 @@ class DiffPoly:
 
         Keeps exactly the monomials of odd degree 0; idempotent.
         """
-        return DiffPoly(
+        return _reduced(
+            self._den,
             {
-                exps: c
-                for exps, c in self._terms.items()
+                exps: n
+                for exps, n in self._terms.items()
                 if all(order % 2 == 0 for order, _ in exps)
-            }
+            },
         )
 
     # -- evaluation ----------------------------------------------------------
@@ -258,8 +327,8 @@ class DiffPoly:
         if missing:
             raise MissingAssignmentError(missing)
         total = 0.0
-        for exps, coeff in self._terms.items():
-            val = coeff.to_float()
+        for exps, n in self._terms.items():
+            val = self._value(n).to_float()
             for order, e in exps:
                 val *= float(assign[order]) ** e
             total += val
@@ -272,19 +341,16 @@ class DiffPoly:
             for order, v in assign.items()
         }
         terms: dict[ExponentMap, QR2Scalar] = {}
-        for exps, coeff in self._terms.items():
-            c = coeff
+        for exps, n in self._terms.items():
+            c = self._value(n)
             kept: list[tuple[int, int]] = []
             for order, e in exps:
                 if order in values:
                     c = c * values[order] ** e
                 else:
                     kept.append((order, e))
-            if not c:
-                continue
             new = tuple(kept)
-            acc = terms.get(new)
-            terms[new] = c if acc is None else acc + c
+            terms[new] = terms.get(new, 0) + c
         return DiffPoly(terms)
 
 
@@ -305,9 +371,6 @@ class GradedClass:
     @property
     def parity(self) -> int:
         return self.sigma % 2
-
-    def contains(self, poly: DiffPoly) -> bool:
-        return poly.in_class(self)
 
     def __mul__(self, other: GradedClass) -> GradedClass:
         if not isinstance(other, GradedClass):

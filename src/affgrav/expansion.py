@@ -9,6 +9,14 @@ the horizontal component of the chord-midpoint curve at the base point.
 All coefficients are exact differential polynomials, so the structure
 results (leading coefficient laws, parity grading, the flatness and
 straightness criteria) can be checked by identity rather than numerics.
+
+Every sqrt2 in the pipeline comes from g_2 = 1/2.  Substituting
+s = sqrt2 * t makes the whole construction rational: U = sqrt(2g) has
+U_1 = 1, V = U^(-1) and H = f(V) have rational coefficients, and the
+published series follow as u = U / sqrt2, v_k = sqrt2^k V_k and
+h_k = sqrt2^k H_k.  ``build_pipeline`` computes U, V, H with the same
+``Series`` operations it publishes and applies sqrt2 once, when it
+assembles the ``Pipeline``.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ __all__ = [
 
 DEFAULT_ORDER = 10
 MIN_ORDER = 6
-MAX_ORDER = 14
+MAX_ORDER = 22
 
 
 @dataclass(frozen=True)
@@ -111,20 +119,24 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
 
     Internally the frame is taken one order higher so that the square
     root, which loses one order, still reaches the requested truncation.
+    The square root, inversion and composition run on the rational
+    series U, V, H of the module docstring.
     """
     if order < MIN_ORDER:
         raise ValueError(f"pipeline needs order >= {MIN_ORDER}")
     frame = build_frame(order + 1)
     f_full, g_full = component_series(frame)
-    u = g_full.sqrt(sign=1)
-    v = u.compositional_inverse()
-    h = f_full.compose(v)
+    big_u = g_full.scale(2).sqrt(sign=1)
+    big_v = big_u.compositional_inverse()
+    big_h = f_full.compose(big_v)
+    sqrt2 = QR2Scalar.sqrt2()
+    h = big_h.dilate(sqrt2)
     return Pipeline(
         order=order,
         f=f_full.truncate(order),
         g=g_full.truncate(order),
-        u=u,
-        v=v,
+        u=big_u.scale(QR2Scalar(0, Fraction(1, 2))),
+        v=big_v.dilate(sqrt2),
         h=h,
         gravity_x=h.even_part(),
     )

@@ -1,16 +1,18 @@
 """Truncated power series with differential-polynomial coefficients.
 
 The toolbox covers the operations needed to push a curve expansion
-through square root, compositional inversion and composition: weighted
-convolution, partial Bell polynomials, and the alternating/explicitness
-structure of coefficient sequences.
+through square root, compositional inversion and composition, plus the
+alternating/explicitness structure of coefficient sequences.
 
 Conventions.  A series of order N stores ordinary coefficients c0..cN
-and every operation is exact through the stated output order.  Partial
-Bell polynomials follow the classical normalization, in which they act
-on derivative-scaled sequences: composition of series with ordinary
-coefficients a, b is evaluated through the bridge a_hat[k] = k! * a[k],
-so that chi[k] = (1/k!) * sum_l b[l] * (a_hat convolved l times)[k].
+and every operation is exact through the stated output order.  All
+products go through one kernel, the truncated Cauchy product
+``Series.mul``: composition and compositional inversion sum against its
+plain powers a, a*a, a*a*a, ...  The binomial convolution ``conv`` and
+the partial Bell polynomials ``bell``/``bell_via_conv`` (classical
+normalization, acting on derivative-scaled sequences) are kept as an
+independent check of the same combinatorics; no series operation uses
+them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .diffpoly import DiffPoly, GradedClass
+from .diffpoly import DiffPoly, GradedClass, _as_poly
 from .scalar import QR2Scalar
 
 __all__ = [
@@ -30,12 +32,6 @@ __all__ = [
     "bell",
     "bell_via_conv",
 ]
-
-
-def _as_poly(x) -> DiffPoly:
-    if isinstance(x, DiffPoly):
-        return x
-    return DiffPoly.constant(x)
 
 
 def conv(a: Sequence[DiffPoly], b: Sequence[DiffPoly], k: int) -> DiffPoly:
@@ -52,19 +48,6 @@ def conv(a: Sequence[DiffPoly], b: Sequence[DiffPoly], k: int) -> DiffPoly:
         if term:
             out = out + term * Fraction(comb(k, l))
     return out
-
-
-def _conv_powers(a: Sequence[DiffPoly], upto: int) -> list[list[DiffPoly]]:
-    """Table p[l][k] = (a convolved with itself l times)[k], 1 <= l <= upto."""
-    zero = DiffPoly.zero()
-    first = [zero] + [
-        _as_poly(a[k]) if k < len(a) else zero for k in range(1, upto + 1)
-    ]
-    table = [None, first]  # index 0 unused
-    for l in range(2, upto + 1):
-        prev = table[l - 1]
-        table.append([conv(prev, first, k) if k >= 1 else zero for k in range(upto + 1)])
-    return table
 
 
 def bell(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
@@ -136,6 +119,8 @@ class Series:
 
     def __init__(self, coeffs: Iterable):
         cs = tuple(_as_poly(c) for c in coeffs)
+        if None in cs:
+            raise TypeError("series coefficients must be DiffPoly or exact scalars")
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = cs
@@ -214,6 +199,15 @@ class Series:
     def scale(self, factor) -> Series:
         return Series([c * factor for c in self._coeffs])
 
+    def dilate(self, factor) -> Series:
+        """The series a(factor * s): coefficient k times factor^k."""
+        out = []
+        power = DiffPoly.constant(1)
+        for c in self._coeffs:
+            out.append(c * power)
+            power = power * factor
+        return Series(out)
+
     def mul(self, other: Series, order: int | None = None) -> Series:
         """Cauchy product, exact through the requested order.
 
@@ -231,16 +225,14 @@ class Series:
                 raise ValueError(
                     f"product not exact beyond order {exact_to}, requested {order}"
                 )
-        out = []
-        for k in range(order + 1):
-            acc = DiffPoly.zero()
-            for i in range(k + 1):
-                if i <= self.order and k - i <= other.order:
-                    term = self._coeffs[i] * other._coeffs[k - i]
-                    if term:
-                        acc = acc + term
-            out.append(acc)
-        return Series(out)
+        a = [(i, c) for i, c in enumerate(self._coeffs) if c]
+        b = other._coeffs
+        return Series(
+            DiffPoly.sum_of_products(
+                (c, b[k - i]) for i, c in a if i <= k and k - i <= other.order
+            )
+            for k in range(order + 1)
+        )
 
     def s_derivative(self) -> Series:
         """Formal derivative in the series variable (not the curvature)."""
@@ -258,6 +250,14 @@ class Series:
 
     # -- composition ---------------------------------------------------------
 
+    def _powers(self, upto: int) -> list[Series]:
+        """[None, a, a*a, ..., a^upto], each a truncated Cauchy product at
+        this series' order; callers check that the constant term vanishes."""
+        out = [None, self]
+        for _ in range(2, upto + 1):
+            out.append(out[-1].mul(self))
+        return out
+
     def compose(self, inner: Series) -> Series:
         """Series of self(inner(s)); both constant terms must vanish."""
         if inner[0]:
@@ -265,18 +265,14 @@ class Series:
         if self[0]:
             raise ValueError(f"outer series has nonzero constant term {self[0]}")
         n = min(self.order, inner.order)
-        scaled = [inner[k] * Fraction(factorial(k)) for k in range(n + 1)]
-        powers = _conv_powers(scaled, n)
-        out = [DiffPoly.zero()]
-        for k in range(1, n + 1):
-            acc = DiffPoly.zero()
-            for l in range(1, k + 1):
-                if self[l]:
-                    term = self[l] * powers[l][k]
-                    if term:
-                        acc = acc + term
-            out.append(acc * Fraction(1, factorial(k)))
-        return Series(out)
+        powers = inner.truncate(n)._powers(n)
+        return Series(
+            [DiffPoly.zero()]
+            + [
+                DiffPoly.sum_of_products((self[l], powers[l][k]) for l in range(1, k + 1))
+                for k in range(1, n + 1)
+            ]
+        )
 
     def compositional_inverse(self) -> Series:
         """Series b with b(self(s)) = self(b(t)) = t through the order.
@@ -292,17 +288,12 @@ class Series:
         if not a1:
             raise ValueError("linear coefficient is zero; no compositional inverse")
         n = self.order
-        scaled = [self[k] * Fraction(factorial(k)) for k in range(n + 1)]
-        powers = _conv_powers(scaled, n)
+        # b(a(s)) = s: coefficient k >= 2 gives a1^k b[k] = -sum_{l<k} b[l] (a^l)[k]
+        powers = self._powers(n - 1)
         inv_a1 = a1.inverse()
         out = [DiffPoly.zero(), DiffPoly.constant(inv_a1)]
         for k in range(2, n + 1):
-            acc = out[1] * self[k]
-            for l in range(2, k):
-                if out[l]:
-                    term = out[l] * powers[l][k] * Fraction(1, factorial(k))
-                    if term:
-                        acc = acc + term
+            acc = DiffPoly.sum_of_products((out[l], powers[l][k]) for l in range(1, k))
             out.append(acc * (-(inv_a1**k)))
         return Series(out)
 
@@ -329,9 +320,14 @@ class Series:
         out = [DiffPoly.zero(), DiffPoly.constant(b1)]
         half_inv = QR2Scalar(Fraction(1, 2)) * b1.inverse()
         for k in range(2, n + 1):
-            acc = self[k + 1]
-            for l in range(2, k):
-                acc = acc - out[l] * out[k + 1 - l]
+            # self[k+1] = 2 b1 b[k] + sum_{l=2}^{k-1} b[l] b[k+1-l]; the sum
+            # pairs l with k+1-l, so take each pair once
+            cross = DiffPoly.sum_of_products(
+                (out[l], out[k + 1 - l]) for l in range(2, (k + 2) // 2)
+            )
+            acc = self[k + 1] - cross * 2
+            if k % 2 == 1:
+                acc = acc - out[(k + 1) // 2] * out[(k + 1) // 2]
             out.append(acc * half_inv)
         return Series(out)
 

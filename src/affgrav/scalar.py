@@ -1,15 +1,18 @@
-"""Exact arithmetic in the quadratic field Q(sqrt(2))."""
+"""Exact arithmetic in the quadratic field Q(sqrt(2)).
+
+The symbolic pipeline computes over Q and meets sqrt2 only when it
+assembles its published series, so ``QR2Scalar`` is the exchange and
+display type of exact coefficients, and the stored form only of those
+with a sqrt2 part.  A ``QR2Scalar`` with zero sqrt2 part equals, and
+hashes like, the ``Fraction`` of the same value.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-__all__ = ["Rational", "QR2Scalar", "rational_sqrt"]
-
-# Exact rational numbers. fractions.Fraction already keeps values canonical:
-# gcd-reduced, positive denominator, arbitrary precision integers.
-Rational = Fraction
+__all__ = ["QR2Scalar", "rational_sqrt"]
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 
@@ -36,8 +39,8 @@ class QR2Scalar:
     __slots__ = ("_a", "_b")
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0) -> None:
-        self._a = Fraction(a)
-        self._b = Fraction(b)
+        self._a = a if type(a) is Fraction else Fraction(a)
+        self._b = b if type(b) is Fraction else Fraction(b)
 
     @property
     def a(self) -> Fraction:
@@ -72,7 +75,8 @@ class QR2Scalar:
         return self._a == other._a and self._b == other._b
 
     def __hash__(self) -> int:
-        return hash((self._a, self._b))
+        # agree with Fraction, which compares equal when the sqrt2 part is 0
+        return hash((self._a, self._b)) if self._b else hash(self._a)
 
     def __bool__(self) -> bool:
         return self._a != 0 or self._b != 0
@@ -189,10 +193,6 @@ class QR2Scalar:
     def to_float(self) -> float:
         """Double-precision value of a + b*sqrt(2)."""
         return float(self._a) + float(self._b) * _SQRT2_FLOAT
-
-    @property
-    def is_rational(self) -> bool:
-        return self._b == 0
 
 
 def _coerce(x) -> QR2Scalar | None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -6,9 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 from affgrav.cli import main, parse_fixture
+from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
+# sha256 of ``expand --order 16 --format json`` without its final newline,
+# the exact rendering the pipeline produced before its rational rewrite.
+ORDER16_DIGEST = "f17e075173dddb2c36b8e85af9579d3a03abfb7e56fd792a63984795c1ddab45"
 
 
 @pytest.fixture()
@@ -39,6 +44,20 @@ class TestExpand:
             GOLDEN.write_text(result.output)
         assert result.output == GOLDEN.read_text()
 
+    def test_order16_rendering_digest(self, runner):
+        result = runner.invoke(main, ["expand", "--order", "16", "--format", "json"])
+        assert result.exit_code == 0
+        text = result.output.removesuffix("\n")
+        assert hashlib.sha256(text.encode()).hexdigest() == ORDER16_DIGEST
+
+    def test_order_range_ends_at_max_order(self, runner):
+        assert MAX_ORDER == 22
+        result = runner.invoke(main, ["expand", "--order", "22", "--format", "json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["series"]["h"]["order"] == 22
+        result = runner.invoke(main, ["expand", "--order", "23"])
+        assert result.exit_code == 2
+
     def test_json_is_byte_deterministic(self, runner):
         one = runner.invoke(main, ["expand", "--order", "7", "--format", "json"]).output
         two = runner.invoke(main, ["expand", "--order", "7", "--format", "json"]).output
@@ -58,6 +77,15 @@ class TestVerify:
         data = json.loads(result.output)
         assert data["pass"] is True
         assert {s["name"] for s in data["suites"]} >= {"h_leading_law", "theorem2"}
+
+    def test_all_suites_pass_at_max_order(self, runner):
+        result = runner.invoke(main, ["verify", "--order", str(MAX_ORDER)])
+        assert result.exit_code == 0
+        assert "PASS: 7 suites" in result.output
+
+    def test_order_above_max_is_usage_error(self, runner):
+        result = runner.invoke(main, ["verify", "--order", str(MAX_ORDER + 1)])
+        assert result.exit_code == 2
 
     def test_self_test_detects_injected_fault(self, runner):
         result = runner.invoke(main, ["verify", "--order", "8", "--self-test"])
@@ -122,6 +150,17 @@ class TestGravity:
             main, ["gravity", "--fixture", "parabola", "--delta0", "0.4"]
         )
         assert result.exit_code == 2
+
+    def test_sweep_verification_failure_exit_code(self, runner):
+        # two symmetric points see the same curvature, so the constant-curvature
+        # cross-check contradicts the not-straight verdict
+        result = runner.invoke(main, ["gravity", "--fixture", "kappa-poly:1,0,1", "--sweep", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr.splitlines() == [
+            "verification failure: corollary.cross_check: "
+            "straight everywhere=False but curvature spread=0"
+        ]
 
     def test_unknown_fixture(self, runner):
         result = runner.invoke(main, ["gravity", "--fixture", "nosuch"])

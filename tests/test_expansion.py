@@ -16,7 +16,7 @@ from affgrav import (
     theorem2_symbolic,
     wronskian_series,
 )
-from affgrav.expansion import component_series
+from affgrav.expansion import MAX_ORDER, component_series
 
 k = DiffPoly.kappa
 SQRT2 = QR2Scalar.sqrt2()
@@ -224,3 +224,34 @@ class TestPipelineValidation:
         assert pipe.u.is_alternating(3, 1)
         assert pipe.v.is_alternating(3, 1)
         assert pipe.h.is_alternating(3, 1)
+
+
+def _weight(exponents) -> int:
+    """Weight of a monomial when k_i has weight i + 2."""
+    return sum(e * (order + 2) for order, e in exponents)
+
+
+@pytest.mark.parametrize("order", sorted({14, MAX_ORDER}))
+class TestGradingInvariants:
+    """Structural facts the rational core relies on, checked exactly."""
+
+    def test_weight_homogeneity(self, order):
+        pipe = build_pipeline(order)
+        shifts = {"f": 1, "g": 2, "u": 1, "v": 1, "h": 1}
+        for name, shift in shifts.items():
+            series = getattr(pipe, name)
+            for kk, c in enumerate(series.coeffs):
+                for m in c.monomials():
+                    assert _weight(m.exponents) == kk - shift, f"{name}[{kk}] has {m}"
+
+    def test_sqrt2_parity(self, order):
+        pipe = build_pipeline(order)
+        for name in ("v", "h"):
+            for kk, c in enumerate(getattr(pipe, name).coeffs):
+                for m in c.monomials():
+                    # Q * sqrt2^k: rational for even k, a multiple of sqrt2 for odd k
+                    off = m.coeff.b if kk % 2 == 0 else m.coeff.a
+                    assert off == 0, f"{name}[{kk}] has {m}"
+        for kk, c in enumerate(pipe.u.coeffs):
+            for m in c.monomials():
+                assert m.coeff.a == 0, f"u[{kk}] has {m}"
