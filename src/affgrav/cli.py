@@ -27,7 +27,6 @@ _ORDER_OPTION = click.IntRange(MIN_ORDER, MAX_ORDER)
 class Config:
     """Validated bundle of the numeric experiment parameters."""
 
-    order: int = DEFAULT_ORDER
     step: float = numcurve.DEFAULT_STEP
     delta0: float = 1e-3
     delta_ratio: float = 1.6
@@ -39,20 +38,54 @@ class Config:
     point: float = 0.0
     sweep: int = 0
 
-    def validate(self) -> None:
-        if not MIN_ORDER <= self.order <= MAX_ORDER:
-            raise ValueError(f"order must be in [{MIN_ORDER}, {MAX_ORDER}]")
+    def validate(self, curve: numcurve.NumCurve | None = None) -> None:
+        """Raise ValueError naming the first unmet precondition.
+
+        Given the curve built from this config, also check that every
+        base point lies on its grid with two nodes to spare at either
+        end, the stencil ``affine_curvature`` needs.
+        """
+        reals = {
+            "step": self.step,
+            "delta0": self.delta0,
+            "delta-ratio": self.delta_ratio,
+            "tol-flat": self.tol_flat,
+            "tol-straight": self.tol_straight,
+            "point": self.point,
+        }
+        for name, value in reals.items():
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{name} must be finite, got {value}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.delta0 <= 0 or self.delta_ratio <= 1 or self.delta_count < 1:
             raise ValueError("height schedule needs delta0 > 0, ratio > 1, count >= 1")
+        if self.sweep < 0 or self.sweep == 1:
+            raise ValueError("--sweep takes 0 (single point) or at least 2 base points")
+        if self.sweep == 0 and self.delta_count < 6:
+            raise ValueError("a single-point flatness fit needs --delta-count >= 6")
         if self.tol_flat <= 0:
             raise ValueError("tol-flat must be positive")
         if self.tol_straight is not None and self.tol_straight <= 0:
             raise ValueError("tol-straight must be positive")
+        if curve is None:
+            return
+        grid = curve.grid
+        for p in self.base_points():
+            if not 2 <= round((p - grid[0]) / curve.step) <= len(grid) - 3:
+                raise ValueError(
+                    f"base point {p} is not inside the grid [{grid[0]:.6g}, {grid[-1]:.6g}]"
+                    " with two nodes to spare"
+                )
 
     def deltas(self) -> np.ndarray:
         return numcurve.default_deltas(self.delta0, self.delta_ratio, self.delta_count)
+
+    def base_points(self) -> list[float]:
+        """The sweep's evenly spaced points on [-0.5, 0.5], or the single point."""
+        if self.sweep:
+            return [float(p) for p in np.linspace(-0.5, 0.5, self.sweep)]
+        return [self.point]
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -67,6 +100,8 @@ def parse_fixture(text: str):
     """
     name, _, argtext = text.partition(":")
     args = [float(v) for v in argtext.split(",") if v] if argtext else []
+    if not all(math.isfinite(a) for a in args):
+        raise ValueError(f"fixture arguments must be finite, got {text!r}")
     if name == "parabola":
         spec = numcurve.ParametricCurveSpec(lambda u: (u, u * u / 2), (-1.0, 1.0))
         return spec, lambda p: 0.0
@@ -76,9 +111,9 @@ def parse_fixture(text: str):
         )
         return spec, lambda p: 0.0
     if name == "ellipse":
-        a, b = args if args else (2.0, 1.0)
-        if len(args) not in (0, 2) or a <= 0 or b <= 0:
+        if len(args) not in (0, 2) or any(a <= 0 for a in args):
             raise ValueError("ellipse takes two positive semi-axes, e.g. ellipse:2,1")
+        a, b = args if args else (2.0, 1.0)
         spec = numcurve.ParametricCurveSpec(
             lambda u: (a * math.cos(u), b * math.sin(u)), (-1.0, 1.0)
         )
@@ -216,8 +251,20 @@ def run_verification(order: int, seed: int) -> list[dict]:
 # -- output helpers ------------------------------------------------------------------
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current stdout, or stderr.
+
+    click.echo's default stream lookup caches each stream it meets in a
+    weak-keyed map whose value is that same stream, so every stream that an
+    in-process runner (tests, embedding code) swaps in stays alive with all
+    it captured.  Naming the stream on each call caches nothing.
+    """
+    stream = click.get_text_stream("stderr" if err else "stdout", errors=None)
+    click.echo(message, file=stream)
+
+
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, indent=2))
+    _echo(json.dumps(obj, sort_keys=True, indent=2))
 
 
 def _seed_from_env() -> int:
@@ -264,8 +311,8 @@ def cmd_expand(order: int, fmt: str) -> None:
         return
     for name, s in series.items():
         for k in range(s.order + 1):
-            click.echo(f"{name}[{k}] = {s[k]}")
-        click.echo("")
+            _echo(f"{name}[{k}] = {s[k]}")
+        _echo("")
 
 
 @main.command("verify")
@@ -287,9 +334,9 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
         try:
             expansion.lemma4_check(order, frame=corrupted)
         except VerificationError as exc:
-            click.echo(f"SELF-TEST OK: detected {exc.check}")
+            _echo(f"SELF-TEST OK: detected {exc.check}")
             ctx.exit(0)
-        click.echo("SELF-TEST FAILED: injected fault was not detected", err=True)
+        _echo("SELF-TEST FAILED: injected fault was not detected", err=True)
         ctx.exit(1)
 
     results = run_verification(order, seed)
@@ -297,18 +344,18 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
     if fmt == "json":
         _echo_json({"order": order, "seed": seed, "suites": results, "pass": ok})
     else:
-        click.echo(f"seed: {seed}")
+        _echo(f"seed: {seed}")
         for r in results:
             mark = "PASS" if r["ok"] else "FAIL"
             line = f"{mark} {r['name']}"
             if r["detail"]:
                 line += f": {r['detail']}"
-            click.echo(line)
+            _echo(line)
         if ok:
-            click.echo(f"PASS: {len(results)} suites")
+            _echo(f"PASS: {len(results)} suites")
         else:
             failed = sum(not r["ok"] for r in results)
-            click.echo(f"FAIL: {failed} of {len(results)} suites")
+            _echo(f"FAIL: {failed} of {len(results)} suites")
     ctx.exit(0 if ok else 1)
 
 
@@ -360,6 +407,7 @@ def cmd_gravity(
     try:
         cfg.validate()
         curve, kappa_prime = build_fixture_curve(cfg)
+        cfg.validate(curve)
     except (ValueError, AffGravError) as exc:
         raise click.UsageError(str(exc))
 
@@ -369,10 +417,10 @@ def cmd_gravity(
         else:
             _gravity_single(cfg, curve, kappa_prime)
     except BracketingError as exc:
-        click.echo(f"bracketing failure: {exc}", err=True)
+        _echo(f"bracketing failure: {exc}", err=True)
         ctx.exit(2)
     except VerificationError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
+        _echo(f"verification failure: {exc}", err=True)
         ctx.exit(1)
 
 
@@ -393,9 +441,9 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
         "is_straight": bool(straight),
     }
     if cfg.output == "csv":
-        click.echo("delta,s_minus,s_plus,midpoint_x")
+        _echo("delta,s_minus,s_plus,midpoint_x")
         for s in samples:
-            click.echo(f"{s.delta!r},{s.s_minus!r},{s.s_plus!r},{s.midpoint_x!r}")
+            _echo(f"{s.delta!r},{s.s_minus!r},{s.s_plus!r},{s.midpoint_x!r}")
         return
     if cfg.output == "json":
         verdict["samples"] = [
@@ -409,31 +457,26 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
         ]
         _echo_json(verdict)
         return
-    click.echo(f"fixture {cfg.fixture} at point {cfg.point}")
-    click.echo("delta          s_minus        s_plus         midpoint_x")
+    _echo(f"fixture {cfg.fixture} at point {cfg.point}")
+    _echo("delta          s_minus        s_plus         midpoint_x")
     for s in samples:
-        click.echo(f"{s.delta:<14.6g} {s.s_minus:<14.8g} {s.s_plus:<14.8g} {s.midpoint_x: .6e}")
-    click.echo(
+        _echo(f"{s.delta:<14.6g} {s.s_minus:<14.8g} {s.s_plus:<14.8g} {s.midpoint_x: .6e}")
+    _echo(
         f"flat: {flat.is_flat} (b={flat.fit_coeffs[1]:.6g}, predicted {flat.predicted_b:.6g})"
     )
-    click.echo(f"straight: {straight} (max_dev={max_dev:.3e})")
+    _echo(f"straight: {straight} (max_dev={max_dev:.3e})")
 
 
 def _gravity_sweep(cfg: Config, curve) -> None:
-    base_points = np.linspace(-0.5, 0.5, cfg.sweep)
-    deltas = cfg.deltas()
-    rows = []
-    for p in base_points:
-        local = numcurve.renormalize(curve, float(p))
-        dev, ok = numcurve.straightness_test(
-            numcurve.gravity_samples(local, deltas), cfg.tol_straight
-        )
-        rows.append({"point": float(p), "max_dev": dev, "is_straight": bool(ok)})
-    overall = numcurve.corollary_sweep(curve, [float(p) for p in base_points], deltas, cfg.tol_straight)
+    per_point: list[tuple[float, float, bool]] = []
+    overall = numcurve.corollary_sweep(
+        curve, cfg.base_points(), cfg.deltas(), cfg.tol_straight, rows=per_point
+    )
+    rows = [{"point": p, "max_dev": dev, "is_straight": ok} for p, dev, ok in per_point]
     if cfg.output == "csv":
-        click.echo("point,max_dev,is_straight")
+        _echo("point,max_dev,is_straight")
         for r in rows:
-            click.echo(f"{r['point']!r},{r['max_dev']!r},{int(r['is_straight'])}")
+            _echo(f"{r['point']!r},{r['max_dev']!r},{int(r['is_straight'])}")
         return
     if cfg.output == "json":
         _echo_json(
@@ -445,12 +488,12 @@ def _gravity_sweep(cfg: Config, curve) -> None:
             }
         )
         return
-    click.echo(f"fixture {cfg.fixture}, sweep over {cfg.sweep} base points")
+    _echo(f"fixture {cfg.fixture}, sweep over {cfg.sweep} base points")
     for r in rows:
-        click.echo(
+        _echo(
             f"point {r['point']: .4f}: max_dev={r['max_dev']:.3e} straight={r['is_straight']}"
         )
-    click.echo(f"straight everywhere: {overall}")
+    _echo(f"straight everywhere: {overall}")
 
 
 if __name__ == "__main__":

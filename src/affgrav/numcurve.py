@@ -10,11 +10,19 @@ On top of that sit the desk-scale experiments: locating the two chord
 intersections at a given height by bisection, collecting the chord
 midpoints, and estimating flatness and straightness of the resulting
 midpoint curve.
+
+The numeric kernels work on whole arrays: interpolation takes every
+abscissa in one call, and the chord roots of all heights and both sides
+of a base point are bisected together.  Each array kernel performs the
+same floating-point operations in the same order as its one-value form,
+so results are bit-identical to it; ``tests/_oracles.py`` keeps those
+forms and the tests compare against them with ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -158,44 +166,50 @@ def integrate_from_kappa(
     if n < 1:
         raise ValueError("domain narrower than one step")
     kappa = spec.kappa
+    # one row per node: c, c', c'' as (px, py, ax, ay, bx, by); (cx, cy) is c'''
+    start = (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
+    states = np.empty((2 * n + 1, 6))
+    states[n] = start
+    for sign, rows in ((1, range(n + 1, 2 * n + 1)), (-1, range(n - 1, -1, -1))):
+        h = sign * step
+        h2, h6 = h / 2, h / 6
+        px, py, ax, ay, bx, by = start
+        for i, row in enumerate(rows):
+            s = sign * i * step
+            k1, k23, k4 = -kappa(s), -kappa(s + h2), -kappa(s + h)
+            # the four RK4 stages of (c, c', c'')' = (c', c'', -kappa c')
+            cx1, cy1 = k1 * ax, k1 * ay
+            ax2, ay2 = ax + h2 * bx, ay + h2 * by
+            bx2, by2 = bx + h2 * cx1, by + h2 * cy1
+            cx2, cy2 = k23 * ax2, k23 * ay2
+            ax3, ay3 = ax + h2 * bx2, ay + h2 * by2
+            bx3, by3 = bx + h2 * cx2, by + h2 * cy2
+            cx3, cy3 = k23 * ax3, k23 * ay3
+            ax4, ay4 = ax + h * bx3, ay + h * by3
+            bx4, by4 = bx + h * cx3, by + h * cy3
+            cx4, cy4 = k4 * ax4, k4 * ay4
+            px += h6 * (ax + 2 * ax2 + 2 * ax3 + ax4)
+            py += h6 * (ay + 2 * ay2 + 2 * ay3 + ay4)
+            ax, ay, bx, by = (
+                ax + h6 * (bx + 2 * bx2 + 2 * bx3 + bx4),
+                ay + h6 * (by + 2 * by2 + 2 * by3 + by4),
+                bx + h6 * (cx1 + 2 * cx2 + 2 * cx3 + cx4),
+                by + h6 * (cy1 + 2 * cy2 + 2 * cy3 + cy4),
+            )
+            states[row] = (px, py, ax, ay, bx, by)
 
-    def rk4(y: np.ndarray, s: float, h: float) -> np.ndarray:
-        def rhs(si, yi):
-            return np.array([yi[1], yi[2], -kappa(si) * yi[1]])
-
-        k1 = rhs(s, y)
-        k2 = rhs(s + h / 2, y + (h / 2) * k1)
-        k3 = rhs(s + h / 2, y + (h / 2) * k2)
-        k4 = rhs(s + h, y + h * k3)
-        return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    y0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    states = [None] * (2 * n + 1)
-    states[n] = y0
-    y = y0
-    for i in range(n):
-        y = rk4(y, i * step, step)
-        states[n + 1 + i] = y
-    y = y0
-    for i in range(n):
-        y = rk4(y, -i * step, -step)
-        states[n - 1 - i] = y
-
-    arr = np.array(states)
     grid = np.arange(-n, n + 1) * step
-    return NumCurve(grid=grid, points=arr[:, 0], d1=arr[:, 1], d2=arr[:, 2], step=step)
+    return NumCurve(
+        grid=grid, points=states[:, 0:2], d1=states[:, 2:4], d2=states[:, 4:6], step=step
+    )
 
 
 # -- reparametrization of parametric curves -------------------------------------
 
 
 def _xy_array(fn, us: np.ndarray) -> np.ndarray:
-    out = np.empty((len(us), 2))
-    for i, u in enumerate(us):
-        x, y = fn(float(u))
-        out[i, 0] = x
-        out[i, 1] = y
-    return out
+    values = chain.from_iterable(map(fn, us.tolist()))
+    return np.fromiter(values, float, count=2 * len(us)).reshape(-1, 2)
 
 
 def _fd1(fn, us: np.ndarray) -> np.ndarray:
@@ -230,37 +244,42 @@ def _fd3(fn, us: np.ndarray) -> np.ndarray:
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral on a uniform grid, O(dx^4), len(y) odd."""
-    n = len(y)
-    out = np.zeros(n)
-    for i in range(2, n, 2):
-        out[i] = out[i - 2] + dx * (y[i - 2] + 4 * y[i - 1] + y[i]) / 3
-    for i in range(1, n, 2):
-        # quadratic through the surrounding three nodes, first half only
-        out[i] = out[i - 1] + dx * (5 * y[i - 1] + 8 * y[i] - y[i + 1]) / 12
+    out = np.empty(len(y))
+    panels = dx * (y[:-2:2] + 4 * y[1:-1:2] + y[2::2]) / 3
+    out[0::2] = np.add.accumulate(np.concatenate(([0.0], panels)))
+    # quadratic through the surrounding three nodes, first half only
+    out[1::2] = out[:-1:2] + dx * (5 * y[:-1:2] + 8 * y[1::2] - y[2::2]) / 12
     return out
 
 
-def _lagrange4(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
-    total = 0.0
-    for j in range(4):
-        num, den = 1.0, 1.0
-        for m in range(4):
-            if m != j:
-                num *= x - xs[m]
-                den *= xs[j] - xs[m]
-        total += ys[j] * (num / den)
-    return total
+# For each of the four window nodes j, the other three in ascending order.
+_OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+# Abscissae per interpolation block; bounds the (block, 4, 3) temporaries.
+_BLOCK = 256
 
 
-def _window(xs: np.ndarray, x: float) -> int:
-    """Start index of the 4-node interpolation window around x."""
-    i = int(np.searchsorted(xs, x)) - 1
-    return max(0, min(i - 1, len(xs) - 4))
+def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange interpolation of a sorted table at each abscissa.
 
-
-def _interp_table(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
-    i = _window(xs, x)
-    return _lagrange4(xs[i : i + 4], ys[i : i + 4], x)
+    Each x uses the four nodes around it, clamped to the table ends.  The
+    basis products and the sum run in node order, so a value equals the
+    one-abscissa evaluation bit for bit.
+    """
+    if len(xs) < 4:
+        raise ValueError("cubic interpolation needs a table of at least 4 nodes")
+    x = np.asarray(x, dtype=float)
+    if len(x) > _BLOCK:
+        blocks = [x[i : i + _BLOCK] for i in range(0, len(x), _BLOCK)]
+        return np.concatenate([_interp_table(xs, ys, b) for b in blocks])
+    start = np.minimum(np.maximum(np.searchsorted(xs, x) - 2, 0), len(xs) - 4)
+    window = start[:, None] + np.arange(4)
+    nodes = xs[window]
+    dx = (x[:, None] - nodes)[:, _OTHERS]
+    dn = nodes[:, :, None] - nodes[:, _OTHERS]
+    num = dx[..., 0] * dx[..., 1] * dx[..., 2]
+    den = dn[..., 0] * dn[..., 1] * dn[..., 2]
+    terms = ys[window] * (num / den)
+    return 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
 def reparametrize_affine(
@@ -299,7 +318,7 @@ def reparametrize_affine(
         raise ValueError("parameter domain too short for the requested grid step")
     grid = np.arange(-n_neg, n_pos + 1) * step
 
-    u_of_s = np.array([_interp_table(sigma, us, s) for s in grid])
+    u_of_s = _interp_table(sigma, us, grid)
     u_of_s[n_neg] = us[iref]  # base node is a table node; keep it exact
 
     pts = _xy_array(spec.xy, u_of_s)
@@ -354,47 +373,65 @@ def affine_curvature(curve: NumCurve, s: float) -> float:
     return (1 - frac) * k0 + frac * k1
 
 
-def _chord_root(curve: NumCurve, direction: int, delta: float) -> float:
+def _first_reach(g_out: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """Per height, the offset of the first node of g_out with g >= delta;
+    len(g_out) where none does.  A NaN node never reaches a height."""
+    reach = np.maximum.accumulate(np.where(np.isnan(g_out), -np.inf, g_out))
+    return np.searchsorted(reach, deltas)
+
+
+def _chord_roots(curve: NumCurve, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of g(s) = delta right and left of the base point, all heights
+    in one pass.
+
+    Lanes are ordered (right, left) per height.  Each lane walks outward
+    from the base node to the first node with g >= delta, then bisects the
+    cubic interpolant of g over that grid cell to bracket collapse.  All
+    lanes bisect in lockstep; a lane stops on an exact zero, on a midpoint
+    that no longer moves, or on a collapsed bracket.  Returns the roots
+    and a mask of the lanes that found none.
+    """
     g = curve.points[:, 1]
-    i = curve.center_index()
-    side = "right" if direction > 0 else "left"
-    while True:
-        j = i + direction
-        if j < 0 or j >= len(g):
-            raise BracketingError(delta, side)
-        if g[j] >= delta:
-            break
-        i = j
+    grid = curve.grid
+    center = curve.center_index()
+    right = center + 1 + _first_reach(g[center + 1 :], deltas)
+    left = center - 1 - _first_reach(g[:center][::-1], deltas)
+    outer = np.column_stack([right, left]).ravel()
+    inner = outer - np.tile([1, -1], len(deltas))
+    delta = np.repeat(deltas, 2)
+    failed = (outer < 0) | (outer >= len(g))
+    outer = np.where(failed, center, outer)
+    inner = np.where(failed, center, inner)
 
-    def gval(s: float) -> float:
-        return _interp_table(curve.grid, g, s)
-
-    lo, hi = curve.grid[i], curve.grid[j]
-    flo, fhi = gval(lo) - delta, gval(hi) - delta
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if (flo < 0) == (fhi < 0):
-        raise BracketingError(delta, side)
+    lo, hi = grid[inner], grid[outer]
+    f_ends = _interp_table(grid, g, np.concatenate([lo, hi])) - np.tile(delta, 2)
+    flo, fhi = np.split(f_ends, 2)
+    at_lo = ~failed & (flo == 0.0)
+    at_hi = ~failed & ~at_lo & (fhi == 0.0)
+    neg_lo = flo < 0  # the sign of g - delta at lo never changes while bisecting
+    failed |= ~at_lo & ~at_hi & (neg_lo == (fhi < 0))
+    bisect = ~(failed | at_lo | at_hi)
     # bisect to bracket collapse; this lands far inside the |g - delta|
     # tolerance and keeps the root itself accurate to machine precision
     mid = 0.5 * (lo + hi)
+    active = bisect
     for _ in range(200):
-        fm = gval(mid) - delta
-        if fm == 0.0:
+        if not active.any():
             break
-        if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
+        fm = _interp_table(grid, g, mid) - delta
+        moving = active & (fm != 0.0)
+        to_lo = moving & ((fm < 0) == neg_lo)
+        lo = np.where(to_lo, mid, lo)
+        hi = np.where(moving & ~to_lo, mid, hi)
         nxt = 0.5 * (lo + hi)
-        if nxt == mid or abs(hi - lo) <= 1e-17 * max(1.0, abs(mid)):
-            break
-        mid = nxt
-    if abs(gval(mid) - delta) > ROOT_TOL:
-        raise BracketingError(delta, side)
-    return float(mid)
+        width = np.abs(hi - lo)
+        collapsed = (nxt == mid) | (width <= 1e-17 * np.maximum(1.0, np.abs(mid)))
+        active = moving & ~collapsed
+        mid = np.where(active, nxt, mid)
+    residual = np.abs(_interp_table(grid, g, mid) - delta)
+    failed |= bisect & (residual > ROOT_TOL)
+    roots = np.where(at_lo, lo, np.where(at_hi, hi, mid))
+    return roots, failed
 
 
 def gravity_samples(curve: NumCurve, deltas: Sequence[float]) -> list[GravitySample]:
@@ -404,26 +441,28 @@ def gravity_samples(curve: NumCurve, deltas: Sequence[float]) -> list[GravitySam
     intersected with the sampled curve on both sides of the base point;
     roots are located by bisection on the cubic interpolant of the
     vertical component, midpoints from the cubic interpolant of the
-    horizontal component.
+    horizontal component.  All heights and both sides are solved in one
+    batched pass.  Errors follow height order, right side before left: a
+    height <= 0 raises ValueError, a missing root BracketingError.
     """
-    f = curve.points[:, 0]
-    out = []
-    for delta in deltas:
-        if delta <= 0:
-            raise ValueError("chord height must be positive")
-        s_plus = _chord_root(curve, +1, float(delta))
-        s_minus = _chord_root(curve, -1, float(delta))
-        f_plus = _interp_table(curve.grid, f, s_plus)
-        f_minus = _interp_table(curve.grid, f, s_minus)
-        out.append(
-            GravitySample(
-                delta=float(delta),
-                s_minus=s_minus,
-                s_plus=s_plus,
-                midpoint_x=float(0.5 * (f_minus + f_plus)),
-            )
+    deltas = np.asarray(deltas, dtype=float)
+    nonpositive = np.flatnonzero(deltas <= 0)
+    heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
+    roots, failed = _chord_roots(curve, heights)
+    if failed.any():
+        lane = int(np.flatnonzero(failed)[0])
+        raise BracketingError(float(heights[lane // 2]), ("right", "left")[lane % 2])
+    if nonpositive.size:
+        raise ValueError("chord height must be positive")
+    s_plus, s_minus = roots[0::2], roots[1::2]
+    f_at = _interp_table(curve.grid, curve.points[:, 0], roots)
+    midpoint_x = 0.5 * (f_at[1::2] + f_at[0::2])
+    return [
+        GravitySample(delta=d, s_minus=sm, s_plus=sp, midpoint_x=m)
+        for d, sm, sp, m in zip(
+            heights.tolist(), s_minus.tolist(), s_plus.tolist(), midpoint_x.tolist()
         )
-    return out
+    ]
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -482,13 +521,17 @@ def corollary_sweep(
     deltas: Sequence[float] | None = None,
     tol_straight: float | None = None,
     kappa_spread_tol: float = 1e-4,
+    rows: list | None = None,
 ) -> bool:
     """Straightness at every base point, cross-checked against constant
     curvature.
 
     Returns True when the midpoint curve is straight at all base points.
     The verdict must agree with numerical constancy of the curvature
-    over the same points; disagreement raises VerificationError.
+    over the same points; disagreement raises VerificationError.  Each
+    base point is renormalized and sampled once, all of its heights in
+    one batch; when ``rows`` is a list, this pass appends one
+    ``(point, max_dev, is_straight)`` tuple per base point to it.
     """
     if deltas is None:
         deltas = default_deltas()
@@ -497,6 +540,8 @@ def corollary_sweep(
     for p in base_points:
         local = renormalize(curve, p)
         dev, ok = straightness_test(gravity_samples(local, deltas), tol_straight)
+        if rows is not None:
+            rows.append((p, dev, bool(ok)))
         all_straight = all_straight and ok
         kappas.append(affine_curvature(curve, p))
     spread = max(kappas) - min(kappas)

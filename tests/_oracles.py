@@ -1,14 +1,20 @@
 """Independent reference implementations used as test oracles.
 
-Everything here works on plain Fraction lists or explicit enumerations,
-deliberately avoiding the library's own series and Bell machinery.
+The symbolic oracles work on plain Fraction lists or explicit
+enumerations, deliberately avoiding the library's own series and Bell
+machinery.  The numeric oracles are the scalar, one-value-at-a-time
+forms of the curve builders and the chord-root search: the array code
+in ``numcurve`` must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from affgrav import DiffPoly, Series
+import numpy as np
+
+from affgrav import BracketingError, DiffPoly, GravitySample, NumCurve, Series
+from affgrav.numcurve import ROOT_TOL, renormalize
 
 
 def poly_mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
@@ -97,4 +103,188 @@ def rational_coeffs(series: Series) -> list[Fraction]:
         v = c.constant_value()
         assert v.b == 0, f"coefficient {v} is not rational"
         out.append(v.a)
+    return out
+
+
+# -- numeric oracles -----------------------------------------------------------
+
+
+def lagrange4(xs, ys, x: float) -> float:
+    """Cubic Lagrange interpolant through four nodes, evaluated at x."""
+    total = 0.0
+    for j in range(4):
+        num, den = 1.0, 1.0
+        for m in range(4):
+            if m != j:
+                num *= x - xs[m]
+                den *= xs[j] - xs[m]
+        total += ys[j] * (num / den)
+    return total
+
+
+def interp_table(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
+    """Cubic interpolation of a sorted table at one abscissa."""
+    i = int(np.searchsorted(xs, x)) - 1
+    i = max(0, min(i - 1, len(xs) - 4))
+    return lagrange4(xs[i : i + 4], ys[i : i + 4], x)
+
+
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative Simpson integral, one node at a time; len(y) odd."""
+    n = len(y)
+    out = np.zeros(n)
+    for i in range(2, n, 2):
+        out[i] = out[i - 2] + dx * (y[i - 2] + 4 * y[i - 1] + y[i]) / 3
+    for i in range(1, n, 2):
+        out[i] = out[i - 1] + dx * (5 * y[i - 1] + 8 * y[i] - y[i + 1]) / 12
+    return out
+
+
+def integrate_from_kappa(spec, step: float = 1e-3) -> NumCurve:
+    """RK4 for c''' = -kappa c' on (3, 2) numpy state arrays."""
+    n = int(round(spec.half_width / step))
+    kappa = spec.kappa
+
+    def rk4(y, s, h):
+        def rhs(si, yi):
+            return np.array([yi[1], yi[2], -kappa(si) * yi[1]])
+
+        k1 = rhs(s, y)
+        k2 = rhs(s + h / 2, y + (h / 2) * k1)
+        k3 = rhs(s + h / 2, y + (h / 2) * k2)
+        k4 = rhs(s + h, y + h * k3)
+        return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    y0 = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    states = [None] * (2 * n + 1)
+    states[n] = y0
+    y = y0
+    for i in range(n):
+        y = rk4(y, i * step, step)
+        states[n + 1 + i] = y
+    y = y0
+    for i in range(n):
+        y = rk4(y, -i * step, -step)
+        states[n - 1 - i] = y
+    arr = np.array(states)
+    grid = np.arange(-n, n + 1) * step
+    return NumCurve(grid=grid, points=arr[:, 0], d1=arr[:, 1], d2=arr[:, 2], step=step)
+
+
+def _xy(fn, us) -> np.ndarray:
+    out = np.empty((len(us), 2))
+    for i, u in enumerate(us):
+        x, y = fn(float(u))
+        out[i, 0] = x
+        out[i, 1] = y
+    return out
+
+
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _fd1(fn, us, du=2e-3):
+    m2, m1 = _xy(fn, us - 2 * du), _xy(fn, us - du)
+    p1, p2 = _xy(fn, us + du), _xy(fn, us + 2 * du)
+    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * du)
+
+
+def _fd2(fn, us, du=1e-2):
+    c0 = _xy(fn, us)
+    m2, m1 = _xy(fn, us - 2 * du), _xy(fn, us - du)
+    p1, p2 = _xy(fn, us + du), _xy(fn, us + 2 * du)
+    return (-m2 + 16 * m1 - 30 * c0 + 16 * p1 - p2) / (12 * (du * du))
+
+
+def _fd3(fn, us, du=1.2e-2):
+    m3, m2, m1 = _xy(fn, us - 3 * du), _xy(fn, us - 2 * du), _xy(fn, us - du)
+    p1, p2, p3 = _xy(fn, us + du), _xy(fn, us + 2 * du), _xy(fn, us + 3 * du)
+    return (m3 - 8 * m2 + 13 * m1 - 13 * p1 + 8 * p2 - p3) / (8 * (du * du * du))
+
+
+def reparametrize_affine(spec, samples: int = 4001, step: float = 1e-3) -> NumCurve:
+    """Affine-arclength resampling with per-node interpolation and the
+    loop Simpson sum; for non-degenerate plots only."""
+    u0, u1 = spec.domain
+    us = np.linspace(u0, u1, samples)
+    det = _cross(_fd1(spec.xy, us), _fd2(spec.xy, us))
+    sigma = cumulative_simpson(det ** (1.0 / 3.0), float(us[1] - us[0]))
+    iref = int(np.argmin(np.abs(us - (u0 + u1) / 2)))
+    sigma -= sigma[iref]
+    n_neg = int(np.floor(-sigma[0] / step)) - 1
+    n_pos = int(np.floor(sigma[-1] / step)) - 1
+    grid = np.arange(-n_neg, n_pos + 1) * step
+    u_of_s = np.array([interp_table(sigma, us, s) for s in grid])
+    u_of_s[n_neg] = us[iref]
+    pts = _xy(spec.xy, u_of_s)
+    c1, c2, c3 = _fd1(spec.xy, u_of_s), _fd2(spec.xy, u_of_s), _fd3(spec.xy, u_of_s)
+    z, zp = _cross(c1, c2), _cross(c1, c3)
+    d1 = c1 * (z ** (-1.0 / 3.0))[:, None]
+    d2 = c2 * (z ** (-2.0 / 3.0))[:, None] - c1 * (zp / 3.0 * z ** (-5.0 / 3.0))[:, None]
+    return renormalize(NumCurve(grid=grid, points=pts, d1=d1, d2=d2, step=step), 0.0)
+
+
+def chord_root(curve: NumCurve, direction: int, delta: float) -> float:
+    """Walk outward to the first node with g >= delta, then bisect the
+    cubic interpolant of g to bracket collapse."""
+    g = curve.points[:, 1]
+    i = curve.center_index()
+    side = "right" if direction > 0 else "left"
+    while True:
+        j = i + direction
+        if j < 0 or j >= len(g):
+            raise BracketingError(delta, side)
+        if g[j] >= delta:
+            break
+        i = j
+
+    def gval(s: float) -> float:
+        return interp_table(curve.grid, g, s)
+
+    lo, hi = curve.grid[i], curve.grid[j]
+    flo, fhi = gval(lo) - delta, gval(hi) - delta
+    if flo == 0.0:
+        return float(lo)
+    if fhi == 0.0:
+        return float(hi)
+    if (flo < 0) == (fhi < 0):
+        raise BracketingError(delta, side)
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        fm = gval(mid) - delta
+        if fm == 0.0:
+            break
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+        nxt = 0.5 * (lo + hi)
+        if nxt == mid or abs(hi - lo) <= 1e-17 * max(1.0, abs(mid)):
+            break
+        mid = nxt
+    if abs(gval(mid) - delta) > ROOT_TOL:
+        raise BracketingError(delta, side)
+    return float(mid)
+
+
+def gravity_samples(curve: NumCurve, deltas) -> list[GravitySample]:
+    """Chord midpoints one height and one side at a time."""
+    f = curve.points[:, 0]
+    out = []
+    for delta in deltas:
+        if delta <= 0:
+            raise ValueError("chord height must be positive")
+        s_plus = chord_root(curve, +1, float(delta))
+        s_minus = chord_root(curve, -1, float(delta))
+        f_plus = interp_table(curve.grid, f, s_plus)
+        f_minus = interp_table(curve.grid, f, s_minus)
+        out.append(
+            GravitySample(
+                delta=float(delta),
+                s_minus=s_minus,
+                s_plus=s_plus,
+                midpoint_x=float(0.5 * (f_minus + f_plus)),
+            )
+        )
     return out

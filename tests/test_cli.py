@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -171,6 +172,46 @@ class TestGravity:
             main, ["gravity", "--fixture", "parabola", "--delta-ratio", "0.5"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--point", "5"], "base point 5.0 is not inside the grid"),
+            (["--point", "nan"], "--point must be finite"),
+            (["--delta-count", "3"], "needs --delta-count >= 6"),
+            (["--delta0", "nan"], "--delta0 must be finite"),
+            (["--step", "nan"], "--step must be finite"),
+            (["--tol-flat", "nan"], "--tol-flat must be finite"),
+            (["--fixture", "ellipse:2"], "ellipse takes two positive semi-axes"),
+            (["--sweep", "-3"], "--sweep takes 0 (single point) or at least 2"),
+            (["--sweep", "1"], "--sweep takes 0 (single point) or at least 2"),
+            (["--fixture", "ellipse:0.1,0.1", "--sweep", "3"], "base point -0.5 is not inside"),
+            (["--fixture", "kappa-poly:1", "--step", "0.4", "--sweep", "3"], "base point -0.5"),
+            (["--fixture", "kappa-poly:nan"], "fixture arguments must be finite"),
+        ],
+    )
+    def test_invalid_input_is_usage_error(self, runner, args, message):
+        result = runner.invoke(main, ["gravity", *args])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("Error: ") and message in last
+
+
+class TestInProcessRuns:
+    def test_runs_release_their_output_streams(self, runner):
+        # click.echo's default stream lookup would cache, and so keep alive,
+        # every stdout and stderr that CliRunner swaps in
+        def live_streams():
+            gc.collect()
+            return sum(type(o).__name__ == "_NamedTextIOWrapper" for o in gc.get_objects())
+
+        before = live_streams()
+        for args in (["expand", "--order", "6"], ["verify", "--order", "6"]):
+            assert runner.invoke(main, args).exit_code == 0
+        args = ["gravity", "--fixture", "kappa-poly:1,0,1", "--sweep", "2"]
+        assert runner.invoke(main, args).exit_code == 1  # writes to stderr
+        assert live_streams() == before
 
 
 class TestFixtureParsing:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from affgrav import (
     BracketingError,
     DegenerateCurveError,
@@ -21,6 +22,8 @@ from affgrav import (
     straightness_test,
     wronskian_drift,
 )
+from affgrav.cli import parse_fixture
+from affgrav.numcurve import _cumulative_simpson, _interp_table
 
 
 def taylor_eval(series, assign, s):
@@ -281,3 +284,81 @@ class TestAffineInvariance:
         d0 = straightness_test(gravity_samples(cur0, default_deltas()))
         d1 = straightness_test(gravity_samples(cur1, default_deltas()))
         assert d0[1] == d1[1] is True
+
+
+ORACLE_FIXTURES = [
+    "parabola", "circle", "ellipse:2,1", "hyperbola", "kappa-poly:1,0,1", "kappa-poly:0.5,0.2,-0.3"
+]
+ORACLE_POINTS = [0.0, 0.3, -0.3]
+
+
+@pytest.fixture(scope="module", params=ORACLE_FIXTURES)
+def curve_pair(request):
+    """The library's curve for a CLI fixture and the scalar oracle's."""
+    spec, _ = parse_fixture(request.param)
+    if isinstance(spec, KappaCurveSpec):
+        return integrate_from_kappa(spec), oracle.integrate_from_kappa(spec)
+    return reparametrize_affine(spec), oracle.reparametrize_affine(spec)
+
+
+def _outcome(fn, *args):
+    """What a call returned or, for a chord-height error, what it raised."""
+    try:
+        return "ok", fn(*args)
+    except BracketingError as exc:
+        return "bracketing", exc.delta, exc.side
+    except ValueError as exc:
+        return "value", str(exc)
+
+
+class TestScalarOracles:
+    """The array kernels reproduce the scalar loops bit for bit."""
+
+    def test_curve_matches_oracle(self, curve_pair):
+        built, ref = curve_pair
+        assert built.step == ref.step
+        for name in ("grid", "points", "d1", "d2"):
+            assert np.array_equal(getattr(built, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("p", ORACLE_POINTS)
+    def test_gravity_samples_match_oracle(self, curve_pair, p):
+        built, _ = curve_pair
+        local = renormalize(built, p)
+        deltas = default_deltas()
+        assert gravity_samples(local, deltas) == oracle.gravity_samples(local, deltas)
+
+    @pytest.mark.parametrize("p", ORACLE_POINTS)
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            list(default_deltas(0.01, 1.6, 10)),
+            list(default_deltas(0.4)),
+            [10.0, 0.02],
+            [0.02, 0.3, 0.5, 0.7, 0.9],
+        ],
+    )
+    def test_out_of_reach_heights_raise_like_oracle(self, curve_pair, p, deltas):
+        local = renormalize(curve_pair[0], p)
+        got = _outcome(gravity_samples, local, deltas)
+        assert got == _outcome(oracle.gravity_samples, local, deltas)
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [[0.0], [0.01, -1.0, 0.02], [0.01, 10.0, 0.0], [0.01, 0.0, 10.0], [10.0, -1.0]],
+    )
+    def test_nonpositive_height_raises_at_its_position(self, parabola_curve, deltas):
+        got = _outcome(gravity_samples, parabola_curve, deltas)
+        assert got[0] != "ok"
+        assert got == _outcome(oracle.gravity_samples, parabola_curve, deltas)
+
+    def test_interp_table_matches_scalar_lagrange(self):
+        rng = np.random.default_rng(7)
+        xs = np.cumsum(rng.uniform(0.5, 1.5, 40))
+        ys = np.sin(xs)
+        probes = np.concatenate([rng.uniform(xs[0] - 2, xs[-1] + 2, 400), xs])
+        got = _interp_table(xs, ys, probes)
+        assert np.array_equal(got, [oracle.interp_table(xs, ys, float(x)) for x in probes])
+
+    def test_cumulative_simpson_matches_loop(self):
+        y = np.cos(np.linspace(-1.0, 1.0, 101)) ** 3
+        assert np.array_equal(_cumulative_simpson(y, 0.02), oracle.cumulative_simpson(y, 0.02))
