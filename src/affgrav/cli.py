@@ -27,23 +27,24 @@ _ORDER_OPTION = click.IntRange(MIN_ORDER, MAX_ORDER)
 class Config:
     """Validated bundle of the numeric experiment parameters."""
 
-    step: float = numcurve.DEFAULT_STEP
-    delta0: float = 1e-3
-    delta_ratio: float = 1.6
-    delta_count: int = 8
-    tol_flat: float = numcurve.DEFAULT_TOL_FLAT
-    tol_straight: float | None = None
-    output: str = "text"
-    fixture: str = "parabola"
-    point: float = 0.0
-    sweep: int = 0
+    step: float
+    delta0: float
+    delta_ratio: float
+    delta_count: int
+    tol_flat: float
+    tol_straight: float | None
+    output: str
+    fixture: str
+    point: float
+    sweep: int
 
     def validate(self, curve: numcurve.NumCurve | None = None) -> None:
         """Raise ValueError naming the first unmet precondition.
 
-        Given the curve built from this config, also check that every
-        base point lies on its grid with two nodes to spare at either
-        end, the stencil ``affine_curvature`` needs.
+        Given the curve built from this config, also check that its
+        points and frames are finite and that every base point lies on
+        its grid with two nodes to spare at either end, the stencil
+        ``affine_curvature`` needs.
         """
         reals = {
             "step": self.step,
@@ -70,6 +71,8 @@ class Config:
             raise ValueError("tol-straight must be positive")
         if curve is None:
             return
+        if not all(np.isfinite(a).all() for a in (curve.points, curve.d1, curve.d2)):
+            raise ValueError(f"fixture {self.fixture} gives a curve that is not finite")
         grid = curve.grid
         for p in self.base_points():
             if not 2 <= round((p - grid[0]) / curve.step) <= len(grid) - 3:
@@ -90,6 +93,19 @@ class Config:
 
 # -- fixtures -------------------------------------------------------------------
 
+# Conics plotted on u in [-1, 1]: name -> (plot maker, its default
+# arguments, what it takes).  A conic has constant affine curvature.
+_CONICS = {
+    "parabola": (lambda: lambda u: (u, u * u / 2), (), "no arguments"),
+    "circle": (lambda: lambda u: (math.cos(u), math.sin(u)), (), "no arguments"),
+    "ellipse": (
+        lambda a, b: lambda u: (a * math.cos(u), b * math.sin(u)),
+        (2.0, 1.0),
+        "two positive semi-axes, e.g. ellipse:2,1",
+    ),
+    "hyperbola": (lambda: lambda u: (math.cosh(u), -math.sinh(u)), (), "no arguments"),
+}
+
 
 def parse_fixture(text: str):
     """Resolve a fixture name into (curve spec, curvature derivative fn).
@@ -102,26 +118,11 @@ def parse_fixture(text: str):
     args = [float(v) for v in argtext.split(",") if v] if argtext else []
     if not all(math.isfinite(a) for a in args):
         raise ValueError(f"fixture arguments must be finite, got {text!r}")
-    if name == "parabola":
-        spec = numcurve.ParametricCurveSpec(lambda u: (u, u * u / 2), (-1.0, 1.0))
-        return spec, lambda p: 0.0
-    if name == "circle":
-        spec = numcurve.ParametricCurveSpec(
-            lambda u: (math.cos(u), math.sin(u)), (-1.0, 1.0)
-        )
-        return spec, lambda p: 0.0
-    if name == "ellipse":
-        if len(args) not in (0, 2) or any(a <= 0 for a in args):
-            raise ValueError("ellipse takes two positive semi-axes, e.g. ellipse:2,1")
-        a, b = args if args else (2.0, 1.0)
-        spec = numcurve.ParametricCurveSpec(
-            lambda u: (a * math.cos(u), b * math.sin(u)), (-1.0, 1.0)
-        )
-        return spec, lambda p: 0.0
-    if name == "hyperbola":
-        spec = numcurve.ParametricCurveSpec(
-            lambda u: (math.cosh(u), -math.sinh(u)), (-1.0, 1.0)
-        )
+    if name in _CONICS:
+        make_plot, defaults, takes = _CONICS[name]
+        if args and (len(args) != len(defaults) or min(args) <= 0):
+            raise ValueError(f"{name} takes {takes}")
+        spec = numcurve.ParametricCurveSpec(make_plot(*(args or defaults)), (-1.0, 1.0))
         return spec, lambda p: 0.0
     if name == "kappa-poly":
         if not args:
@@ -371,39 +372,16 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
 @click.option("--tol-straight", type=float, default=None)
 @click.option(
     "--format",
-    "fmt",
+    "output",
     type=click.Choice(["text", "json", "csv"]),
     default="text",
     show_default=True,
 )
 @click.pass_context
-def cmd_gravity(
-    ctx: click.Context,
-    fixture: str,
-    point: float,
-    sweep: int,
-    step: float,
-    delta0: float,
-    delta_ratio: float,
-    delta_count: int,
-    tol_flat: float,
-    tol_straight: float | None,
-    fmt: str,
-) -> None:
+def cmd_gravity(ctx: click.Context, **params) -> None:
     """Sample the chord-midpoint curve of a fixture and judge flatness
     and straightness."""
-    cfg = Config(
-        step=step,
-        delta0=delta0,
-        delta_ratio=delta_ratio,
-        delta_count=delta_count,
-        tol_flat=tol_flat,
-        tol_straight=tol_straight,
-        output=fmt,
-        fixture=fixture,
-        point=point,
-        sweep=sweep,
-    )
+    cfg = Config(**params)
     try:
         cfg.validate()
         curve, kappa_prime = build_fixture_curve(cfg)
@@ -412,7 +390,7 @@ def cmd_gravity(
         raise click.UsageError(str(exc))
 
     try:
-        if sweep > 0:
+        if cfg.sweep > 0:
             _gravity_sweep(cfg, curve)
         else:
             _gravity_single(cfg, curve, kappa_prime)

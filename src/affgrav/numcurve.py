@@ -17,6 +17,12 @@ of a base point are bisected together.  Each array kernel performs the
 same floating-point operations in the same order as its one-value form,
 so results are bit-identical to it; ``tests/_oracles.py`` keeps those
 forms and the tests compare against them with ``==``.
+
+Derivatives of a parametric plot come from ``_STENCILS``, one table of
+central finite-difference stencils read by ``_fd``.  The plot is called
+once per abscissa and offset: values already known at the nodes serve
+as the zero-offset term.  No grid holds more than ``MAX_GRID_NODES``
+nodes.
 """
 
 from __future__ import annotations
@@ -48,21 +54,29 @@ __all__ = [
     "DEFAULT_STEP",
     "DEFAULT_TOL_FLAT",
     "TOL_STRAIGHT_FACTOR",
+    "MAX_GRID_NODES",
 ]
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL_FLAT = 1e-3
 TOL_STRAIGHT_FACTOR = 1e-6
 ROOT_TOL = 1e-12
+KAPPA_SPREAD_TOL = 1e-4
+MAX_GRID_NODES = 10**6
+# parameter-table nodes of reparametrize_affine; odd, for composite Simpson
+TABLE_NODES = 4001
 
-# finite-difference steps per derivative order for O(du^4) central
-# stencils.  Kept wide: the white part of the roundoff error, eps/du^n
-# from the callable's rounded output, feeds node-to-node jitter of the
-# stored frames that the curvature estimator later divides by the grid
-# step; truncation stays far below it at these widths.
-_DU1 = 2e-3
-_DU2 = 1e-2
-_DU3 = 1.2e-2
+# O(du^4) central stencils, derivative order -> (du, offsets, weights,
+# denominator): the derivative is sum(w * c(u + k du)) / denominator,
+# summed in offset order.  Steps are kept wide: the white part of the
+# roundoff error, eps/du^n from the callable's rounded output, feeds
+# node-to-node jitter of the stored frames that the curvature estimator
+# later divides by the grid step; truncation stays far below it here.
+_STENCILS = {
+    1: (2e-3, (-2, -1, 1, 2), (1, -8, 8, -1), 12 * 2e-3),
+    2: (1e-2, (-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1), 12 * (1e-2 * 1e-2)),
+    3: (1.2e-2, (-3, -2, -1, 1, 2, 3), (1, -8, 13, -13, 8, -1), 8 * (1.2e-2 * 1.2e-2 * 1.2e-2)),
+}
 
 
 @dataclass(frozen=True)
@@ -146,23 +160,27 @@ def wronskian_drift(curve: NumCurve) -> float:
     return float(np.max(np.abs(_cross(curve.d1, curve.d2) - 1.0)))
 
 
+def _check_grid_size(nodes: float) -> None:
+    """Refuse a grid above MAX_GRID_NODES before it is allocated."""
+    if not nodes <= MAX_GRID_NODES:  # a NaN or infinite count fails too
+        raise ValueError(f"a grid of {nodes:.6g} nodes exceeds MAX_GRID_NODES={MAX_GRID_NODES}")
+
+
 # -- integration from curvature ---------------------------------------------
 
 
-def integrate_from_kappa(
-    spec: KappaCurveSpec,
-    step: float = DEFAULT_STEP,
-    half_width: float | None = None,
-) -> NumCurve:
+def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
     """Integrate c''' = -kappa c' with RK4 from the normalized frame at 0.
 
     The state (c, c', c'') starts at ((0,0), e1, e2) and is integrated in
-    both directions over [-half_width, half_width] with fixed step.
+    both directions over [-half_width, half_width] of the spec with fixed
+    step.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    width = spec.half_width if half_width is None else half_width
-    n = int(round(width / step))
+    n = float(np.rint(spec.half_width / step))  # half to even, as round() does
+    _check_grid_size(2 * n + 1)
+    n = int(n)
     if n < 1:
         raise ValueError("domain narrower than one step")
     kappa = spec.kappa
@@ -212,34 +230,18 @@ def _xy_array(fn, us: np.ndarray) -> np.ndarray:
     return np.fromiter(values, float, count=2 * len(us)).reshape(-1, 2)
 
 
-def _fd1(fn, us: np.ndarray) -> np.ndarray:
-    du = _DU1
-    m2, m1 = _xy_array(fn, us - 2 * du), _xy_array(fn, us - du)
-    p1, p2 = _xy_array(fn, us + du), _xy_array(fn, us + 2 * du)
-    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * du)
-
-
-def _fd2(fn, us: np.ndarray) -> np.ndarray:
-    du = _DU2
-    c0 = _xy_array(fn, us)
-    m2, m1 = _xy_array(fn, us - 2 * du), _xy_array(fn, us - du)
-    p1, p2 = _xy_array(fn, us + du), _xy_array(fn, us + 2 * du)
-    return (-m2 + 16 * m1 - 30 * c0 + 16 * p1 - p2) / (12 * (du * du))
-
-
-def _fd3(fn, us: np.ndarray) -> np.ndarray:
-    du = _DU3
-    m3, m2, m1 = (
-        _xy_array(fn, us - 3 * du),
-        _xy_array(fn, us - 2 * du),
-        _xy_array(fn, us - du),
-    )
-    p1, p2, p3 = (
-        _xy_array(fn, us + du),
-        _xy_array(fn, us + 2 * du),
-        _xy_array(fn, us + 3 * du),
-    )
-    return (m3 - 8 * m2 + 13 * m1 - 13 * p1 + 8 * p2 - p3) / (8 * (du * du * du))
+def _fd(fn, us: np.ndarray, order: int, at_us: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of the given order of fn at each u, by its ``_STENCILS``
+    row; ``at_us`` is fn at us when the caller already has it."""
+    du, offsets, weights, denominator = _STENCILS[order]
+    total = None
+    for k, w in zip(offsets, weights):
+        if k:
+            values = _xy_array(fn, us + k * du)
+        else:
+            values = _xy_array(fn, us) if at_us is None else at_us
+        total = w * values if total is None else total + w * values
+    return total / denominator
 
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -282,28 +284,21 @@ def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
-def reparametrize_affine(
-    spec: ParametricCurveSpec,
-    samples: int = 4001,
-    step: float = DEFAULT_STEP,
-) -> NumCurve:
+def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
     """Resample a parametric curve by affine arclength.
 
     The arclength element is det[c_u, c_uu]^(1/3); its integral is
-    accumulated with composite Simpson, inverted monotonically, and the
-    curve resampled on a uniform grid.  Frames come from the chain rule
-    on finite-difference derivatives of the plot.  The node nearest the
-    middle of the parameter interval becomes the normalized base point.
+    accumulated with composite Simpson over ``TABLE_NODES`` parameter
+    nodes, inverted monotonically, and the curve resampled on a uniform
+    grid.  Frames come from the chain rule on finite-difference
+    derivatives of the plot.  The node nearest the middle of the
+    parameter interval becomes the normalized base point.
     """
-    if samples < 9:
-        raise ValueError("need at least 9 samples")
-    if samples % 2 == 0:
-        samples += 1  # composite Simpson wants an odd node count
     u0, u1 = spec.domain
     if not u1 > u0:
         raise ValueError("empty parameter domain")
-    us = np.linspace(u0, u1, samples)
-    det = _cross(_fd1(spec.xy, us), _fd2(spec.xy, us))
+    us = np.linspace(u0, u1, TABLE_NODES)
+    det = _cross(_fd(spec.xy, us, 1), _fd(spec.xy, us, 2))
     bad = np.nonzero(det <= 0)[0]
     if bad.size:
         j = int(bad[0])
@@ -312,8 +307,10 @@ def reparametrize_affine(
     iref = int(np.argmin(np.abs(us - (u0 + u1) / 2)))
     sigma -= sigma[iref]
 
-    n_neg = int(np.floor(-sigma[0] / step)) - 1
-    n_pos = int(np.floor(sigma[-1] / step)) - 1
+    n_neg = np.floor(-sigma[0] / step) - 1
+    n_pos = np.floor(sigma[-1] / step) - 1
+    _check_grid_size(n_neg + n_pos + 1)
+    n_neg, n_pos = int(n_neg), int(n_pos)
     if n_neg < 1 or n_pos < 1:
         raise ValueError("parameter domain too short for the requested grid step")
     grid = np.arange(-n_neg, n_pos + 1) * step
@@ -322,9 +319,9 @@ def reparametrize_affine(
     u_of_s[n_neg] = us[iref]  # base node is a table node; keep it exact
 
     pts = _xy_array(spec.xy, u_of_s)
-    c1 = _fd1(spec.xy, u_of_s)
-    c2 = _fd2(spec.xy, u_of_s)
-    c3 = _fd3(spec.xy, u_of_s)
+    c1 = _fd(spec.xy, u_of_s, 1)
+    c2 = _fd(spec.xy, u_of_s, 2, at_us=pts)
+    c3 = _fd(spec.xy, u_of_s, 3)
     z = _cross(c1, c2)
     zp = _cross(c1, c3)
     d1 = c1 * (z ** (-1.0 / 3.0))[:, None]
@@ -520,7 +517,6 @@ def corollary_sweep(
     base_points: Sequence[float],
     deltas: Sequence[float] | None = None,
     tol_straight: float | None = None,
-    kappa_spread_tol: float = 1e-4,
     rows: list | None = None,
 ) -> bool:
     """Straightness at every base point, cross-checked against constant
@@ -546,7 +542,7 @@ def corollary_sweep(
         kappas.append(affine_curvature(curve, p))
     spread = max(kappas) - min(kappas)
     scale = max(1.0, abs(float(np.mean(kappas))))
-    kappa_constant = spread <= kappa_spread_tol * scale
+    kappa_constant = spread <= KAPPA_SPREAD_TOL * scale
     if kappa_constant != all_straight:
         raise VerificationError(
             "corollary.cross_check",

@@ -188,6 +188,15 @@ class TestGravity:
             (["--fixture", "ellipse:0.1,0.1", "--sweep", "3"], "base point -0.5 is not inside"),
             (["--fixture", "kappa-poly:1", "--step", "0.4", "--sweep", "3"], "base point -0.5"),
             (["--fixture", "kappa-poly:nan"], "fixture arguments must be finite"),
+            (["--fixture", "parabola:5", "--sweep", "3"], "parabola takes no arguments"),
+            (["--fixture", "circle:1,2"], "circle takes no arguments"),
+            (["--fixture", "hyperbola:3"], "hyperbola takes no arguments"),
+            (["--fixture", "kappa-poly:1e300"], "kappa-poly:1e300 gives a curve that is not finite"),
+            (["--fixture", "kappa-poly:1e200,1"], "gives a curve that is not finite"),
+            (["--fixture", "kappa-poly:0,1", "--step", "1e-9"], "exceeds MAX_GRID_NODES"),
+            (["--fixture", "ellipse:1e300,1"], "exceeds MAX_GRID_NODES"),
+            (["--fixture", "ellipse:1e308,1e308"], "a grid of nan nodes exceeds MAX_GRID_NODES"),
+            (["--fixture", "ellipse:1e12,1"], "exceeds MAX_GRID_NODES"),
         ],
     )
     def test_invalid_input_is_usage_error(self, runner, args, message):
@@ -196,6 +205,14 @@ class TestGravity:
         assert isinstance(result.exception, SystemExit)  # no traceback
         last = result.stderr.splitlines()[-1]
         assert last.startswith("Error: ") and message in last
+
+    @pytest.mark.parametrize("fixture", ["kappa-poly:1e300", "kappa-poly:1e200,1"])
+    def test_non_finite_curve_is_refused_before_any_warning(self, runner, recwarn, fixture):
+        # RK4 overflows on these; the curve is refused before renormalize
+        # would invert its non-finite frame
+        result = runner.invoke(main, ["gravity", "--fixture", fixture])
+        assert result.exit_code == 2
+        assert not recwarn.list
 
 
 class TestInProcessRuns:

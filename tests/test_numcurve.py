@@ -111,6 +111,21 @@ class TestReparametrization:
         cur = reparametrize_affine(spec)
         assert affine_curvature(cur, 0.0) == pytest.approx(-1.0, abs=1e-6)
 
+    def test_plot_is_evaluated_once_per_point(self):
+        # 4 + 5 stencil points per table node; per grid node the point
+        # itself and 4 + 4 + 6 stencil points, the second derivative
+        # reusing the point
+        spec, _ = parse_fixture("ellipse:2,1")
+        calls = 0
+
+        def counting_xy(u):
+            nonlocal calls
+            calls += 1
+            return spec.xy(u)
+
+        cur = reparametrize_affine(ParametricCurveSpec(counting_xy, spec.domain))
+        assert calls == 9 * 4001 + 15 * len(cur)
+
     def test_degenerate_orientation_rejected(self):
         spec = ParametricCurveSpec(lambda u: (math.cosh(u), math.sinh(u)), (-1.0, 1.0))
         with pytest.raises(DegenerateCurveError):
