@@ -1,5 +1,10 @@
 """Command-line front end: symbolic expansion, identity verification,
-and chord-midpoint experiments on built-in curve fixtures."""
+and chord-midpoint experiments on built-in curve fixtures.
+
+Only the gravity code paths import ``numcurve`` (and with it numpy), each
+where it uses it, so ``expand``, ``verify`` and ``--help`` start without
+the numeric layer.
+"""
 
 from __future__ import annotations
 
@@ -8,19 +13,28 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import expansion, numcurve
+from . import expansion
+from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT
 from .diffpoly import DiffPoly, GradedClass
 from .errors import AffGravError, BracketingError, VerificationError
 from .expansion import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, build_pipeline
 from .powerseries import bell, bell_via_conv
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .numcurve import NumCurve
+
 __all__ = ["main", "Config", "parse_fixture"]
 
 _ORDER_OPTION = click.IntRange(MIN_ORDER, MAX_ORDER)
+# Upper bounds of the gravity work sizes, checked before anything is built.
+MAX_SWEEP = 1000
+MAX_DELTA_COUNT = 1000
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,7 @@ class Config:
     point: float
     sweep: int
 
-    def validate(self, curve: numcurve.NumCurve | None = None) -> None:
+    def validate(self, curve: NumCurve | None = None) -> None:
         """Raise ValueError naming the first unmet precondition.
 
         Given the curve built from this config, also check that its
@@ -61,8 +75,18 @@ class Config:
             raise ValueError("step must be positive")
         if self.delta0 <= 0 or self.delta_ratio <= 1 or self.delta_count < 1:
             raise ValueError("height schedule needs delta0 > 0, ratio > 1, count >= 1")
+        if self.delta_count > MAX_DELTA_COUNT:
+            raise ValueError(f"--delta-count must be at most {MAX_DELTA_COUNT}")
+        try:
+            top = self.delta0 * self.delta_ratio ** (self.delta_count - 1)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError("the largest height delta0 * ratio^(count-1) is not finite")
         if self.sweep < 0 or self.sweep == 1:
             raise ValueError("--sweep takes 0 (single point) or at least 2 base points")
+        if self.sweep > MAX_SWEEP:
+            raise ValueError(f"--sweep must be at most {MAX_SWEEP}")
         if self.sweep == 0 and self.delta_count < 6:
             raise ValueError("a single-point flatness fit needs --delta-count >= 6")
         if self.tol_flat <= 0:
@@ -71,6 +95,8 @@ class Config:
             raise ValueError("tol-straight must be positive")
         if curve is None:
             return
+        import numpy as np
+
         if not all(np.isfinite(a).all() for a in (curve.points, curve.d1, curve.d2)):
             raise ValueError(f"fixture {self.fixture} gives a curve that is not finite")
         grid = curve.grid
@@ -82,11 +108,15 @@ class Config:
                 )
 
     def deltas(self) -> np.ndarray:
-        return numcurve.default_deltas(self.delta0, self.delta_ratio, self.delta_count)
+        from .numcurve import default_deltas
+
+        return default_deltas(self.delta0, self.delta_ratio, self.delta_count)
 
     def base_points(self) -> list[float]:
         """The sweep's evenly spaced points on [-0.5, 0.5], or the single point."""
         if self.sweep:
+            import numpy as np
+
             return [float(p) for p in np.linspace(-0.5, 0.5, self.sweep)]
         return [self.point]
 
@@ -114,6 +144,8 @@ def parse_fixture(text: str):
     kappa-poly:c0,c1,...  The second return value maps a base point to
     the analytic derivative of the affine curvature there.
     """
+    from .numcurve import KappaCurveSpec, ParametricCurveSpec
+
     name, _, argtext = text.partition(":")
     args = [float(v) for v in argtext.split(",") if v] if argtext else []
     if not all(math.isfinite(a) for a in args):
@@ -122,7 +154,7 @@ def parse_fixture(text: str):
         make_plot, defaults, takes = _CONICS[name]
         if args and (len(args) != len(defaults) or min(args) <= 0):
             raise ValueError(f"{name} takes {takes}")
-        spec = numcurve.ParametricCurveSpec(make_plot(*(args or defaults)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(make_plot(*(args or defaults)), (-1.0, 1.0))
         return spec, lambda p: 0.0
     if name == "kappa-poly":
         if not args:
@@ -141,11 +173,13 @@ def parse_fixture(text: str):
                 total = total * p + i * coeffs[i]
             return total
 
-        return numcurve.KappaCurveSpec(kappa, half_width=1.0), kappa_prime
+        return KappaCurveSpec(kappa, half_width=1.0), kappa_prime
     raise ValueError(f"unknown fixture {text!r}")
 
 
-def build_fixture_curve(cfg: Config) -> tuple[numcurve.NumCurve, object]:
+def build_fixture_curve(cfg: Config) -> tuple[NumCurve, object]:
+    from . import numcurve
+
     spec, kprime = parse_fixture(cfg.fixture)
     if isinstance(spec, numcurve.KappaCurveSpec):
         curve = numcurve.integrate_from_kappa(spec, step=cfg.step)
@@ -364,11 +398,11 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
 @click.option("--fixture", default="parabola", show_default=True)
 @click.option("--point", type=float, default=0.0, show_default=True)
 @click.option("--sweep", type=int, default=0, help="Number of base points; 0 = single point.")
-@click.option("--step", type=float, default=numcurve.DEFAULT_STEP, show_default=True)
+@click.option("--step", type=float, default=DEFAULT_STEP, show_default=True)
 @click.option("--delta0", type=float, default=1e-3, show_default=True)
 @click.option("--delta-ratio", type=float, default=1.6, show_default=True)
 @click.option("--delta-count", type=int, default=8, show_default=True)
-@click.option("--tol-flat", type=float, default=numcurve.DEFAULT_TOL_FLAT, show_default=True)
+@click.option("--tol-flat", type=float, default=DEFAULT_TOL_FLAT, show_default=True)
 @click.option("--tol-straight", type=float, default=None)
 @click.option(
     "--format",
@@ -403,6 +437,8 @@ def cmd_gravity(ctx: click.Context, **params) -> None:
 
 
 def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
+    from . import numcurve
+
     local = numcurve.renormalize(curve, cfg.point)
     samples = numcurve.gravity_samples(local, cfg.deltas())
     kp = float(kappa_prime(cfg.point))
@@ -446,6 +482,8 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
 
 
 def _gravity_sweep(cfg: Config, curve) -> None:
+    from . import numcurve
+
     per_point: list[tuple[float, float, bool]] = []
     overall = numcurve.corollary_sweep(
         curve, cfg.base_points(), cfg.deltas(), cfg.tol_straight, rows=per_point

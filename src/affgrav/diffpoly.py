@@ -153,17 +153,23 @@ class DiffPoly:
         return cls({exps: coeff})
 
     @staticmethod
-    def sum_of_products(pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
-        """The sum of p * q over the pairs, accumulated over one common
-        denominator; the coefficient kernel of every series product."""
-        pairs = [(p, q) for p, q in pairs if p._terms and q._terms]
+    def sum_of_products(
+        pairs: Iterable[tuple[DiffPoly, DiffPoly]], weights: Iterable[int] | None = None
+    ) -> DiffPoly:
+        """The sum of p * q over the pairs, each times its integer weight
+        when weights are given, accumulated over one common denominator;
+        the coefficient kernel of every series product."""
+        if weights is None:
+            pairs = [(p, q, 1) for p, q in pairs if p._terms and q._terms]
+        else:
+            pairs = [(p, q, w) for (p, q), w in zip(pairs, weights) if w and p._terms and q._terms]
         if not pairs:
             return DiffPoly()
-        den = lcm(*(p._den * q._den for p, q in pairs))
+        den = lcm(*(p._den * q._den for p, q, _ in pairs))
         nums: dict[ExponentMap, int | QR2Scalar] = {}
         get = nums.get
-        for p, q in pairs:
-            f = den // (p._den * q._den)
+        for p, q, w in pairs:
+            f = den // (p._den * q._den) * w
             q_items = list(q._terms.items())
             for e1, n1 in p._terms.items():
                 n1 *= f

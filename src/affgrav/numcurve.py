@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT
 from .errors import BracketingError, DegenerateCurveError, VerificationError
 
 __all__ = [
@@ -57,8 +58,6 @@ __all__ = [
     "MAX_GRID_NODES",
 ]
 
-DEFAULT_STEP = 1e-3
-DEFAULT_TOL_FLAT = 1e-3
 TOL_STRAIGHT_FACTOR = 1e-6
 ROOT_TOL = 1e-12
 KAPPA_SPREAD_TOL = 1e-4
@@ -284,6 +283,7 @@ def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
     """Resample a parametric curve by affine arclength.
 
@@ -293,6 +293,10 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     grid.  Frames come from the chain rule on finite-difference
     derivatives of the plot.  The node nearest the middle of the
     parameter interval becomes the normalized base point.
+
+    A plot too large to difference overflows quietly: a non-finite
+    arclength fails the grid-size check, and the caller refuses
+    non-finite points or frames (``Config.validate`` does).
     """
     u0, u1 = spec.domain
     if not u1 > u0:

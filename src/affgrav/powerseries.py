@@ -42,55 +42,62 @@ def conv(a: Sequence[DiffPoly], b: Sequence[DiffPoly], k: int) -> DiffPoly:
     """
     if k < 1:
         raise ValueError("convolution index must be >= 1")
-    out = DiffPoly.zero()
-    for l in range(1, k):
-        term = _as_poly(a[l]) * _as_poly(b[k - l])
-        if term:
-            out = out + term * Fraction(comb(k, l))
-    return out
+    return DiffPoly.sum_of_products(
+        ((_as_poly(a[l]), _as_poly(b[k - l])) for l in range(1, k)),
+        (comb(k, l) for l in range(1, k)),
+    )
 
 
 def bell(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
     """Partial Bell polynomial B_{k,l} of the sequence a[1], a[2], ...
 
     Sums over tuples (j_1, ..., j_{k-l+1}) of nonnegative integers with
-    sum j_i = l and sum i*j_i = k, each weighted by
+    sum j_i = l and sum i*j_i = k, each weighted by the integer
     k! / prod(j_i! * (i!)^j_i).
     """
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
     width = k - l + 1
-    out = DiffPoly.zero()
+    pairs: list[tuple[DiffPoly, DiffPoly]] = []
+    weights: list[int] = []
 
-    def walk(pos: int, parts_left: int, weight_left: int, weight: Fraction, term: DiffPoly):
-        nonlocal out
-        if pos > width:
-            if parts_left == 0 and weight_left == 0:
-                out = out + term * weight
+    def walk(
+        pos: int, parts_left: int, weight_left: int, denom: int, head: DiffPoly, last
+    ) -> None:
+        # head * last is the product of the parts taken so far (last is
+        # None before the first part)
+        if parts_left == 0:
+            if weight_left == 0:
+                pairs.append((head, last))
+                weights.append(factorial(k) // denom)
             return
-        # j copies of part size pos
-        max_j = min(parts_left, weight_left // pos)
-        for j in range(max_j + 1):
-            w = weight / (factorial(j) * Fraction(factorial(pos)) ** j)
-            t = term
-            for _ in range(j):
-                t = t * _as_poly(a[pos])
-            walk(pos + 1, parts_left - j, weight_left - j * pos, w, t)
+        if pos > width:
+            return
+        walk(pos + 1, parts_left, weight_left, denom, head, last)
+        for j in range(1, min(parts_left, weight_left // pos) + 1):
+            # j copies of part size pos
+            head, last = (head if last is None else head * last), _as_poly(a[pos])
+            denom *= j * factorial(pos)
+            walk(pos + 1, parts_left - j, weight_left - j * pos, denom, head, last)
 
-    walk(1, l, k, Fraction(factorial(k)), DiffPoly.constant(1))
-    return out
+    walk(1, l, k, 1, DiffPoly.constant(1), None)
+    return DiffPoly.sum_of_products(pairs, weights)
 
 
 def bell_via_conv(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
-    """B_{k,l} computed as the l-fold weighted convolution over l!."""
+    """B_{k,l} computed as the l-fold weighted convolution over l!.
+
+    The j-fold layer vanishes below index j, and the later layers read it
+    only up to index k-l+j, so only those entries are built.
+    """
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
     base = [DiffPoly.zero()] + [
         _as_poly(a[i]) if i < len(a) else DiffPoly.zero() for i in range(1, k + 1)
     ]
-    cur = list(base)
-    for _ in range(l - 1):
-        cur = [DiffPoly.zero()] + [conv(cur, base, i) for i in range(1, k + 1)]
+    cur = base
+    for j in range(2, l + 1):
+        cur = [DiffPoly.zero()] * j + [conv(cur, base, i) for i in range(j, k - l + j + 1)]
     return cur[k] * Fraction(1, factorial(l))
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from affgrav.cli import main, parse_fixture
+from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
@@ -197,6 +197,12 @@ class TestGravity:
             (["--fixture", "ellipse:1e300,1"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e308,1e308"], "a grid of nan nodes exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e12,1"], "exceeds MAX_GRID_NODES"),
+            (["--fixture", "ellipse:1e200,1e200"], "a grid of nan nodes exceeds MAX_GRID_NODES"),
+            (["--fixture", "ellipse:1e-160,1e160"], "gives a curve that is not finite"),
+            (["--delta-count", f"{MAX_DELTA_COUNT + 1}"], f"at most {MAX_DELTA_COUNT}"),
+            (["--fixture", "circle", "--sweep", f"{MAX_SWEEP + 1}"], f"at most {MAX_SWEEP}"),
+            (["--delta-ratio", "1e300"], "the largest height"),
+            (["--delta0", "1e300", "--delta-ratio", "1e10"], "is not finite"),
         ],
     )
     def test_invalid_input_is_usage_error(self, runner, args, message):

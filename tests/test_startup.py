@@ -1,0 +1,64 @@
+"""The symbolic commands start without the numeric layer: in a fresh
+interpreter, importing the CLI and running ``--help``, ``expand`` or
+``verify`` leave numpy out of ``sys.modules``."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# Prints sys.modules as the interpreter exits, after a command's SystemExit too.
+REPORT = (
+    "import atexit, json, sys\n"
+    "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
+)
+
+
+def modules_after(statement: str) -> set[str]:
+    """Modules loaded once ``statement`` has run in a fresh interpreter."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT + statement],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def command(*args: str) -> str:
+    """The statement that runs ``python -m affgrav <args>``."""
+    return (
+        f"import runpy; sys.argv = ['affgrav', *{list(args)!r}]; "
+        "runpy.run_module('affgrav', run_name='__main__')"
+    )
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import affgrav.cli",
+        command("--help"),
+        command("gravity", "--help"),
+        command("expand", "--order", "6"),
+        command("verify", "--order", "6"),
+    ],
+    ids=["import", "help", "gravity-help", "expand", "verify"],
+)
+def test_symbolic_start_does_not_import_numpy(statement):
+    modules = modules_after(statement)
+    assert "affgrav.cli" in modules
+    assert "numpy" not in modules and "affgrav.numcurve" not in modules
+
+
+def test_numeric_layer_still_loads_where_it_is_used():
+    gravity = command("gravity", "--fixture", "ellipse:2,1", "--sweep", "3")
+    assert {"numpy", "affgrav.numcurve"} <= modules_after(gravity)
+    lazy = "from affgrav import NumCurve, numcurve\nassert numcurve.NumCurve is NumCurve"
+    assert "numpy" in modules_after(lazy)
