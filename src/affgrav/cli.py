@@ -159,6 +159,8 @@ def parse_fixture(text: str):
     if name == "kappa-poly":
         if not args:
             raise ValueError("kappa-poly needs coefficients, e.g. kappa-poly:0,1")
+        if not all(math.isfinite(i * c) for i, c in enumerate(args)):
+            raise ValueError(f"fixture {text!r} has a curvature derivative that is not finite")
         coeffs = list(args)
 
         def kappa(s: float) -> float:
@@ -420,10 +422,6 @@ def cmd_gravity(ctx: click.Context, **params) -> None:
         cfg.validate()
         curve, kappa_prime = build_fixture_curve(cfg)
         cfg.validate(curve)
-    except (ValueError, AffGravError) as exc:
-        raise click.UsageError(str(exc))
-
-    try:
         if cfg.sweep > 0:
             _gravity_sweep(cfg, curve)
         else:
@@ -434,6 +432,9 @@ def cmd_gravity(ctx: click.Context, **params) -> None:
     except VerificationError as exc:
         _echo(f"verification failure: {exc}", err=True)
         ctx.exit(1)
+    except (ValueError, AffGravError) as exc:
+        # bad input, also where only the run shows it: a rank-deficient fit
+        raise click.UsageError(str(exc))
 
 
 def _gravity_single(cfg: Config, curve, kappa_prime) -> None:

@@ -6,18 +6,19 @@ carries the arclength derivation (``ki`` maps to ``k(i+1)`` under the
 Leibniz rule) and a parity grading by *odd degree*: the total exponent of
 factors with odd derivative order.
 
-Storage.  A polynomial keeps one positive integer denominator and, per
-monomial, an integer numerator, reduced so that their common gcd is 1.
-The symbolic pipeline runs over Q, so its products are pure integer
-arithmetic.  A coefficient with a sqrt2 part keeps its numerator as a
-``QR2Scalar`` with integer parts instead.  The inspection methods hand
-coefficients out as ``QR2Scalar`` either way.
+Storage.  A polynomial is sqrt2^bit * sum(numerator * monomial) / den:
+integer numerators, one positive integer denominator, common gcd 1, and
+one sqrt2 bit (0 for zero).  Its coefficients thus lie all in Q or all
+in sqrt2 * Q, as the expansion's do; ring operations are integer
+arithmetic, and an input or result that would mix Q and sqrt2 * Q raises
+ValueError.  The inspection methods hand coefficients out as ``QR2Scalar``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -68,64 +69,57 @@ def _merge_exponents(e1: ExponentMap, e2: ExponentMap) -> ExponentMap:
     return tuple(sorted(merged.items()))
 
 
-def _split(c) -> tuple[int | QR2Scalar, int]:
-    """An exact scalar as (numerator, positive denominator)."""
+def _split(c) -> tuple[int, int, int]:
+    """A scalar in Q or sqrt2 * Q as (numerator, denominator > 0, sqrt2 bit)."""
+    bit = 0
     if isinstance(c, QR2Scalar):
-        if c.b:
-            den = lcm(c.a.denominator, c.b.denominator)
-            return QR2Scalar(c.a * den, c.b * den), den
-        c = c.a
+        if c.a and c.b:
+            raise ValueError(f"coefficient {c} mixes a rational and a sqrt2 part")
+        c, bit = (c.b, 1) if c.b else (c.a, 0)
     q = Fraction(c)
-    return q.numerator, q.denominator
+    return q.numerator, q.denominator, bit
 
 
-def _reduce(
-    den: int, nums: dict[ExponentMap, int | QR2Scalar]
-) -> tuple[int, dict[ExponentMap, int | QR2Scalar]]:
-    """Canonical (den, terms) of sum(nums[e] * k^e) / den: zero terms
-    dropped, sqrt2-free numerators as int, common gcd divided out."""
-    terms: dict[ExponentMap, int | QR2Scalar] = {}
-    g = den
-    for exps, n in nums.items():
-        if type(n) is not int:
-            if n.b:
-                g = gcd(g, n.a.numerator, n.b.numerator)
-                terms[exps] = n
-                continue
-            n = n.a.numerator
-        if n:
-            g = gcd(g, n)
-            terms[exps] = n
+def _one_bit(bits: Iterable[int]) -> int:
+    """The sqrt2 bit all the given bits share, 0 when there are none."""
+    bits = set(bits)
+    if len(bits) > 1:
+        raise ValueError("the result would mix rational and sqrt2 * Q coefficients")
+    return bits.pop() if bits else 0
+
+
+def _reduced(den: int, nums: dict[ExponentMap, int], bit: int, poly=None) -> DiffPoly:
+    """Canonical sqrt2^bit * sum(nums[e] * k^e) / den, in ``poly`` if given:
+    zero terms dropped, gcd divided out, bit 0 when nothing is left."""
+    terms = {exps: n for exps, n in nums.items() if n}
     if not terms:
-        den = 1
-    elif g != 1:
-        den //= g
-        for exps, n in terms.items():
-            terms[exps] = n // g if type(n) is int else QR2Scalar(n.a / g, n.b / g)
-    return den, terms
-
-
-def _reduced(den: int, nums: dict[ExponentMap, int | QR2Scalar]) -> DiffPoly:
-    poly = DiffPoly.__new__(DiffPoly)
-    poly._den, poly._terms = _reduce(den, nums)
+        den, bit = 1, 0
+    else:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            terms = {exps: n // g for exps, n in terms.items()}
+    if poly is None:
+        poly = DiffPoly.__new__(DiffPoly)
+    poly._den, poly._terms, poly._bit = den, terms, bit
     return poly
 
 
 class DiffPoly:
-    """Polynomial in k0, k1, k2, ... with coefficients in Q(sqrt2).
+    """Polynomial in k0, k1, ... with coefficients all in Q or all in sqrt2 * Q.
 
     Immutable; the zero polynomial has no terms.  The canonical term
     order used for display and serialization is graded-lexicographic on
     (total degree, exponent map).
     """
 
-    __slots__ = ("_den", "_terms")
+    __slots__ = ("_den", "_terms", "_bit")
 
     def __init__(self, terms: Mapping[ExponentMap, object] | None = None):
         split = {exps: _split(c) for exps, c in (terms or {}).items() if c}
-        den = lcm(*(d for _, d in split.values())) if split else 1
-        nums = {exps: n * (den // d) for exps, (n, d) in split.items()}
-        self._den, self._terms = _reduce(den, nums)
+        den = lcm(*(d for _, d, _ in split.values())) if split else 1
+        nums = {exps: n * (den // d) for exps, (n, d, _) in split.items()}
+        _reduced(den, nums, _one_bit(bit for _, _, bit in split.values()), self)
 
     # -- constructors ----------------------------------------------------
 
@@ -157,34 +151,32 @@ class DiffPoly:
         pairs: Iterable[tuple[DiffPoly, DiffPoly]], weights: Iterable[int] | None = None
     ) -> DiffPoly:
         """The sum of p * q over the pairs, each times its integer weight
-        when weights are given, accumulated over one common denominator;
-        the coefficient kernel of every series product."""
-        if weights is None:
-            pairs = [(p, q, 1) for p, q in pairs if p._terms and q._terms]
-        else:
-            pairs = [(p, q, w) for (p, q), w in zip(pairs, weights) if w and p._terms and q._terms]
+        when weights are given, over one common denominator; the kernel of
+        every series product.  Two sqrt2 factors double a product's weight;
+        products with different sqrt2 bits raise ValueError."""
+        weights = repeat(1) if weights is None else weights
+        pairs = [(p, q, w) for (p, q), w in zip(pairs, weights) if w and p._terms and q._terms]
         if not pairs:
             return DiffPoly()
+        bit = _one_bit(p._bit ^ q._bit for p, q, _ in pairs)
         den = lcm(*(p._den * q._den for p, q, _ in pairs))
-        nums: dict[ExponentMap, int | QR2Scalar] = {}
+        nums: dict[ExponentMap, int] = {}
         get = nums.get
         for p, q, w in pairs:
-            f = den // (p._den * q._den) * w
+            f = den // (p._den * q._den) * w << (p._bit & q._bit)
             q_items = list(q._terms.items())
             for e1, n1 in p._terms.items():
                 n1 *= f
                 for e2, n2 in q_items:
                     exps = _merge_exponents(e1, e2)
                     nums[exps] = get(exps, 0) + n1 * n2
-        return _reduced(den, nums)
+        return _reduced(den, nums, bit)
 
     # -- inspection ------------------------------------------------------
 
-    def _value(self, n: int | QR2Scalar) -> QR2Scalar:
-        if type(n) is int:
-            return QR2Scalar(Fraction(n, self._den))
-        den = self._den
-        return QR2Scalar(Fraction(n.a.numerator, den), Fraction(n.b.numerator, den))
+    def _value(self, n: int) -> QR2Scalar:
+        q = Fraction(n, self._den)
+        return QR2Scalar(0, q) if self._bit else QR2Scalar(q)
 
     def monomials(self) -> list[DiffMonomial]:
         """Terms in canonical order."""
@@ -212,14 +204,18 @@ class DiffPoly:
         return self._value(self._terms.get((), 0))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, QR2Scalar)):
-            other = DiffPoly.constant(other)
-        if not isinstance(other, DiffPoly):
+        if isinstance(other, QR2Scalar) and other.a and other.b:
+            return False  # no polynomial here has a mixed coefficient
+        other = _as_poly(other)
+        if other is None:
             return NotImplemented
-        return self._den == other._den and self._terms == other._terms
+        return (self._bit, self._den, self._terms) == (other._bit, other._den, other._terms)
 
     def __hash__(self) -> int:
-        return hash((self._den, frozenset(self._terms.items())))
+        # a constant hashes like the scalar it equals
+        if self.is_constant:
+            return hash(self.constant_value())
+        return hash((self._bit, self._den, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -228,10 +224,9 @@ class DiffPoly:
         if not self._terms:
             return "0"
         # a rational coefficient prints as its Fraction, as QR2Scalar prints it
+        value = self._value if self._bit else lambda n: Fraction(n, self._den)
         return " + ".join(
-            _format_term(
-                Fraction(n, self._den) if type(n) is int else self._value(n), exps
-            )
+            _format_term(value(n), exps)
             for exps, n in sorted(self._terms.items(), key=lambda t: _monomial_key(t[0]))
         )
 
@@ -248,12 +243,13 @@ class DiffPoly:
             return self
         if not self._terms:
             return other
+        bit = _one_bit((self._bit, other._bit))
         den = lcm(self._den, other._den)
         f1, f2 = den // self._den, den // other._den
         nums = {exps: n * f1 for exps, n in self._terms.items()}
         for exps, n in other._terms.items():
             nums[exps] = nums.get(exps, 0) + n * f2
-        return _reduced(den, nums)
+        return _reduced(den, nums, bit)
 
     __radd__ = __add__
 
@@ -267,7 +263,7 @@ class DiffPoly:
         return (-self) + other
 
     def __neg__(self) -> DiffPoly:
-        return _reduced(self._den, {exps: -n for exps, n in self._terms.items()})
+        return _reduced(self._den, {exps: -n for exps, n in self._terms.items()}, self._bit)
 
     def __mul__(self, other) -> DiffPoly:
         if isinstance(other, (int, Fraction, QR2Scalar)):
@@ -279,12 +275,15 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def scale(self, factor) -> DiffPoly:
-        num, den = _split(factor)
-        return _reduced(self._den * den, {exps: n * num for exps, n in self._terms.items()})
+        """This polynomial times an exact scalar in Q or sqrt2 * Q."""
+        num, den, bit = _split(factor)
+        num <<= self._bit & bit  # sqrt2 * sqrt2 = 2
+        nums = {exps: n * num for exps, n in self._terms.items()}
+        return _reduced(self._den * den, nums, self._bit ^ bit)
 
     def differentiate(self) -> DiffPoly:
         """Arclength derivation: Leibniz rule with ki mapping to k(i+1)."""
-        nums: dict[ExponentMap, int | QR2Scalar] = {}
+        nums: dict[ExponentMap, int] = {}
         for exps, n in self._terms.items():
             for order, e in exps:
                 factors = dict(exps)
@@ -295,7 +294,7 @@ class DiffPoly:
                 factors[order + 1] = factors.get(order + 1, 0) + 1
                 new = tuple(sorted(factors.items()))
                 nums[new] = nums.get(new, 0) + n * e
-        return _reduced(self._den, nums)
+        return _reduced(self._den, nums, self._bit)
 
     # -- grading -----------------------------------------------------------
 
@@ -321,6 +320,7 @@ class DiffPoly:
                 for exps, n in self._terms.items()
                 if all(order % 2 == 0 for order, _ in exps)
             },
+            self._bit,
         )
 
     # -- evaluation ----------------------------------------------------------

@@ -303,6 +303,9 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
         raise ValueError("empty parameter domain")
     us = np.linspace(u0, u1, TABLE_NODES)
     det = _cross(_fd(spec.xy, us, 1), _fd(spec.xy, us, 2))
+    top = float(np.abs(det).max())
+    if top < np.finfo(float).tiny:  # too small to tell from degeneracy
+        raise ValueError(f"plot too small: max |det[c_u, c_uu]| = {top:.4g} underflows")
     bad = np.nonzero(det <= 0)[0]
     if bad.size:
         j = int(bad[0])

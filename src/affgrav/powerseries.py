@@ -208,12 +208,7 @@ class Series:
 
     def dilate(self, factor) -> Series:
         """The series a(factor * s): coefficient k times factor^k."""
-        out = []
-        power = DiffPoly.constant(1)
-        for c in self._coeffs:
-            out.append(c * power)
-            power = power * factor
-        return Series(out)
+        return Series([c * factor**k for k, c in enumerate(self._coeffs)])
 
     def mul(self, other: Series, order: int | None = None) -> Series:
         """Cauchy product, exact through the requested order.
@@ -308,8 +303,8 @@ class Series:
         """Series b of order N-1 with b*b == self through order N.
 
         Requires coefficients 0 and 1 to vanish and coefficient 2 to be a
-        positive constant whose square root lies in Q(sqrt2).  The sign
-        picks the branch of the linear coefficient.
+        positive constant whose square root lies in Q or sqrt2 * Q (a
+        rational square or twice one).  The sign picks the linear branch.
         """
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")

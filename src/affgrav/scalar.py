@@ -2,9 +2,9 @@
 
 The symbolic pipeline computes over Q and meets sqrt2 only when it
 assembles its published series, so ``QR2Scalar`` is the exchange and
-display type of exact coefficients, and the stored form only of those
-with a sqrt2 part.  A ``QR2Scalar`` with zero sqrt2 part equals, and
-hashes like, the ``Fraction`` of the same value.
+display type of exact coefficients; ``DiffPoly`` stores integers and
+one sqrt2 bit, and takes only values in Q or sqrt2 * Q.  A ``QR2Scalar``
+with zero sqrt2 part equals, and hashes like, the same ``Fraction``.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
-# sha256 of ``expand --order 16 --format json`` without its final newline,
+# sha256 of ``expand --order N --format json`` without its final newline,
 # the exact rendering the pipeline produced before its rational rewrite.
 ORDER16_DIGEST = "f17e075173dddb2c36b8e85af9579d3a03abfb7e56fd792a63984795c1ddab45"
+ORDER22_DIGEST = "f7a5e14a49951d1423e4f0f3b5d928e296f951fdf7cfffe5b52d9791ba0410ce"
 
 
 @pytest.fixture()
@@ -46,10 +47,11 @@ class TestExpand:
         assert result.output == GOLDEN.read_text()
 
     def test_order16_rendering_digest(self, runner):
-        result = runner.invoke(main, ["expand", "--order", "16", "--format", "json"])
-        assert result.exit_code == 0
-        text = result.output.removesuffix("\n")
-        assert hashlib.sha256(text.encode()).hexdigest() == ORDER16_DIGEST
+        for order, digest in (("16", ORDER16_DIGEST), ("22", ORDER22_DIGEST)):
+            result = runner.invoke(main, ["expand", "--order", order, "--format", "json"])
+            assert result.exit_code == 0
+            text = result.output.removesuffix("\n")
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, order
 
     def test_order_range_ends_at_max_order(self, runner):
         assert MAX_ORDER == 22
@@ -203,6 +205,10 @@ class TestGravity:
             (["--fixture", "circle", "--sweep", f"{MAX_SWEEP + 1}"], f"at most {MAX_SWEEP}"),
             (["--delta-ratio", "1e300"], "the largest height"),
             (["--delta0", "1e300", "--delta-ratio", "1e10"], "is not finite"),
+            (["--delta-ratio", "1.0000001"], "rank-deficient flatness fit"),
+            (["--delta0", "1e-300"], "rank-deficient flatness fit"),
+            (["--fixture", "ellipse:1e-320,1"], "plot too small"),
+            (["--fixture", "ellipse:1e-300,1e-300"], "plot too small"),
         ],
     )
     def test_invalid_input_is_usage_error(self, runner, args, message):

@@ -180,3 +180,53 @@ class TestTextForm:
 
     def test_sqrt2_coefficient(self):
         assert str(DiffPoly.monomial(QR2Scalar(0, F(-1, 4)), {0: 1})) == "(-1/4*sqrt2)*k0"
+
+
+class TestExactNumberType:
+    """Coefficients lie all in Q or all in sqrt2 * Q; mixing is refused."""
+
+    SQRT2 = QR2Scalar.sqrt2()
+
+    def test_constant_hashes_like_its_scalar(self):
+        assert len({DiffPoly.constant(1), 1}) == 1
+        assert hash(DiffPoly.constant(F(1, 2))) == hash(F(1, 2))
+        half_sqrt2 = QR2Scalar(0, F(1, 2))
+        assert hash(DiffPoly.constant(half_sqrt2)) == hash(half_sqrt2)
+        assert hash(DiffPoly.zero()) == hash(0)
+
+    def test_equal_polynomials_hash_equal(self):
+        assert hash(k(0) * k(1) * 2) == hash(2 * k(0) * k(1))
+        assert hash(k(0) * self.SQRT2) == hash(DiffPoly.monomial(self.SQRT2, {0: 1}))
+
+    def test_mixed_scalar_compares_unequal(self):
+        assert (DiffPoly.constant(1) == QR2Scalar(1, 1)) is False
+        assert k(0) != QR2Scalar(1, 1)
+        assert QR2Scalar(1, 1) != DiffPoly.constant(1)
+
+    def test_sqrt2_bit_in_products(self):
+        s = self.SQRT2
+        assert (k(0) * s) * (k(1) * s) == 2 * k(0) * k(1)
+        assert k(0).scale(s).scale(s) == k(0).scale(2)
+        got = DiffPoly.sum_of_products([(k(0) * s, k(1) * s), (k(0), k(1))], [3, 1])
+        assert got == 7 * k(0) * k(1)
+        assert (k(0) * s).coefficient_of({0: 1}) == s
+        assert k(0) * s != k(0)
+        assert k(0) * s - k(0) * s == DiffPoly.zero()  # zero has bit 0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DiffPoly.constant(QR2Scalar(1, 1)),
+            lambda: DiffPoly({(): 1, ((0, 1),): QR2Scalar.sqrt2()}),
+            lambda: k(0) + k(1) * QR2Scalar.sqrt2(),
+            lambda: k(0) - QR2Scalar.sqrt2(),
+            lambda: k(0) + QR2Scalar(1, 1),
+            lambda: k(0).scale(QR2Scalar(F(1, 2), 3)),
+            lambda: k(0) * QR2Scalar(1, 1),
+            lambda: DiffPoly.sum_of_products([(k(0), k(1)), (k(0) * QR2Scalar.sqrt2(), k(1))]),
+        ],
+        ids=["scalar", "terms", "add", "sub-scalar", "add-scalar", "scale", "mul", "products"],
+    )
+    def test_mixed_input_is_refused(self, build):
+        with pytest.raises(ValueError, match="mix"):
+            build()

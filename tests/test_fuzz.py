@@ -4,7 +4,7 @@ either passes or raises ValueError.  No curve is built here."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affgrav.cli import _CONICS, MAX_DELTA_COUNT, MAX_SWEEP, Config, parse_fixture
@@ -30,6 +30,7 @@ fixture_text = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(fixture_text)
+@example("kappa-poly:0.0,0.0,8.98846567431158e+307")  # 2 * c2 overflows
 def test_parse_fixture_passes_or_raises_value_error(text):
     try:
         spec, kappa_prime = parse_fixture(text)

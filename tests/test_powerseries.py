@@ -249,3 +249,28 @@ class TestAlternatingAndExplicit:
         assert rep.is_explicit
         assert [str(c) for c in rep.leading] == ["0", "0", "1", "1", "1"]
         assert rep.residuals[4] == k(0) * k(0)
+
+
+class TestDilate:
+    SERIES = [
+        Series([DiffPoly.zero(), k(0), k(1) * F(2, 3), k(0) * k(2) - k(3), F(-1, 5), k(4)]),
+        const_series([0, 1, F(1, 2), -3, F(2, 7)]),
+    ]
+
+    @pytest.mark.parametrize("a", SERIES)
+    @pytest.mark.parametrize("c", [2, F(-3, 4), F(5, 2)])
+    def test_rational_factor_is_composition_with_scaled_identity(self, a, c):
+        assert a.dilate(c) == a.compose(Series.identity(a.order).scale(c))
+
+    @pytest.mark.parametrize("a", SERIES + [const_series([1, 2, 3])])
+    def test_sqrt2_twice_is_two(self, a):
+        sqrt2 = QR2Scalar.sqrt2()
+        once = a.dilate(sqrt2)
+        assert once.dilate(sqrt2) == a.dilate(2)
+        for i, c in enumerate(once.coeffs):
+            assert all((m.coeff.a == 0) == (i % 2 == 1) for m in c.monomials())
+
+    def test_dilate_by_one_and_zero(self):
+        a = self.SERIES[0]
+        assert a.dilate(1) == a
+        assert a.dilate(0) == Series([a[0]] + [DiffPoly.zero()] * a.order)
