@@ -13,12 +13,13 @@ import math
 import os
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import click
 
 from . import expansion
-from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT
+from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT, STRAIGHT_TOL_FLOOR, TOL_STRAIGHT_FACTOR
 from .diffpoly import DiffPoly, GradedClass
 from .errors import AffGravError, BracketingError, VerificationError
 from .expansion import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, build_pipeline
@@ -93,6 +94,12 @@ class Config:
             raise ValueError("tol-flat must be positive")
         if self.tol_straight is not None and self.tol_straight <= 0:
             raise ValueError("tol-straight must be positive")
+        tol = TOL_STRAIGHT_FACTOR * top if self.tol_straight is None else self.tol_straight
+        if self.sweep and tol < STRAIGHT_TOL_FLOOR:  # no curve could pass it
+            raise ValueError(
+                f"straightness tolerance {tol:.3g} is below the roundoff floor"
+                f" {STRAIGHT_TOL_FLOOR:.3g} of max_dev; raise --delta0 or --tol-straight"
+            )
         if curve is None:
             return
         import numpy as np
@@ -124,17 +131,30 @@ class Config:
 # -- fixtures -------------------------------------------------------------------
 
 # Conics plotted on u in [-1, 1]: name -> (plot maker, its default
-# arguments, what it takes).  A conic has constant affine curvature.
+# arguments, what it takes).  A conic has constant affine curvature.  A
+# plot maker takes numpy, then the arguments, and returns an array plot
+# (``numcurve.ParametricCurveSpec``).
 _CONICS = {
-    "parabola": (lambda: lambda u: (u, u * u / 2), (), "no arguments"),
-    "circle": (lambda: lambda u: (math.cos(u), math.sin(u)), (), "no arguments"),
+    "parabola": (lambda np: lambda u: (u, u * u / 2), (), "no arguments"),
+    "circle": (lambda np: lambda u: (np.cos(u), np.sin(u)), (), "no arguments"),
     "ellipse": (
-        lambda a, b: lambda u: (a * math.cos(u), b * math.sin(u)),
+        lambda np, a, b: lambda u: (a * np.cos(u), b * np.sin(u)),
         (2.0, 1.0),
         "two positive semi-axes, e.g. ellipse:2,1",
     ),
-    "hyperbola": (lambda: lambda u: (math.cosh(u), -math.sinh(u)), (), "no arguments"),
+    "hyperbola": (lambda np: lambda u: _libm_hyperbola(np, u), (), "no arguments"),
 }
+
+
+def _libm_hyperbola(np, u):
+    """(cosh u, -sinh u) from the math module, whose values numpy's own
+    cosh and sinh do not reproduce bit for bit on every platform."""
+    u = np.asarray(u, dtype=float)
+    flat = memoryview(u.ravel())  # yields floats one at a time, unlike tolist()
+    both = np.fromiter(
+        chain(map(math.cosh, flat), map(math.sinh, flat)), float, count=2 * len(flat)
+    ).reshape(2, *u.shape)
+    return both[0], -both[1]
 
 
 def parse_fixture(text: str):
@@ -144,6 +164,8 @@ def parse_fixture(text: str):
     kappa-poly:c0,c1,...  The second return value maps a base point to
     the analytic derivative of the affine curvature there.
     """
+    import numpy as np
+
     from .numcurve import KappaCurveSpec, ParametricCurveSpec
 
     name, _, argtext = text.partition(":")
@@ -154,7 +176,7 @@ def parse_fixture(text: str):
         make_plot, defaults, takes = _CONICS[name]
         if args and (len(args) != len(defaults) or min(args) <= 0):
             raise ValueError(f"{name} takes {takes}")
-        spec = ParametricCurveSpec(make_plot(*(args or defaults)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(make_plot(np, *(args or defaults)), (-1.0, 1.0))
         return spec, lambda p: 0.0
     if name == "kappa-poly":
         if not args:

@@ -1,8 +1,22 @@
-"""Defaults of the numeric experiment that the command line shows.
+"""Constants of the numeric experiment that the command line needs.
 
-They live apart from ``numcurve`` so that ``gravity --help`` can print
-them without importing numpy; ``numcurve`` re-exports both names.
+They live apart from ``numcurve`` so that ``gravity --help`` and the
+input checks of ``Config.validate`` run without importing numpy;
+``numcurve`` re-exports the ones it uses.
 """
+
+import sys
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL_FLAT = 1e-3
+# The default straightness tolerance is this factor times the largest height.
+TOL_STRAIGHT_FACTOR = 1e-6
+# Roundoff floor of max_dev: no straightness tolerance below it can be met.
+# At vanishing heights the chord roots s = +-sqrt(2 delta) close in on the
+# base node, and an error c*s in the sampled g there moves both roots by
+# -c, so every midpoint abscissa tends to -c however small the heights.
+# The residual slope c of a renormalized curve is rounding noise of
+# unit-scale nodes and frames; over the built-in fixtures it holds
+# max_dev at 37 (kappa-poly:1) to 740 (hyperbola) ulps of 1.  Below 32
+# ulps of 1 no curve reads straight.
+STRAIGHT_TOL_FLOOR = 32 * sys.float_info.epsilon

@@ -11,29 +11,32 @@ intersections at a given height by bisection, collecting the chord
 midpoints, and estimating flatness and straightness of the resulting
 midpoint curve.
 
-The numeric kernels work on whole arrays: interpolation takes every
-abscissa in one call, and the chord roots of all heights and both sides
-of a base point are bisected together.  Each array kernel performs the
-same floating-point operations in the same order as its one-value form,
-so results are bit-identical to it; ``tests/_oracles.py`` keeps those
-forms and the tests compare against them with ``==``.
+The numeric kernels work on whole arrays.  A parametric plot takes an
+array of parameters of any shape and returns x and y arrays of that
+shape, so the plot is called once per point set, not once per point.
+Interpolation takes every abscissa in one call, row by row against one
+table per row.  The chord roots of every base point, height and side
+are bisected together in one lockstep pass.  Each array kernel performs
+the same floating-point operations in the same order as its one-value
+form, so results are bit-identical to it; ``tests/_oracles.py`` keeps
+those forms and the tests compare against them with ``==``.
 
 Derivatives of a parametric plot come from ``_STENCILS``, one table of
-central finite-difference stencils read by ``_fd``.  The plot is called
-once per abscissa and offset: values already known at the nodes serve
-as the zero-offset term.  No grid holds more than ``MAX_GRID_NODES``
-nodes.
+central finite-difference stencils read by ``_fd``, which evaluates all
+offsets of a stencil in one plot call.  Values already known at the
+nodes serve as the zero-offset term.  No grid holds more than
+``MAX_GRID_NODES`` nodes, and a sweep stacks the tables of only as many
+base points at once as ``_SWEEP_TABLE`` entries allow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT
+from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT, TOL_STRAIGHT_FACTOR
 from .errors import BracketingError, DegenerateCurveError, VerificationError
 
 __all__ = [
@@ -58,7 +61,6 @@ __all__ = [
     "MAX_GRID_NODES",
 ]
 
-TOL_STRAIGHT_FACTOR = 1e-6
 ROOT_TOL = 1e-12
 KAPPA_SPREAD_TOL = 1e-4
 MAX_GRID_NODES = 10**6
@@ -90,10 +92,12 @@ class KappaCurveSpec:
 class ParametricCurveSpec:
     """Curve given as a parametric plot on a parameter interval.
 
-    Must be non-degenerate: det[c_u, c_uu] > 0 throughout the domain.
+    ``xy`` takes a float array of any shape (a float works too) and
+    returns the (x, y) arrays of that shape.  Must be non-degenerate:
+    det[c_u, c_uu] > 0 throughout the domain.
     """
 
-    xy: Callable[[float], tuple[float, float]]
+    xy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     domain: tuple[float, float]
 
 
@@ -224,23 +228,20 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
 # -- reparametrization of parametric curves -------------------------------------
 
 
-def _xy_array(fn, us: np.ndarray) -> np.ndarray:
-    values = chain.from_iterable(map(fn, us.tolist()))
-    return np.fromiter(values, float, count=2 * len(us)).reshape(-1, 2)
-
-
 def _fd(fn, us: np.ndarray, order: int, at_us: np.ndarray | None = None) -> np.ndarray:
     """Derivative of the given order of fn at each u, by its ``_STENCILS``
-    row; ``at_us`` is fn at us when the caller already has it."""
+    row; ``at_us`` is fn at us when the caller already has it.  All
+    offsets the stencil needs are evaluated in one call on a stacked
+    (offsets, len(us)) abscissa array."""
     du, offsets, weights, denominator = _STENCILS[order]
-    total = None
+    needed = [k for k in offsets if k or at_us is None]
+    xs, ys = fn(np.stack([us + k * du if k else us for k in needed]))
+    rows = zip(xs, ys)
+    tx = ty = None
     for k, w in zip(offsets, weights):
-        if k:
-            values = _xy_array(fn, us + k * du)
-        else:
-            values = _xy_array(fn, us) if at_us is None else at_us
-        total = w * values if total is None else total + w * values
-    return total / denominator
+        x, y = at_us.T if at_us is not None and not k else next(rows)
+        tx, ty = (w * x, w * y) if tx is None else (tx + w * x, ty + w * y)
+    return np.stack([tx, ty], axis=-1) / denominator
 
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -255,32 +256,41 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
 # For each of the four window nodes j, the other three in ascending order.
 _OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-# Abscissae per interpolation block; bounds the (block, 4, 3) temporaries.
+# Abscissae per interpolation block; bounds the (rows, block, 4, 3) temporaries.
 _BLOCK = 256
+# Entries per stacked (points, nodes) table of a sweep; bounds how many
+# base points are solved at once.
+_SWEEP_TABLE = 2**16
 
 
 def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation of a sorted table at each abscissa.
+    """Cubic Lagrange interpolation of sorted tables at each abscissa.
 
-    Each x uses the four nodes around it, clamped to the table ends.  The
-    basis products and the sum run in node order, so a value equals the
-    one-abscissa evaluation bit for bit.
+    ``xs`` and ``ys`` hold one table per row and ``x`` the abscissae of
+    each row; a single table (1-D) interpolates a 1-D ``x``.  Each
+    abscissa uses the four nodes of its own row around it, clamped to
+    the table ends.  The basis products and the sum run in node order,
+    so a value equals the one-abscissa evaluation bit for bit.
     """
-    if len(xs) < 4:
+    if xs.shape[-1] < 4:
         raise ValueError("cubic interpolation needs a table of at least 4 nodes")
     x = np.asarray(x, dtype=float)
-    if len(x) > _BLOCK:
-        blocks = [x[i : i + _BLOCK] for i in range(0, len(x), _BLOCK)]
-        return np.concatenate([_interp_table(xs, ys, b) for b in blocks])
-    start = np.minimum(np.maximum(np.searchsorted(xs, x) - 2, 0), len(xs) - 4)
-    window = start[:, None] + np.arange(4)
-    nodes = xs[window]
-    dx = (x[:, None] - nodes)[:, _OTHERS]
-    dn = nodes[:, :, None] - nodes[:, _OTHERS]
+    if xs.ndim == 1:
+        return _interp_table(xs[None], ys[None], x[None])[0]
+    if x.shape[1] > _BLOCK:
+        blocks = [x[:, i : i + _BLOCK] for i in range(0, x.shape[1], _BLOCK)]
+        return np.concatenate([_interp_table(xs, ys, b) for b in blocks], axis=1)
+    found = np.stack([np.searchsorted(table, row) for table, row in zip(xs, x)])
+    start = np.minimum(np.maximum(found - 2, 0), xs.shape[1] - 4)
+    row = np.arange(len(xs))[:, None, None]
+    window = start[..., None] + np.arange(4)
+    nodes = xs[row, window]
+    dx = (x[..., None] - nodes)[..., _OTHERS]
+    dn = nodes[..., :, None] - nodes[..., _OTHERS]
     num = dx[..., 0] * dx[..., 1] * dx[..., 2]
     den = dn[..., 0] * dn[..., 1] * dn[..., 2]
-    terms = ys[window] * (num / den)
-    return 0.0 + terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    terms = ys[row, window] * (num / den)
+    return 0.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -325,7 +335,7 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     u_of_s = _interp_table(sigma, us, grid)
     u_of_s[n_neg] = us[iref]  # base node is a table node; keep it exact
 
-    pts = _xy_array(spec.xy, u_of_s)
+    pts = np.stack(spec.xy(u_of_s), axis=-1)
     c1 = _fd(spec.xy, u_of_s, 1)
     c2 = _fd(spec.xy, u_of_s, 2, at_us=pts)
     c3 = _fd(spec.xy, u_of_s, 3)
@@ -384,32 +394,36 @@ def _first_reach(g_out: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     return np.searchsorted(reach, deltas)
 
 
-def _chord_roots(curve: NumCurve, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of g(s) = delta right and left of the base point, all heights
-    in one pass.
+def _chord_roots(
+    grids: np.ndarray, gs: np.ndarray, centers: Sequence[int], deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of g(s) = delta right and left of each base point, all base
+    points, heights and sides in one pass.
 
-    Lanes are ordered (right, left) per height.  Each lane walks outward
-    from the base node to the first node with g >= delta, then bisects the
-    cubic interpolant of g over that grid cell to bracket collapse.  All
-    lanes bisect in lockstep; a lane stops on an exact zero, on a midpoint
-    that no longer moves, or on a collapsed bracket.  Returns the roots
-    and a mask of the lanes that found none.
+    Row r holds the grid and g of a curve normalized at its base node
+    ``centers[r]``; its lanes are ordered (right, left) per height.  Each
+    lane walks outward from the base node to the first node with
+    g >= delta, then bisects the cubic interpolant of its row's g over
+    that grid cell to bracket collapse.  All lanes bisect in lockstep; a
+    lane stops on an exact zero, on a midpoint that no longer moves, or
+    on a collapsed bracket.  Returns the (rows, lanes) roots and a mask
+    of the lanes that found none.
     """
-    g = curve.points[:, 1]
-    grid = curve.grid
-    center = curve.center_index()
-    right = center + 1 + _first_reach(g[center + 1 :], deltas)
-    left = center - 1 - _first_reach(g[:center][::-1], deltas)
-    outer = np.column_stack([right, left]).ravel()
+    outer = np.empty((len(gs), 2 * len(deltas)), dtype=np.intp)
+    for r, (g, center) in enumerate(zip(gs, centers)):
+        outer[r, 0::2] = center + 1 + _first_reach(g[center + 1 :], deltas)
+        outer[r, 1::2] = center - 1 - _first_reach(g[:center][::-1], deltas)
     inner = outer - np.tile([1, -1], len(deltas))
     delta = np.repeat(deltas, 2)
-    failed = (outer < 0) | (outer >= len(g))
+    failed = (outer < 0) | (outer >= gs.shape[1])
+    center = np.asarray(centers)[:, None]
     outer = np.where(failed, center, outer)
     inner = np.where(failed, center, inner)
 
-    lo, hi = grid[inner], grid[outer]
-    f_ends = _interp_table(grid, g, np.concatenate([lo, hi])) - np.tile(delta, 2)
-    flo, fhi = np.split(f_ends, 2)
+    row = np.arange(len(gs))[:, None]
+    lo, hi = grids[row, inner], grids[row, outer]
+    f_ends = _interp_table(grids, gs, np.concatenate([lo, hi], axis=1)) - np.tile(delta, 2)
+    flo, fhi = np.split(f_ends, 2, axis=1)
     at_lo = ~failed & (flo == 0.0)
     at_hi = ~failed & ~at_lo & (fhi == 0.0)
     neg_lo = flo < 0  # the sign of g - delta at lo never changes while bisecting
@@ -422,7 +436,7 @@ def _chord_roots(curve: NumCurve, deltas: np.ndarray) -> tuple[np.ndarray, np.nd
     for _ in range(200):
         if not active.any():
             break
-        fm = _interp_table(grid, g, mid) - delta
+        fm = _interp_table(grids, gs, mid) - delta
         moving = active & (fm != 0.0)
         to_lo = moving & ((fm < 0) == neg_lo)
         lo = np.where(to_lo, mid, lo)
@@ -432,10 +446,45 @@ def _chord_roots(curve: NumCurve, deltas: np.ndarray) -> tuple[np.ndarray, np.nd
         collapsed = (nxt == mid) | (width <= 1e-17 * np.maximum(1.0, np.abs(mid)))
         active = moving & ~collapsed
         mid = np.where(active, nxt, mid)
-    residual = np.abs(_interp_table(grid, g, mid) - delta)
+    residual = np.abs(_interp_table(grids, gs, mid) - delta)
     failed |= bisect & (residual > ROOT_TOL)
     roots = np.where(at_lo, lo, np.where(at_hi, hi, mid))
     return roots, failed
+
+
+def _samples_per_row(
+    grids: np.ndarray,
+    gs: np.ndarray,
+    fs: np.ndarray,
+    centers: Sequence[int],
+    deltas: Sequence[float],
+) -> Iterator[list[GravitySample]]:
+    """The chord-midpoint samples of each row's normalized curve, in order.
+
+    Row r holds the grid, the vertical component g and the horizontal
+    component f of a curve normalized at its base node ``centers[r]``;
+    all rows are solved in one pass.  Each row raises where
+    ``gravity_samples`` on its curve alone would, and only once the
+    samples of the rows before it have been taken.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    nonpositive = np.flatnonzero(deltas <= 0)
+    heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
+    roots, failed = _chord_roots(grids, gs, centers, heights)
+    f_at = _interp_table(grids, fs, roots)
+    midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
+    for lanes, r, m in zip(failed, roots, midpoint_x):
+        if lanes.any():
+            lane = int(np.flatnonzero(lanes)[0])
+            raise BracketingError(float(heights[lane // 2]), ("right", "left")[lane % 2])
+        if nonpositive.size:
+            raise ValueError("chord height must be positive")
+        yield [
+            GravitySample(delta=d, s_minus=sm, s_plus=sp, midpoint_x=x)
+            for d, sm, sp, x in zip(
+                heights.tolist(), r[1::2].tolist(), r[0::2].tolist(), m.tolist()
+            )
+        ]
 
 
 def gravity_samples(curve: NumCurve, deltas: Sequence[float]) -> list[GravitySample]:
@@ -449,24 +498,39 @@ def gravity_samples(curve: NumCurve, deltas: Sequence[float]) -> list[GravitySam
     batched pass.  Errors follow height order, right side before left: a
     height <= 0 raises ValueError, a missing root BracketingError.
     """
-    deltas = np.asarray(deltas, dtype=float)
-    nonpositive = np.flatnonzero(deltas <= 0)
-    heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
-    roots, failed = _chord_roots(curve, heights)
-    if failed.any():
-        lane = int(np.flatnonzero(failed)[0])
-        raise BracketingError(float(heights[lane // 2]), ("right", "left")[lane % 2])
-    if nonpositive.size:
-        raise ValueError("chord height must be positive")
-    s_plus, s_minus = roots[0::2], roots[1::2]
-    f_at = _interp_table(curve.grid, curve.points[:, 0], roots)
-    midpoint_x = 0.5 * (f_at[1::2] + f_at[0::2])
-    return [
-        GravitySample(delta=d, s_minus=sm, s_plus=sp, midpoint_x=m)
-        for d, sm, sp, m in zip(
-            heights.tolist(), s_minus.tolist(), s_plus.tolist(), midpoint_x.tolist()
-        )
-    ]
+    rows = (curve.grid[None], curve.points[None, :, 1], curve.points[None, :, 0])
+    return next(_samples_per_row(*rows, [curve.center_index()], deltas))
+
+
+def _sweep_samples(
+    curve: NumCurve, base_points: Sequence[float], deltas: Sequence[float]
+) -> Iterator[list[GravitySample]]:
+    """``gravity_samples`` of the curve renormalized at each base point,
+    in order.
+
+    Base points are solved a chunk at a time, each chunk in one pass.  A
+    chunk stacks at most ``_SWEEP_TABLE`` entries per table and, beyond
+    one point, at most ``_BLOCK`` lanes.  An error surfaces at the base
+    point where a loop over the points would have raised it.
+    """
+    n = len(curve)
+    size = max(1, min(_BLOCK // (2 * max(1, len(deltas))), _SWEEP_TABLE // n))
+    grids, gs, fs = (np.empty((min(size, len(base_points)), n)) for _ in range(3))
+    for i in range(0, len(base_points), size):
+        centers, error = [], None
+        for r, p in enumerate(base_points[i : i + size]):
+            try:
+                local = renormalize(curve, p)
+            except ValueError as exc:  # LinAlgError is one too
+                error = exc
+                break
+            grids[r], gs[r], fs[r] = local.grid, local.points[:, 1], local.points[:, 0]
+            centers.append(local.center_index())
+        done = len(centers)
+        if done:
+            yield from _samples_per_row(grids[:done], gs[:done], fs[:done], centers, deltas)
+        if error is not None:
+            raise error
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -490,7 +554,14 @@ def fit_flatness(
     design = np.column_stack([deltas, deltas**2, deltas**3])
     coef, _, rank, _ = np.linalg.lstsq(design, xs, rcond=None)
     if rank < 3:
-        raise ValueError("rank-deficient flatness fit; vary the heights")
+        top = deltas.max()
+        lost = [f"delta^{k}" for k in (2, 3) if top**k < np.finfo(float).tiny]
+        if lost:
+            raise ValueError(
+                f"rank-deficient flatness fit: {' and '.join(lost)} underflow"
+                f" at heights up to {top:.3g}; raise the heights"
+            )
+        raise ValueError("rank-deficient flatness fit; spread the heights wider or raise them")
     a, b, c = (float(t) for t in coef)
     predicted = -kappa_prime_p / 10.0
     if abs(b - predicted) > max(1e-3, 0.05 * abs(predicted)):
@@ -532,17 +603,20 @@ def corollary_sweep(
     Returns True when the midpoint curve is straight at all base points.
     The verdict must agree with numerical constancy of the curvature
     over the same points; disagreement raises VerificationError.  Each
-    base point is renormalized and sampled once, all of its heights in
-    one batch; when ``rows`` is a list, this pass appends one
-    ``(point, max_dev, is_straight)`` tuple per base point to it.
+    base point is renormalized once and the chord roots of all base
+    points, heights and sides are found in one pass (a chunk of points
+    at a time for large sweeps); when ``rows`` is a list, the sweep
+    appends one ``(point, max_dev, is_straight)`` tuple per base point
+    to it.  Errors are raised as a loop of ``gravity_samples`` over the
+    points would raise them.
     """
     if deltas is None:
         deltas = default_deltas()
+    base_points = list(base_points)
     all_straight = True
     kappas = []
-    for p in base_points:
-        local = renormalize(curve, p)
-        dev, ok = straightness_test(gravity_samples(local, deltas), tol_straight)
+    for p, samples in zip(base_points, _sweep_samples(curve, base_points, deltas)):
+        dev, ok = straightness_test(samples, tol_straight)
         if rows is not None:
             rows.append((p, dev, bool(ok)))
         all_straight = all_straight and ok

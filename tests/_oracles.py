@@ -3,18 +3,27 @@
 The symbolic oracles work on plain Fraction lists or explicit
 enumerations, deliberately avoiding the library's own series and Bell
 machinery.  The numeric oracles are the scalar, one-value-at-a-time
-forms of the curve builders and the chord-root search: the array code
-in ``numcurve`` must reproduce them bit for bit.
+forms of the conic plots, the curve builders, the chord-root search
+and the base-point sweep: the array code in ``numcurve`` and the array
+plots of ``cli`` must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from affgrav import BracketingError, DiffPoly, GravitySample, NumCurve, Series
-from affgrav.numcurve import ROOT_TOL, renormalize
+from affgrav import BracketingError, DiffPoly, GravitySample, NumCurve, Series, VerificationError
+from affgrav.numcurve import (
+    KAPPA_SPREAD_TOL,
+    ROOT_TOL,
+    affine_curvature,
+    default_deltas,
+    renormalize,
+    straightness_test,
+)
 
 
 def poly_mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
@@ -171,6 +180,16 @@ def integrate_from_kappa(spec, step: float = 1e-3) -> NumCurve:
     return NumCurve(grid=grid, points=arr[:, 0], d1=arr[:, 1], d2=arr[:, 2], step=step)
 
 
+# The conic fixtures of ``cli._CONICS`` at their default arguments, as
+# scalar plots on the math module.
+CONIC_PLOTS = {
+    "parabola": lambda u: (u, u * u / 2),
+    "circle": lambda u: (math.cos(u), math.sin(u)),
+    "ellipse": lambda u: (2.0 * math.cos(u), 1.0 * math.sin(u)),
+    "hyperbola": lambda u: (math.cosh(u), -math.sinh(u)),
+}
+
+
 def _xy(fn, us) -> np.ndarray:
     out = np.empty((len(us), 2))
     for i, u in enumerate(us):
@@ -288,3 +307,26 @@ def gravity_samples(curve: NumCurve, deltas) -> list[GravitySample]:
             )
         )
     return out
+
+
+def corollary_sweep(curve, base_points, deltas=None, tol_straight=None, rows=None) -> bool:
+    """The sweep one base point at a time: renormalize, sample, judge."""
+    if deltas is None:
+        deltas = default_deltas()
+    all_straight = True
+    kappas = []
+    for p in base_points:
+        local = renormalize(curve, p)
+        dev, ok = straightness_test(gravity_samples(local, deltas), tol_straight)
+        if rows is not None:
+            rows.append((p, dev, bool(ok)))
+        all_straight = all_straight and ok
+        kappas.append(affine_curvature(curve, p))
+    spread = max(kappas) - min(kappas)
+    scale = max(1.0, abs(float(np.mean(kappas))))
+    if (spread <= KAPPA_SPREAD_TOL * scale) != all_straight:
+        raise VerificationError(
+            "corollary.cross_check",
+            f"straight everywhere={all_straight} but curvature spread={spread:.3g}",
+        )
+    return all_straight

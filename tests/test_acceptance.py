@@ -266,12 +266,12 @@ def test_criterion_7_numeric_corollary():
 
     fixtures = {
         "parabola": ParametricCurveSpec(lambda u: (u, u * u / 2), (-1.0, 1.0)),
-        "circle": ParametricCurveSpec(lambda u: (math.cos(u), math.sin(u)), (-1.0, 1.0)),
+        "circle": ParametricCurveSpec(lambda u: (np.cos(u), np.sin(u)), (-1.0, 1.0)),
         "ellipse(2,1)": ParametricCurveSpec(
-            lambda u: (2 * math.cos(u), math.sin(u)), (-1.0, 1.0)
+            lambda u: (2 * np.cos(u), np.sin(u)), (-1.0, 1.0)
         ),
         "hyperbola": ParametricCurveSpec(
-            lambda u: (math.cosh(u), -math.sinh(u)), (-1.0, 1.0)
+            lambda u: (np.cosh(u), -np.sinh(u)), (-1.0, 1.0)
         ),
     }
     for name, spec in fixtures.items():

@@ -154,6 +154,12 @@ class TestGravity:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [[], ["--delta0", "1e-9"]])
+    def test_sweep_heights_above_the_roundoff_floor_pass(self, runner, args):
+        result = runner.invoke(main, ["gravity", "--sweep", "3", *args])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "straight everywhere: True"
+
     def test_sweep_verification_failure_exit_code(self, runner):
         # two symmetric points see the same curvature, so the constant-curvature
         # cross-check contradicts the not-straight verdict
@@ -206,7 +212,10 @@ class TestGravity:
             (["--delta-ratio", "1e300"], "the largest height"),
             (["--delta0", "1e300", "--delta-ratio", "1e10"], "is not finite"),
             (["--delta-ratio", "1.0000001"], "rank-deficient flatness fit"),
-            (["--delta0", "1e-300"], "rank-deficient flatness fit"),
+            (["--delta0", "1e-300"], "delta^2 and delta^3 underflow at heights up to 2.68e-299"),
+            (["--delta0", "1e-300", "--sweep", "3"], "below the roundoff floor"),
+            (["--delta0", "1e-12", "--sweep", "3"], "tolerance 2.68e-17 is below the roundoff"),
+            (["--sweep", "3", "--tol-straight", "1e-15"], "tolerance 1e-15 is below the roundoff"),
             (["--fixture", "ellipse:1e-320,1"], "plot too small"),
             (["--fixture", "ellipse:1e-300,1e-300"], "plot too small"),
         ],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,12 +18,14 @@ from affgrav import (
     fit_flatness,
     gravity_samples,
     integrate_from_kappa,
+    numcurve,
     renormalize,
     reparametrize_affine,
     straightness_test,
     wronskian_drift,
 )
-from affgrav.cli import parse_fixture
+from affgrav.cli import _CONICS, parse_fixture
+from affgrav.defaults import STRAIGHT_TOL_FLOOR
 from affgrav.numcurve import _cumulative_simpson, _interp_table
 
 
@@ -49,7 +52,7 @@ def parabola_curve():
 
 @pytest.fixture(scope="module")
 def circle_param():
-    spec = ParametricCurveSpec(lambda u: (math.cos(u), math.sin(u)), (-1.0, 1.0))
+    spec = ParametricCurveSpec(lambda u: (np.cos(u), np.sin(u)), (-1.0, 1.0))
     return reparametrize_affine(spec)
 
 
@@ -100,14 +103,14 @@ class TestReparametrization:
         assert np.max(np.abs(cur.points - expect)) < 1e-10
 
     def test_ellipse_constant_curvature(self):
-        spec = ParametricCurveSpec(lambda u: (2 * math.cos(u), math.sin(u)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(lambda u: (2 * np.cos(u), np.sin(u)), (-1.0, 1.0))
         cur = reparametrize_affine(spec)
         expect = 2.0 ** (-2.0 / 3.0)
         for s in (-0.4, 0.0, 0.5):
             assert affine_curvature(cur, s) == pytest.approx(expect, abs=1e-6)
 
     def test_hyperbola_negative_curvature(self):
-        spec = ParametricCurveSpec(lambda u: (math.cosh(u), -math.sinh(u)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(lambda u: (np.cosh(u), -np.sinh(u)), (-1.0, 1.0))
         cur = reparametrize_affine(spec)
         assert affine_curvature(cur, 0.0) == pytest.approx(-1.0, abs=1e-6)
 
@@ -116,18 +119,43 @@ class TestReparametrization:
         # itself and 4 + 4 + 6 stencil points, the second derivative
         # reusing the point
         spec, _ = parse_fixture("ellipse:2,1")
-        calls = 0
+        calls = points = 0
 
         def counting_xy(u):
-            nonlocal calls
+            nonlocal calls, points
             calls += 1
+            points += np.size(u)
             return spec.xy(u)
 
         cur = reparametrize_affine(ParametricCurveSpec(counting_xy, spec.domain))
-        assert calls == 9 * 4001 + 15 * len(cur)
+        assert points == 9 * 4001 + 15 * len(cur)
+        # one call per stencil and one for the points: 2 on the table, 4 on the grid
+        assert calls <= 6
+
+    @pytest.mark.parametrize("name", sorted(_CONICS))
+    def test_array_plot_equals_scalar_math_plot(self, name):
+        # on every abscissa array reparametrize_affine hands the plot: the
+        # stencils on the parameter table and the point and stencils on the grid
+        spec, _ = parse_fixture(name)
+        seen = []
+
+        def recording_xy(u):
+            seen.append(u)
+            return spec.xy(u)
+
+        reparametrize_affine(ParametricCurveSpec(recording_xy, spec.domain))
+        scalar = oracle.CONIC_PLOTS[name]
+        for u in seen:
+            x, y = spec.xy(u)
+            ref = np.array([scalar(v) for v in u.ravel().tolist()])
+            assert x.shape == y.shape == u.shape
+            assert np.array_equal(x.ravel(), ref[:, 0]) and np.array_equal(y.ravel(), ref[:, 1])
+
+    def test_every_conic_has_a_scalar_oracle(self):
+        assert set(oracle.CONIC_PLOTS) == set(_CONICS)
 
     def test_degenerate_orientation_rejected(self):
-        spec = ParametricCurveSpec(lambda u: (math.cosh(u), math.sinh(u)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(lambda u: (np.cosh(u), np.sinh(u)), (-1.0, 1.0))
         with pytest.raises(DegenerateCurveError):
             reparametrize_affine(spec)
 
@@ -254,11 +282,11 @@ class TestCorollarySweep:
     BASE_POINTS = [float(p) for p in np.linspace(-0.5, 0.5, 8)]
 
     def test_ellipse(self):
-        spec = ParametricCurveSpec(lambda u: (2 * math.cos(u), math.sin(u)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(lambda u: (2 * np.cos(u), np.sin(u)), (-1.0, 1.0))
         assert corollary_sweep(reparametrize_affine(spec), self.BASE_POINTS)
 
     def test_hyperbola(self):
-        spec = ParametricCurveSpec(lambda u: (math.cosh(u), -math.sinh(u)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(lambda u: (np.cosh(u), -np.sinh(u)), (-1.0, 1.0))
         assert corollary_sweep(reparametrize_affine(spec), self.BASE_POINTS)
 
     def test_even_curvature_fails_sweep(self):
@@ -273,6 +301,24 @@ class TestCorollarySweep:
             _, ok = straightness_test(gravity_samples(local, deltas))
             assert ok == (abs(p) < 1e-9)
 
+    @pytest.mark.parametrize(
+        "fixture",
+        ["parabola", "circle", "ellipse:2,1", "hyperbola", "kappa-poly:1", "kappa-poly:0"],
+    )
+    def test_roundoff_floor_lies_below_every_conic(self, fixture):
+        # at vanishing heights max_dev stops at the residual slope of g at
+        # the base node; a sweep tolerance at the floor is never one that
+        # a conic could have met
+        spec, _ = parse_fixture(fixture)
+        build = integrate_from_kappa if isinstance(spec, KappaCurveSpec) else reparametrize_affine
+        curve = build(spec)
+        deltas = default_deltas(1e-15)
+        devs = [
+            straightness_test(gravity_samples(renormalize(curve, p), deltas))[0]
+            for p in self.BASE_POINTS
+        ]
+        assert max(devs) >= STRAIGHT_TOL_FLOOR
+
 
 class TestAffineInvariance:
     MAPS = [
@@ -286,11 +332,14 @@ class TestAffineInvariance:
         assert abs(np.linalg.det(mat) - 1.0) < 1e-12
 
         def plain(u):
-            return (2 * math.cos(u), math.sin(u))
+            return (2 * np.cos(u), np.sin(u))
 
         def mapped(u):
-            p = mat @ np.array(plain(u)) + shift
-            return (float(p[0]), float(p[1]))
+            x, y = plain(u)
+            return (
+                mat[0, 0] * x + mat[0, 1] * y + shift[0],
+                mat[1, 0] * x + mat[1, 1] * y + shift[1],
+            )
 
         cur0 = reparametrize_affine(ParametricCurveSpec(plain, (-1.0, 1.0)))
         cur1 = reparametrize_affine(ParametricCurveSpec(mapped, (-1.0, 1.0)))
@@ -317,13 +366,28 @@ def curve_pair(request):
 
 
 def _outcome(fn, *args):
-    """What a call returned or, for a chord-height error, what it raised."""
+    """What a call returned or, for a chord-height, grid or cross-check
+    error, what it raised."""
     try:
         return "ok", fn(*args)
     except BracketingError as exc:
         return "bracketing", exc.delta, exc.side
     except ValueError as exc:
         return "value", str(exc)
+    except VerificationError as exc:
+        return "verification", exc.check, exc.detail
+
+
+def _sweep_points(count, start=-0.5):
+    return [float(p) for p in np.linspace(start, 0.5, count)]
+
+
+def _sweep_outcomes(curve, points, deltas):
+    """The library's and the oracle's sweep: outcome and per-point rows."""
+    got, want = [], []
+    outcome = _outcome(corollary_sweep, curve, points, deltas, None, got)
+    expected = _outcome(oracle.corollary_sweep, curve, points, deltas, None, want)
+    return (outcome, got), (expected, want)
 
 
 class TestScalarOracles:
@@ -366,6 +430,50 @@ class TestScalarOracles:
         assert got[0] != "ok"
         assert got == _outcome(oracle.gravity_samples, parabola_curve, deltas)
 
+    @pytest.mark.parametrize("count", [2, 3, 8])
+    def test_sweep_matches_oracle(self, curve_pair, count):
+        built, _ = curve_pair
+        got, want = _sweep_outcomes(built, _sweep_points(count), default_deltas())
+        assert got == want
+        assert len(got[1]) == count
+
+    @pytest.mark.parametrize("start", [-0.5, 0.0])
+    @pytest.mark.parametrize("count", [2, 3, 8])
+    @pytest.mark.parametrize(
+        "deltas",
+        [
+            [0.05, 0.1, 0.2],  # out of reach near the ends of the grid only
+            [0.02, 0.3, 0.5],
+            [0.05, 0.2, 0.0],  # the zero height is met before any missing root
+            [0.01, -1.0, 0.02],
+        ],
+    )
+    def test_sweep_raises_like_oracle(self, curve_pair, deltas, count, start):
+        built, _ = curve_pair
+        got, want = _sweep_outcomes(built, _sweep_points(count, start), deltas)
+        assert got == want
+
+    def test_sweep_reaches_points_that_fail_later(self, parabola_curve):
+        # from the middle outward, 0.2 is in reach at the first points and
+        # out of reach at the last, so the error names a later point
+        (outcome, rows), want = _sweep_outcomes(parabola_curve, _sweep_points(8, 0.0), [0.05, 0.2])
+        assert outcome == ("bracketing", 0.2, "right") and 0 < len(rows) < 8
+        assert (outcome, rows) == want
+
+    @pytest.mark.parametrize("points", [[0.0, 0.5, 5.0], [0.0, 5.0, 0.5], [5.0, 0.0]])
+    def test_sweep_base_point_off_grid_raises_in_order(self, parabola_curve, points):
+        got, want = _sweep_outcomes(parabola_curve, points, [0.05, 0.2])
+        assert got == want
+
+    @pytest.mark.parametrize("deltas", [list(default_deltas()), [0.05, 0.1, 0.2], [0.05, 0.2, 0.0]])
+    @pytest.mark.parametrize("start", [-0.5, 0.0])
+    def test_chunked_sweep_matches_oracle(self, curve_pair, monkeypatch, deltas, start):
+        # chunks of 3 base points: 8 points take three chunks
+        built, _ = curve_pair
+        monkeypatch.setattr(numcurve, "_SWEEP_TABLE", 3 * len(built))
+        got, want = _sweep_outcomes(built, _sweep_points(8, start), deltas)
+        assert got == want
+
     def test_interp_table_matches_scalar_lagrange(self):
         rng = np.random.default_rng(7)
         xs = np.cumsum(rng.uniform(0.5, 1.5, 40))
@@ -377,3 +485,20 @@ class TestScalarOracles:
     def test_cumulative_simpson_matches_loop(self):
         y = np.cos(np.linspace(-1.0, 1.0, 101)) ** 3
         assert np.array_equal(_cumulative_simpson(y, 0.02), oracle.cumulative_simpson(y, 0.02))
+
+
+def test_large_sweep_memory_is_bounded():
+    # 1000 base points on the 2517-node ellipse:2,1 grid.  One unchunked
+    # (points, nodes) table alone would take 20 MB; chunked, the whole
+    # sweep peaks near 1.5 MB
+    curve = reparametrize_affine(parse_fixture("ellipse:2,1")[0])
+    points = [float(p) for p in np.linspace(-0.5, 0.5, 1000)]
+    bound = 8 * 2**20
+    assert 8 * len(points) * len(curve) > 2 * bound
+    tracemalloc.start()
+    try:
+        assert corollary_sweep(curve, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
