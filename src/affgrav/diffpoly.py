@@ -12,14 +12,30 @@ one sqrt2 bit (0 for zero).  Its coefficients thus lie all in Q or all
 in sqrt2 * Q, as the expansion's do; ring operations are integer
 arithmetic, and an input or result that would mix Q and sqrt2 * Q raises
 ValueError.  The inspection methods hand coefficients out as ``QR2Scalar``.
+
+Monomial keys.  Each monomial is stored as one packed int (Kronecker
+substitution): bits ``B*o .. B*o + B - 1`` hold the exponent of ``ko``,
+with ``B = 8``, so the constant monomial is key 0 and a product of
+monomials is the sum of their keys.  The top bit of each field is a
+guard bit, so a field stores exponents up to ``2^(B-1) - 1 = 127``, and
+there are 128 fields, so derivative orders run up to 127.  Adding two
+storable keys, or moving one unit of a field up one order, never
+carries into the next field: an exponent that passes its bound shows as
+a set guard bit and an order that passes its bound as a bit above the
+last field.  Products and derivatives check their result keys for
+either once and raise ValueError; the constructor refuses an exponent
+or order it cannot store.  The expansion needs far less: the order-26
+pipeline, frame included, uses exponents up to 13 and orders up to 24.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import repeat
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import MissingAssignmentError
@@ -58,15 +74,56 @@ def _monomial_key(exps: ExponentMap) -> tuple:
     return (sum(e for _, e in exps), exps)
 
 
-def _merge_exponents(e1: ExponentMap, e2: ExponentMap) -> ExponentMap:
-    if not e1:
-        return e2
-    if not e2:
-        return e1
-    merged: dict[int, int] = dict(e1)
-    for order, e in e2:
-        merged[order] = merged.get(order, 0) + e
-    return tuple(sorted(merged.items()))
+# Packed monomial keys; see the module docstring.
+_B = 8
+_FIELDS = 128
+_MAX_EXPONENT = (1 << (_B - 1)) - 1
+_MAX_KAPPA_ORDER = _FIELDS - 1
+_KEY_BITS = _B * _FIELDS
+_FIELD = (1 << _B) - 1
+_GUARD = sum(1 << (_B * o + _B - 1) for o in range(_FIELDS))
+_ODD = sum(_MAX_EXPONENT << (_B * o) for o in range(1, _FIELDS, 2))
+_ODD_LOW_BITS = sum(1 << (_B * o) for o in range(1, _FIELDS, 2))
+
+
+def _pack(exps: ExponentMap) -> int:
+    """The key of an exponent map; ValueError if it cannot be stored."""
+    key = 0
+    for order, e in exps:
+        if not (0 <= order <= _MAX_KAPPA_ORDER and 0 <= e <= _MAX_EXPONENT):
+            raise ValueError(
+                f"k{order}^{e} cannot be stored: orders run to {_MAX_KAPPA_ORDER}, "
+                f"exponents to {_MAX_EXPONENT}"
+            )
+        key += e << (_B * order)
+    return key
+
+
+def _unpack(key: int) -> ExponentMap:
+    """The exponent map of a key: one byte per field, since B = 8."""
+    fields = key.to_bytes((key.bit_length() + 7) // 8, "little")
+    return tuple((order, e) for order, e in enumerate(fields) if e)
+
+
+def _check_storable(keys: Iterable[int]) -> None:
+    """Raise ValueError if a key passed an exponent or order bound."""
+    seen = reduce(or_, keys, 0)
+    if seen & _GUARD:
+        raise ValueError(f"an exponent of the result exceeds {_MAX_EXPONENT}")
+    if seen >> _KEY_BITS:
+        raise ValueError(f"a derivative order of the result exceeds {_MAX_KAPPA_ORDER}")
+
+
+def _coeff_text(n: int, den: int, bit: int) -> str:
+    """sqrt2^bit * n / den as ``str`` prints the equal Fraction or QR2Scalar."""
+    g = gcd(n, den)
+    n, den = n // g, den // g
+    if not bit:
+        return str(n) if den == 1 else f"{n}/{den}"
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    if den != 1:
+        return f"{sign}{n}/{den}*sqrt2"
+    return f"{sign}sqrt2" if n == 1 else f"{sign}{n}*sqrt2"
 
 
 def _split(c) -> tuple[int, int, int]:
@@ -88,17 +145,17 @@ def _one_bit(bits: Iterable[int]) -> int:
     return bits.pop() if bits else 0
 
 
-def _reduced(den: int, nums: dict[ExponentMap, int], bit: int, poly=None) -> DiffPoly:
-    """Canonical sqrt2^bit * sum(nums[e] * k^e) / den, in ``poly`` if given:
-    zero terms dropped, gcd divided out, bit 0 when nothing is left."""
-    terms = {exps: n for exps, n in nums.items() if n}
+def _reduced(den: int, nums: dict[int, int], bit: int, poly=None) -> DiffPoly:
+    """Canonical sqrt2^bit * sum(nums[key] * monomial(key)) / den, in ``poly``
+    if given: zero terms dropped, gcd divided out, bit 0 when nothing is left."""
+    terms = {key: n for key, n in nums.items() if n}
     if not terms:
         den, bit = 1, 0
     else:
         g = gcd(den, *terms.values())
         if g != 1:
             den //= g
-            terms = {exps: n // g for exps, n in terms.items()}
+            terms = {key: n // g for key, n in terms.items()}
     if poly is None:
         poly = DiffPoly.__new__(DiffPoly)
     poly._den, poly._terms, poly._bit = den, terms, bit
@@ -110,16 +167,20 @@ class DiffPoly:
 
     Immutable; the zero polynomial has no terms.  The canonical term
     order used for display and serialization is graded-lexicographic on
-    (total degree, exponent map).
+    (total degree, exponent map).  The constructor raises ValueError for
+    an exponent above 127 or a derivative order above 127; see the module
+    docstring.
     """
 
     __slots__ = ("_den", "_terms", "_bit")
 
     def __init__(self, terms: Mapping[ExponentMap, object] | None = None):
-        split = {exps: _split(c) for exps, c in (terms or {}).items() if c}
-        den = lcm(*(d for _, d, _ in split.values())) if split else 1
-        nums = {exps: n * (den // d) for exps, (n, d, _) in split.items()}
-        _reduced(den, nums, _one_bit(bit for _, _, bit in split.values()), self)
+        split = [(_pack(exps), *_split(c)) for exps, c in (terms or {}).items() if c]
+        den = lcm(*(d for _, _, d, _ in split))
+        nums: dict[int, int] = {}
+        for key, n, d, _ in split:
+            nums[key] = nums.get(key, 0) + n * (den // d)
+        _reduced(den, nums, _one_bit(bit for _, _, _, bit in split), self)
 
     # -- constructors ----------------------------------------------------
 
@@ -133,13 +194,14 @@ class DiffPoly:
 
     @classmethod
     def kappa(cls, order: int = 0) -> DiffPoly:
-        """The single variable k<order>, i.e. the order-th derivative of kappa."""
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
+        """The single variable k<order>, i.e. the order-th derivative of kappa;
+        the order runs from 0 to 127."""
         return cls({((order, 1),): 1})
 
     @classmethod
     def monomial(cls, coeff, exponents: Mapping[int, int]) -> DiffPoly:
+        """coeff times the product of k<order>^e; orders and exponents run
+        from 0 to 127."""
         for order, e in exponents.items():
             if order < 0 or e < 0:
                 raise ValueError("orders and exponents must be nonnegative")
@@ -153,14 +215,15 @@ class DiffPoly:
         """The sum of p * q over the pairs, each times its integer weight
         when weights are given, over one common denominator; the kernel of
         every series product.  Two sqrt2 factors double a product's weight;
-        products with different sqrt2 bits raise ValueError."""
+        products with different sqrt2 bits raise ValueError, and so does a
+        product monomial with an exponent above 127."""
         weights = repeat(1) if weights is None else weights
         pairs = [(p, q, w) for (p, q), w in zip(pairs, weights) if w and p._terms and q._terms]
         if not pairs:
             return DiffPoly()
         bit = _one_bit(p._bit ^ q._bit for p, q, _ in pairs)
         den = lcm(*(p._den * q._den for p, q, _ in pairs))
-        nums: dict[ExponentMap, int] = {}
+        nums: dict[int, int] = {}
         get = nums.get
         for p, q, w in pairs:
             f = den // (p._den * q._den) * w << (p._bit & q._bit)
@@ -168,8 +231,9 @@ class DiffPoly:
             for e1, n1 in p._terms.items():
                 n1 *= f
                 for e2, n2 in q_items:
-                    exps = _merge_exponents(e1, e2)
-                    nums[exps] = get(exps, 0) + n1 * n2
+                    key = e1 + e2
+                    nums[key] = get(key, 0) + n1 * n2
+        _check_storable(nums)
         return _reduced(den, nums, bit)
 
     # -- inspection ------------------------------------------------------
@@ -178,16 +242,26 @@ class DiffPoly:
         q = Fraction(n, self._den)
         return QR2Scalar(0, q) if self._bit else QR2Scalar(q)
 
+    def _sorted_terms(self) -> list[tuple[ExponentMap, int]]:
+        """(exponent map, numerator) pairs in canonical order."""
+        return sorted(
+            ((_unpack(key), n) for key, n in self._terms.items()),
+            key=lambda t: _monomial_key(t[0]),
+        )
+
     def monomials(self) -> list[DiffMonomial]:
         """Terms in canonical order."""
-        return [
-            DiffMonomial(self._value(self._terms[exps]), exps)
-            for exps in sorted(self._terms, key=_monomial_key)
-        ]
+        return [DiffMonomial(self._value(n), exps) for exps, n in self._sorted_terms()]
 
     def coefficient_of(self, exponents: Mapping[int, int]) -> QR2Scalar:
-        exps = tuple(sorted((o, e) for o, e in exponents.items() if e > 0))
-        return self._value(self._terms.get(exps, 0))
+        """The coefficient of a monomial; 0 for one that cannot be stored,
+        such as one with a negative exponent."""
+        exps = tuple(sorted((o, e) for o, e in exponents.items() if e))
+        try:
+            key = _pack(exps)
+        except ValueError:
+            return self._value(0)
+        return self._value(self._terms.get(key, 0))
 
     @property
     def is_zero(self) -> bool:
@@ -195,13 +269,13 @@ class DiffPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(exps == () for exps in self._terms)
+        return not any(self._terms)
 
     def constant_value(self) -> QR2Scalar:
         """Value of a constant polynomial (0 for the zero polynomial)."""
         if not self.is_constant:
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._value(self._terms.get((), 0))
+        return self._value(self._terms.get(0, 0))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QR2Scalar) and other.a and other.b:
@@ -223,11 +297,9 @@ class DiffPoly:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        # a rational coefficient prints as its Fraction, as QR2Scalar prints it
-        value = self._value if self._bit else lambda n: Fraction(n, self._den)
+        den, bit = self._den, self._bit
         return " + ".join(
-            _format_term(value(n), exps)
-            for exps, n in sorted(self._terms.items(), key=lambda t: _monomial_key(t[0]))
+            _format_term(_coeff_text(n, den, bit), exps) for exps, n in self._sorted_terms()
         )
 
     def __repr__(self) -> str:
@@ -246,9 +318,9 @@ class DiffPoly:
         bit = _one_bit((self._bit, other._bit))
         den = lcm(self._den, other._den)
         f1, f2 = den // self._den, den // other._den
-        nums = {exps: n * f1 for exps, n in self._terms.items()}
-        for exps, n in other._terms.items():
-            nums[exps] = nums.get(exps, 0) + n * f2
+        nums = {key: n * f1 for key, n in self._terms.items()}
+        for key, n in other._terms.items():
+            nums[key] = nums.get(key, 0) + n * f2
         return _reduced(den, nums, bit)
 
     __radd__ = __add__
@@ -263,7 +335,7 @@ class DiffPoly:
         return (-self) + other
 
     def __neg__(self) -> DiffPoly:
-        return _reduced(self._den, {exps: -n for exps, n in self._terms.items()}, self._bit)
+        return _reduced(self._den, {key: -n for key, n in self._terms.items()}, self._bit)
 
     def __mul__(self, other) -> DiffPoly:
         if isinstance(other, (int, Fraction, QR2Scalar)):
@@ -278,35 +350,40 @@ class DiffPoly:
         """This polynomial times an exact scalar in Q or sqrt2 * Q."""
         num, den, bit = _split(factor)
         num <<= self._bit & bit  # sqrt2 * sqrt2 = 2
-        nums = {exps: n * num for exps, n in self._terms.items()}
+        nums = {key: n * num for key, n in self._terms.items()}
         return _reduced(self._den * den, nums, self._bit ^ bit)
 
     def differentiate(self) -> DiffPoly:
-        """Arclength derivation: Leibniz rule with ki mapping to k(i+1)."""
-        nums: dict[ExponentMap, int] = {}
-        for exps, n in self._terms.items():
-            for order, e in exps:
-                factors = dict(exps)
-                if e == 1:
-                    del factors[order]
-                else:
-                    factors[order] = e - 1
-                factors[order + 1] = factors.get(order + 1, 0) + 1
-                new = tuple(sorted(factors.items()))
-                nums[new] = nums.get(new, 0) + n * e
+        """Arclength derivation: Leibniz rule with ki mapping to k(i+1).
+
+        Raises ValueError when a derivative passes order 127 or an exponent
+        passes 127."""
+        nums: dict[int, int] = {}
+        get = nums.get
+        for key, n in self._terms.items():
+            # k_o^e contributes e * k_o^(e-1) * k_(o+1): one unit moves a field up
+            step, rest = _FIELD, key
+            while rest:
+                e = rest & _FIELD
+                if e:
+                    new = key + step
+                    nums[new] = get(new, 0) + n * e
+                rest >>= _B
+                step <<= _B
+        _check_storable(nums)
         return _reduced(self._den, nums, self._bit)
 
     # -- grading -----------------------------------------------------------
 
     def in_class(self, cls: GradedClass) -> bool:
         """Membership in the graded class; see GradedClass."""
-        for exps in self._terms:
-            if any(order > cls.k for order, _ in exps):
-                return False
-            d = sum(e for order, e in exps if order % 2 == 1)
-            if d % 2 != cls.parity:
-                return False
-        return True
+        # a key uses an order above k iff it has a bit above field k; the
+        # odd degree's parity is that of the low bits of the odd fields
+        high, parity = _B * max(cls.k + 1, 0), cls.parity
+        return not any(
+            key >> high or (key & _ODD_LOW_BITS).bit_count() & 1 != parity
+            for key in self._terms
+        )
 
     def kill_odd_derivatives(self) -> DiffPoly:
         """Substitute 0 for every odd-order derivative of kappa.
@@ -314,26 +391,19 @@ class DiffPoly:
         Keeps exactly the monomials of odd degree 0; idempotent.
         """
         return _reduced(
-            self._den,
-            {
-                exps: n
-                for exps, n in self._terms.items()
-                if all(order % 2 == 0 for order, _ in exps)
-            },
-            self._bit,
+            self._den, {key: n for key, n in self._terms.items() if not key & _ODD}, self._bit
         )
 
     # -- evaluation ----------------------------------------------------------
 
     def substitute(self, assign: Mapping[int, float]) -> float:
         """Numeric value with the given derivative-order assignments."""
-        missing = sorted(
-            {order for exps in self._terms for order, _ in exps if order not in assign}
-        )
+        terms = [(_unpack(key), n) for key, n in self._terms.items()]
+        missing = sorted({order for exps, _ in terms for order, _ in exps if order not in assign})
         if missing:
             raise MissingAssignmentError(missing)
         total = 0.0
-        for exps, n in self._terms.items():
+        for exps, n in terms:
             val = self._value(n).to_float()
             for order, e in exps:
                 val *= float(assign[order]) ** e
@@ -347,10 +417,10 @@ class DiffPoly:
             for order, v in assign.items()
         }
         terms: dict[ExponentMap, QR2Scalar] = {}
-        for exps, n in self._terms.items():
+        for key, n in self._terms.items():
             c = self._value(n)
             kept: list[tuple[int, int]] = []
-            for order, e in exps:
+            for order, e in _unpack(key):
                 if order in values:
                     c = c * values[order] ** e
                 else:

@@ -49,7 +49,7 @@ __all__ = [
 
 DEFAULT_ORDER = 10
 MIN_ORDER = 6
-MAX_ORDER = 22
+MAX_ORDER = 26
 
 
 @dataclass(frozen=True)

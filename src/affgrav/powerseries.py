@@ -208,7 +208,11 @@ class Series:
 
     def dilate(self, factor) -> Series:
         """The series a(factor * s): coefficient k times factor^k."""
-        return Series([c * factor**k for k, c in enumerate(self._coeffs)])
+        coeffs, power = [], 1
+        for c in self._coeffs:
+            coeffs.append(c * power)
+            power = power * factor
+        return Series(coeffs)
 
     def mul(self, other: Series, order: int | None = None) -> Series:
         """Cauchy product, exact through the requested order.

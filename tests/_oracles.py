@@ -2,10 +2,14 @@
 
 The symbolic oracles work on plain Fraction lists or explicit
 enumerations, deliberately avoiding the library's own series and Bell
-machinery.  The numeric oracles are the scalar, one-value-at-a-time
-forms of the conic plots, the curve builders, the chord-root search
-and the base-point sweep: the array code in ``numcurve`` and the array
-plots of ``cli`` must reproduce them bit for bit.
+machinery.  The tuple-keyed oracles are the differential-polynomial
+bookkeeping ``DiffPoly`` did before its packed monomial keys: a
+polynomial is a dict from an exponent map ((order, exponent), ...) to
+its nonzero ``QR2Scalar`` coefficient.  The numeric oracles are the
+scalar, one-value-at-a-time forms of the conic plots, the curve
+builders, the chord-root search and the base-point sweep: the array code
+in ``numcurve`` and the array plots of ``cli`` must reproduce them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -113,6 +117,77 @@ def rational_coeffs(series: Series) -> list[Fraction]:
         assert v.b == 0, f"coefficient {v} is not rational"
         out.append(v.a)
     return out
+
+
+# -- tuple-keyed differential polynomials --------------------------------------
+
+
+def merge_exponents(e1, e2):
+    """Exponent map of the product of two monomials."""
+    merged = dict(e1)
+    for order, e in e2:
+        merged[order] = merged.get(order, 0) + e
+    return tuple(sorted(merged.items()))
+
+
+def _nonzero(terms: dict) -> dict:
+    return {exps: c for exps, c in terms.items() if c}
+
+
+def tuple_sum_of_products(pairs, weights) -> dict:
+    """Sum of w * p * q over the weighted pairs of tuple-keyed polynomials."""
+    out: dict = {}
+    for (p, q), w in zip(pairs, weights):
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                exps = merge_exponents(e1, e2)
+                out[exps] = out.get(exps, 0) + w * c1 * c2
+    return _nonzero(out)
+
+
+def tuple_differentiate(terms: dict) -> dict:
+    """Leibniz rule with k<order> mapping to k<order + 1>."""
+    out: dict = {}
+    for exps, c in terms.items():
+        for order, e in exps:
+            factors = dict(exps)
+            if e == 1:
+                del factors[order]
+            else:
+                factors[order] = e - 1
+            factors[order + 1] = factors.get(order + 1, 0) + 1
+            new = tuple(sorted(factors.items()))
+            out[new] = out.get(new, 0) + c * e
+    return _nonzero(out)
+
+
+def tuple_in_class(terms: dict, k: int, sigma: int) -> bool:
+    """Derivative orders <= k and odd degree of the parity of sigma."""
+    for exps in terms:
+        if any(order > k for order, _ in exps):
+            return False
+        if sum(e for order, e in exps if order % 2 == 1) % 2 != sigma % 2:
+            return False
+    return True
+
+
+def tuple_kill_odd_derivatives(terms: dict) -> dict:
+    """The monomials without an odd-order derivative."""
+    return {exps: c for exps, c in terms.items() if all(order % 2 == 0 for order, _ in exps)}
+
+
+def tuple_str(terms: dict) -> str:
+    """The text form in graded-lex order (total degree, then exponent map),
+    each coefficient printed as its Fraction or QR2Scalar."""
+    if not terms:
+        return "0"
+    parts = []
+    for exps in sorted(terms, key=lambda exps: (sum(e for _, e in exps), exps)):
+        c = terms[exps]
+        coeff = c if c.b else c.a  # a rational prints as its Fraction
+        factors = "".join(f"*k{o}" if e == 1 else f"*k{o}^{e}" for o, e in exps)
+        parts.append(f"({coeff}){factors}")
+    return " + ".join(parts)
 
 
 # -- numeric oracles -----------------------------------------------------------

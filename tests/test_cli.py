@@ -13,9 +13,11 @@ from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
 # sha256 of ``expand --order N --format json`` without its final newline,
-# the exact rendering the pipeline produced before its rational rewrite.
+# the exact rendering the pipeline produced before its rational rewrite
+# (orders 16 and 22) and before its packed monomial keys (order 26).
 ORDER16_DIGEST = "f17e075173dddb2c36b8e85af9579d3a03abfb7e56fd792a63984795c1ddab45"
 ORDER22_DIGEST = "f7a5e14a49951d1423e4f0f3b5d928e296f951fdf7cfffe5b52d9791ba0410ce"
+ORDER26_DIGEST = "f0cea7e92d427f82305b55baf9e5aaa4e3831a0e9f0237917208408c77bbc311"
 
 
 @pytest.fixture()
@@ -47,18 +49,22 @@ class TestExpand:
         assert result.output == GOLDEN.read_text()
 
     def test_order16_rendering_digest(self, runner):
-        for order, digest in (("16", ORDER16_DIGEST), ("22", ORDER22_DIGEST)):
+        for order, digest in (
+            ("16", ORDER16_DIGEST),
+            ("22", ORDER22_DIGEST),
+            ("26", ORDER26_DIGEST),
+        ):
             result = runner.invoke(main, ["expand", "--order", order, "--format", "json"])
             assert result.exit_code == 0
             text = result.output.removesuffix("\n")
             assert hashlib.sha256(text.encode()).hexdigest() == digest, order
 
     def test_order_range_ends_at_max_order(self, runner):
-        assert MAX_ORDER == 22
-        result = runner.invoke(main, ["expand", "--order", "22", "--format", "json"])
+        assert MAX_ORDER == 26
+        result = runner.invoke(main, ["expand", "--order", "26", "--format", "json"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["series"]["h"]["order"] == 22
-        result = runner.invoke(main, ["expand", "--order", "23"])
+        assert json.loads(result.output)["series"]["h"]["order"] == 26
+        result = runner.invoke(main, ["expand", "--order", "27"])
         assert result.exit_code == 2
 
     def test_json_is_byte_deterministic(self, runner):

@@ -1,10 +1,18 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from _oracles import (
+    tuple_differentiate,
+    tuple_in_class,
+    tuple_kill_odd_derivatives,
+    tuple_str,
+    tuple_sum_of_products,
+)
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affgrav import DiffPoly, GradedClass, MissingAssignmentError, QR2Scalar, class_product_bound
+from affgrav.diffpoly import _monomial_key
 
 k = DiffPoly.kappa
 
@@ -230,3 +238,156 @@ class TestExactNumberType:
     def test_mixed_input_is_refused(self, build):
         with pytest.raises(ValueError, match="mix"):
             build()
+
+
+exponent_maps = st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=3).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@st.composite
+def tuple_polys(draw, bit=None):
+    """A tuple-keyed polynomial: coefficients all in Q, or all in sqrt2 * Q."""
+    if bit is None:
+        bit = draw(st.integers(0, 1))
+    unit = QR2Scalar(0, 1) if bit else QR2Scalar(1)
+    coeffs = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 6))
+    terms = draw(st.dictionaries(exponent_maps, coeffs, max_size=5))
+    return {exps: unit * c for exps, c in terms.items()}
+
+
+class TestPackedKeysMatchTupleOracle:
+    """Packed monomial keys agree with the tuple-keyed bookkeeping."""
+
+    @given(tuple_polys(), exponent_maps)
+    def test_unary_operations(self, a, absent):
+        poly = DiffPoly(a)
+        assert poly.differentiate() == DiffPoly(tuple_differentiate(a))
+        assert poly.kill_odd_derivatives() == DiffPoly(tuple_kill_odd_derivatives(a))
+        for kk in range(-2, 7):
+            for sigma in range(-1, 3):
+                assert poly.in_class(GradedClass(kk, sigma)) == tuple_in_class(a, kk, sigma)
+        for exps, c in a.items():
+            assert poly.coefficient_of(dict(exps)) == c
+        assert poly.coefficient_of(dict(absent)) == a.get(absent, 0)
+        got = [(m.exponents, m.coeff) for m in poly.monomials()]
+        assert got == [(exps, a[exps]) for exps in sorted(a, key=_monomial_key)]
+        assert str(poly) == tuple_str(a)
+
+    @given(tuple_polys(), tuple_polys())
+    def test_product_equality_and_hash(self, a, b):
+        p, q = DiffPoly(a), DiffPoly(b)
+        assert p * q == DiffPoly(tuple_sum_of_products([(a, b)], [1]))
+        p_again = DiffPoly(dict(reversed(list(a.items()))))
+        assert p == p_again and hash(p) == hash(p_again)
+        assert (p == q) == (a == b)
+
+    @settings(max_examples=50)  # each example draws up to six polynomials
+    @given(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)).flatmap(
+            lambda bits: st.lists(
+                st.tuples(tuple_polys(bits[0]), tuple_polys(bits[1]), st.integers(-4, 4)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_weighted_sum_of_products(self, triples):
+        pairs = [(p, q) for p, q, _ in triples]
+        weights = [w for _, _, w in triples]
+        got = DiffPoly.sum_of_products([(DiffPoly(p), DiffPoly(q)) for p, q in pairs], weights)
+        assert got == DiffPoly(tuple_sum_of_products(pairs, weights))
+
+
+class TestIntegerRendering:
+    """``str`` prints each stored numerator over the denominator exactly as
+    the equal Fraction or QR2Scalar prints."""
+
+    @pytest.mark.parametrize(
+        "coeff",
+        [F(1), F(-1), F(2), F(-7), F(3, 4), F(-3, 4), F(10, 6), F(-1, 480)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_term_by_term(self, coeff, bit):
+        unit = QR2Scalar(0, 1) if bit else QR2Scalar(1)
+        terms = {
+            (): unit * coeff,
+            ((0, 1),): unit * coeff * 5,
+            ((1, 2),): -unit * coeff / 3,
+            ((0, 1), (2, 1)): unit * F(-1, 2),
+        }
+        assert str(DiffPoly(terms)) == tuple_str(terms)
+
+    def test_sqrt2_magnitudes(self):
+        s = QR2Scalar.sqrt2()
+        poly = DiffPoly({(): s, ((0, 1),): -s, ((1, 1),): s * F(3, 4), ((2, 1),): s * F(-3, 4)})
+        assert str(poly) == "(sqrt2) + (-sqrt2)*k0 + (3/4*sqrt2)*k1 + (-3/4*sqrt2)*k2"
+        assert str(DiffPoly.monomial(s * 2, {0: 2})) == "(2*sqrt2)*k0^2"
+
+
+class TestStorageRange:
+    """Exponents and derivative orders run to 127; past either, the result
+    is a ValueError, never a wrong polynomial."""
+
+    def test_squaring_past_the_exponent_bound_raises(self):
+        p, e = k(0), 1
+        while e * 2 <= 127:
+            p, e = p * p, e * 2
+            assert [m.exponents for m in p.monomials()] == [((0, e),)]
+        with pytest.raises(ValueError, match="exponent"):
+            p * p
+        with pytest.raises(ValueError, match="exponent"):
+            DiffPoly.sum_of_products([(k(0), k(1)), (p, p)], [1, 2])
+
+    def test_exponent_bound_is_inclusive(self):
+        top = DiffPoly.monomial(1, {3: 64}) * DiffPoly.monomial(1, {3: 63})
+        assert top.coefficient_of({3: 127}) == 1
+        with pytest.raises(ValueError, match="exponent"):
+            top * k(3)
+
+    def test_derivative_past_the_last_order_raises(self):
+        assert k(126).differentiate() == k(127)
+        with pytest.raises(ValueError, match="order"):
+            k(127).differentiate()
+        with pytest.raises(ValueError, match="order"):
+            (k(0) * k(127)).differentiate()
+
+    def test_derivative_past_the_exponent_bound_raises(self):
+        with pytest.raises(ValueError, match="exponent"):
+            (k(0) * DiffPoly.monomial(1, {1: 127})).differentiate()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DiffPoly.kappa(128),
+            lambda: DiffPoly.kappa(-1),
+            lambda: DiffPoly.monomial(1, {0: 128}),
+            lambda: DiffPoly.monomial(1, {128: 1}),
+            lambda: DiffPoly({((0, 128),): 1}),
+            lambda: DiffPoly({((128, 1),): 1}),
+            lambda: DiffPoly({((-1, 1),): 1}),
+            lambda: DiffPoly({((0, -1),): 1}),
+        ],
+        ids=[
+            "kappa",
+            "kappa-negative",
+            "monomial-exponent",
+            "monomial-order",
+            "exponent",
+            "order",
+            "negative-order",
+            "negative-exponent",
+        ],
+    )
+    def test_unstorable_input_is_refused(self, build):
+        with pytest.raises(ValueError, match="cannot be stored|nonnegative"):
+            build()
+
+    def test_coefficient_of_unstorable_monomial_is_zero(self):
+        poly = DiffPoly.monomial(3, {0: 127}) + k(127)
+        assert poly.coefficient_of({0: 127}) == 3
+        assert poly.coefficient_of({127: 1}) == 1
+        for exps in ({0: 128}, {128: 1}, {0: 1, 500: 2}, {-1: 1}, {0: -1}, {3: 0, 0: -1}):
+            assert poly.coefficient_of(exps) == 0
+        assert (poly + 5).coefficient_of({0: -1}) == 0  # not the constant term
