@@ -12,7 +12,7 @@ imports numpy, and it loads when one of its names is first used.
 
 from importlib import import_module as _import_module
 
-from .diffpoly import DiffMonomial, DiffPoly, GradedClass, class_product_bound
+from .diffpoly import DiffMonomial, DiffPoly, GradedClass
 from .errors import (
     AffGravError,
     BracketingError,

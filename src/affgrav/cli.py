@@ -19,7 +19,15 @@ from typing import TYPE_CHECKING
 import click
 
 from . import expansion
-from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT, STRAIGHT_TOL_FLOOR, TOL_STRAIGHT_FACTOR
+from .defaults import (
+    DEFAULT_DELTA0,
+    DEFAULT_DELTA_COUNT,
+    DEFAULT_DELTA_RATIO,
+    DEFAULT_STEP,
+    DEFAULT_TOL_FLAT,
+    STRAIGHT_TOL_FLOOR,
+    TOL_STRAIGHT_FACTOR,
+)
 from .diffpoly import DiffPoly, GradedClass
 from .errors import AffGravError, BracketingError, VerificationError
 from .expansion import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, build_pipeline
@@ -222,8 +230,7 @@ def _random_poly_in_class(rng: random.Random, k: int, sigma: int) -> DiffPoly:
         mono = DiffPoly.constant(rng.randint(1, 5) - 3 or 1)
         for _ in range(rng.randint(0, 3)):
             mono = mono * DiffPoly.kappa(rng.randint(0, k))
-        d = sum(m.odd_degree() for m in mono.monomials())
-        if d % 2 != sigma % 2:
+        if not mono.in_class(GradedClass(k, sigma)):
             mono = mono * DiffPoly.kappa(1 if k >= 1 else 0)
         poly = poly + mono
     if poly.is_zero or not poly.in_class(GradedClass(k, sigma)):
@@ -423,9 +430,9 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
 @click.option("--point", type=float, default=0.0, show_default=True)
 @click.option("--sweep", type=int, default=0, help="Number of base points; 0 = single point.")
 @click.option("--step", type=float, default=DEFAULT_STEP, show_default=True)
-@click.option("--delta0", type=float, default=1e-3, show_default=True)
-@click.option("--delta-ratio", type=float, default=1.6, show_default=True)
-@click.option("--delta-count", type=int, default=8, show_default=True)
+@click.option("--delta0", type=float, default=DEFAULT_DELTA0, show_default=True)
+@click.option("--delta-ratio", type=float, default=DEFAULT_DELTA_RATIO, show_default=True)
+@click.option("--delta-count", type=int, default=DEFAULT_DELTA_COUNT, show_default=True)
 @click.option("--tol-flat", type=float, default=DEFAULT_TOL_FLAT, show_default=True)
 @click.option("--tol-straight", type=float, default=None)
 @click.option(

@@ -39,9 +39,9 @@ from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import MissingAssignmentError
-from .scalar import QR2Scalar
+from .scalar import QR2Scalar, _coeff_text
 
-__all__ = ["DiffMonomial", "DiffPoly", "GradedClass", "class_product_bound"]
+__all__ = ["DiffMonomial", "DiffPoly", "GradedClass"]
 
 # ((derivative order, exponent), ...) with orders strictly increasing and
 # exponents >= 1; the empty tuple is the constant monomial.
@@ -112,18 +112,6 @@ def _check_storable(keys: Iterable[int]) -> None:
         raise ValueError(f"an exponent of the result exceeds {_MAX_EXPONENT}")
     if seen >> _KEY_BITS:
         raise ValueError(f"a derivative order of the result exceeds {_MAX_KAPPA_ORDER}")
-
-
-def _coeff_text(n: int, den: int, bit: int) -> str:
-    """sqrt2^bit * n / den as ``str`` prints the equal Fraction or QR2Scalar."""
-    g = gcd(n, den)
-    n, den = n // g, den // g
-    if not bit:
-        return str(n) if den == 1 else f"{n}/{den}"
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    if den != 1:
-        return f"{sign}{n}/{den}*sqrt2"
-    return f"{sign}sqrt2" if n == 1 else f"{sign}{n}*sqrt2"
 
 
 def _split(c) -> tuple[int, int, int]:
@@ -455,11 +443,6 @@ class GradedClass:
 
     def __str__(self) -> str:
         return f"{'P' if self.parity == 0 else 'Q'}^{self.k}"
-
-
-def class_product_bound(c1: GradedClass, c2: GradedClass) -> GradedClass:
-    """Class containing every product of members of c1 and c2."""
-    return c1 * c2
 
 
 def _as_poly(x) -> DiffPoly | None:

@@ -299,37 +299,33 @@ def theorem1_criterion(order: int = MIN_ORDER) -> DiffPoly:
 
 
 def theorem2_symbolic(order: int = DEFAULT_ORDER) -> bool:
-    """Check both directions of the straight-line characterization.
-
-    Structural direction: every even-index coefficient of h consists of
-    monomials carrying at least one odd-order derivative, so it dies
-    when the curvature is even about the base point.  Induction
-    direction: setting the even coefficients to zero successively forces
-    each odd derivative to vanish, because h_{2j} is triangular: a
-    nonzero constant times k(2j-3) plus terms using only lower odd
-    derivatives.  Raises VerificationError with a counterexample on
-    failure; returns True otherwise.
+    """Check both directions of the straight-line characterization by
+    degree parity: every even-index coefficient h_k lies in Q^(k-3),
+    which is {0} for k < 4.  Structural direction: each monomial of a
+    Q-class member has odd odd-degree, so it carries an odd derivative
+    and h_k dies when the curvature is even about the base point.
+    Induction direction: for k >= 4, h_k is a nonzero constant times
+    k(k-3) plus a residual in Q^(k-4), which dies once the odd
+    derivatives below k-3 vanish, so h_k = 0 then pins k(k-3) = 0.
+    Raises VerificationError with a counterexample on failure; returns
+    True otherwise.
     """
     pipe = build_pipeline(order)
-    leading = pipe.h.explicitness(3).leading
+    report = pipe.h.explicitness(3)
     for k in range(0, order + 1, 2):
-        killed = pipe.h[k].kill_odd_derivatives()
-        if not killed.is_zero:
+        cls = GradedClass(k - 3, 1)
+        if not pipe.h[k].in_class(cls):
+            terms = pipe.h[k].monomials()
+            outside = [m for m in terms if not DiffPoly({m.exponents: m.coeff}).in_class(cls)]
             raise VerificationError(
-                "theorem2.structural", f"h_{k} survives killing odd derivatives: {killed}"
+                "theorem2.low_order" if k < 4 else "theorem2.structural",
+                f"h_{k} has terms outside {cls}: {' + '.join(map(str, outside))}",
             )
-        if k < 4:
-            if pipe.h[k]:
-                raise VerificationError("theorem2.low_order", f"h_{k} = {pipe.h[k]} nonzero")
-            continue
-        if not leading[k]:
+        if k >= 4 and not report.leading[k]:
             raise VerificationError("theorem2.leading", f"l_h[{k}] vanishes")
-        residual = pipe.h[k] - DiffPoly.monomial(leading[k], {k - 3: 1})
-        lower_odd = {o: 0 for o in range(1, k - 3, 2)}
-        reduced = residual.substitute_partial(lower_odd)
-        if not reduced.is_zero:
+        if not report.residual_ok[k]:
             raise VerificationError(
                 "theorem2.triangular",
-                f"h_{k} residual keeps {reduced} after zeroing lower odd derivatives",
+                f"h_{k} residual {report.residuals[k]} is not in {GradedClass(k - 4, 1)}",
             )
     return True

@@ -36,7 +36,14 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .defaults import DEFAULT_STEP, DEFAULT_TOL_FLAT, TOL_STRAIGHT_FACTOR
+from .defaults import (
+    DEFAULT_DELTA0,
+    DEFAULT_DELTA_COUNT,
+    DEFAULT_DELTA_RATIO,
+    DEFAULT_STEP,
+    DEFAULT_TOL_FLAT,
+    TOL_STRAIGHT_FACTOR,
+)
 from .errors import BracketingError, DegenerateCurveError, VerificationError
 
 __all__ = [
@@ -149,7 +156,11 @@ class FlatnessResult:
     residual: float
 
 
-def default_deltas(delta0: float = 1e-3, ratio: float = 1.6, count: int = 8) -> np.ndarray:
+def default_deltas(
+    delta0: float = DEFAULT_DELTA0,
+    ratio: float = DEFAULT_DELTA_RATIO,
+    count: int = DEFAULT_DELTA_COUNT,
+) -> np.ndarray:
     """Geometric schedule of chord heights."""
     return delta0 * ratio ** np.arange(count)
 

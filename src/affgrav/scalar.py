@@ -28,6 +28,18 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def _coeff_text(n: int, den: int, bit: int) -> str:
+    """The text of sqrt2^bit * n / den, den > 0; for bit 0 the Fraction's."""
+    g = math.gcd(n, den)
+    n, den = n // g, den // g
+    if not bit:
+        return str(n) if den == 1 else f"{n}/{den}"
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    if den != 1:
+        return f"{sign}{n}/{den}*sqrt2"
+    return f"{sign}sqrt2" if n == 1 else f"{sign}{n}*sqrt2"
+
+
 class QR2Scalar:
     """Number of the form a + b*sqrt(2) with rational a, b.
 
@@ -60,13 +72,12 @@ class QR2Scalar:
         return f"QR2Scalar({self._a}, {self._b})"
 
     def __str__(self) -> str:
-        if self._b == 0:
-            return str(self._a)
-        mag = "sqrt2" if abs(self._b) == 1 else f"{abs(self._b)}*sqrt2"
-        if self._a == 0:
-            return mag if self._b > 0 else "-" + mag
-        sign = "+" if self._b > 0 else "-"
-        return f"{self._a} {sign} {mag}"
+        a, b = self._a, self._b
+        if not (a and b):
+            q, bit = (b, 1) if b else (a, 0)
+            return _coeff_text(q.numerator, q.denominator, bit)
+        b_text = _coeff_text(abs(b.numerator), b.denominator, 1)
+        return f"{_coeff_text(a.numerator, a.denominator, 0)} {'+' if b > 0 else '-'} {b_text}"
 
     def __eq__(self, other: object) -> bool:
         other = _coerce(other)

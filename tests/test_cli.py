@@ -2,12 +2,14 @@ import gc
 import hashlib
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, main, parse_fixture
+from affgrav import GradedClass
+from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, _random_poly_in_class, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
@@ -105,6 +107,13 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--order", "8"], env={"AFFGRAV_SEED": "7"})
         assert result.exit_code == 0
         assert "seed: 7" in result.output
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_random_poly_is_nonzero_class_member(self, k, sigma):
+        for seed in range(60):
+            poly = _random_poly_in_class(random.Random(seed), k, sigma)
+            assert poly and poly.in_class(GradedClass(k, sigma)), (seed, str(poly))
 
 
 class TestGravity:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 from math import factorial
 
@@ -16,7 +17,9 @@ from affgrav import (
     theorem2_symbolic,
     wronskian_series,
 )
+from affgrav import expansion
 from affgrav.expansion import MAX_ORDER, component_series
+from affgrav.powerseries import Series
 
 k = DiffPoly.kappa
 SQRT2 = QR2Scalar.sqrt2()
@@ -210,6 +213,31 @@ class TestTheorems:
     def test_even_coefficients_die_without_odd_derivatives(self, pipe):
         for kk in range(0, pipe.order + 1, 2):
             assert pipe.h[kk].kill_odd_derivatives().is_zero
+
+    @pytest.mark.parametrize(
+        "index, extra, check",
+        [
+            (8, k(1) * k(5), "theorem2.structural"),
+            (8, k(1) * k(1) * k(5), "theorem2.triangular"),
+            (10, k(1) * k(7), "theorem2.structural"),
+            (8, k(0), "theorem2.structural"),
+            (2, k(1), "theorem2.low_order"),
+        ],
+        ids=["h8+k1*k5", "h8+k1^2*k5", "h10+k1*k7", "h8+k0", "h2+k1"],
+    )
+    def test_straightness_catches_injected_term(self, monkeypatch, index, extra, check):
+        # the first three terms vanish once the odd derivatives below
+        # k(k-3) are zeroed, so only the parity classes catch them
+        real = expansion.build_pipeline
+        h = list(real(12).h.coeffs)
+        h[index] = h[index] + extra
+        monkeypatch.setattr(
+            expansion, "build_pipeline", lambda order: dataclasses.replace(real(order), h=Series(h))
+        )
+        with pytest.raises(VerificationError) as err:
+            theorem2_symbolic(12)
+        assert err.value.check == check
+        assert f"h_{index}" in err.value.detail
 
 
 class TestPipelineValidation:
