@@ -193,7 +193,7 @@ def parse_fixture(text: str):
             raise ValueError(f"fixture {text!r} has a curvature derivative that is not finite")
         coeffs = list(args)
 
-        def kappa(s: float) -> float:
+        def kappa(s):  # a float or, elementwise, a float array
             total = 0.0
             for c in reversed(coeffs):
                 total = total * s + c

@@ -13,10 +13,16 @@ midpoint curve.
 
 The numeric kernels work on whole arrays.  A parametric plot takes an
 array of parameters of any shape and returns x and y arrays of that
-shape, so the plot is called once per point set, not once per point.
+shape, so the plot is called once per point set, not once per point; a
+curvature function takes an array the same way.  RK4 evaluates -kappa
+at every stage abscissa of every step in one call per direction and
+then steps through those values in one sequential loop of float
+arithmetic, since each step starts from the state the last one left.
 Interpolation takes every abscissa in one call, row by row against one
 table per row.  The chord roots of every base point, height and side
-are bisected together in one lockstep pass.  Each array kernel performs
+are bisected together in one lockstep pass.  A lane's midpoints never
+leave its grid cell, so its four interpolation nodes are gathered once
+and each iteration only evaluates the cubic.  Each array kernel performs
 the same floating-point operations in the same order as its one-value
 form, so results are bit-identical to it; ``tests/_oracles.py`` keeps
 those forms and the tests compare against them with ``==``.
@@ -32,6 +38,7 @@ base points at once as ``_SWEEP_TABLE`` entries allow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -89,9 +96,15 @@ _STENCILS = {
 
 @dataclass(frozen=True)
 class KappaCurveSpec:
-    """Curve given by its affine curvature along arclength."""
+    """Curve given by its affine curvature along arclength.
 
-    kappa: Callable[[float], float]
+    ``kappa`` takes a float array of any shape (a float works too) and
+    returns kappa at each entry, an array of that shape; a scalar result,
+    a constant curvature, broadcasts.  It is evaluated elementwise, so a
+    value does not depend on the other entries of the array.
+    """
+
+    kappa: Callable[[np.ndarray], np.ndarray | float]
     half_width: float = 1.0
 
 
@@ -183,12 +196,48 @@ def _check_grid_size(nodes: float) -> None:
 # -- integration from curvature ---------------------------------------------
 
 
+def _rk4_steps(neg_kappa: np.ndarray, h: float, state: tuple) -> Iterator[tuple[float, ...]]:
+    """The state after each RK4 step of size h from ``state``.
+
+    A state is c, c', c'' as (px, py, ax, ay, bx, by); column i of the
+    (3, steps) table ``neg_kappa`` holds -kappa at the step's stage
+    abscissae s, s + h/2 and s + h.  Each step starts from the state the
+    last one left, so the steps run as one loop of float arithmetic.
+    """
+    h2, h6 = h / 2, h / 6
+    px, py, ax, ay, bx, by = state
+    for k1, k23, k4 in zip(*map(memoryview, neg_kappa)):
+        # the four RK4 stages of (c, c', c'')' = (c', c'', -kappa c'); (cx, cy) is c'''
+        cx1, cy1 = k1 * ax, k1 * ay
+        ax2, ay2 = ax + h2 * bx, ay + h2 * by
+        bx2, by2 = bx + h2 * cx1, by + h2 * cy1
+        cx2, cy2 = k23 * ax2, k23 * ay2
+        ax3, ay3 = ax + h2 * bx2, ay + h2 * by2
+        bx3, by3 = bx + h2 * cx2, by + h2 * cy2
+        cx3, cy3 = k23 * ax3, k23 * ay3
+        ax4, ay4 = ax + h * bx3, ay + h * by3
+        bx4, by4 = bx + h * cx3, by + h * cy3
+        cx4, cy4 = k4 * ax4, k4 * ay4
+        px += h6 * (ax + 2 * ax2 + 2 * ax3 + ax4)
+        py += h6 * (ay + 2 * ay2 + 2 * ay3 + ay4)
+        ax, ay, bx, by = (
+            ax + h6 * (bx + 2 * bx2 + 2 * bx3 + bx4),
+            ay + h6 * (by + 2 * by2 + 2 * by3 + by4),
+            bx + h6 * (cx1 + 2 * cx2 + 2 * cx3 + cx4),
+            by + h6 * (cy1 + 2 * cy2 + 2 * cy3 + cy4),
+        )
+        yield px, py, ax, ay, bx, by
+
+
 def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
     """Integrate c''' = -kappa c' with RK4 from the normalized frame at 0.
 
     The state (c, c', c'') starts at ((0,0), e1, e2) and is integrated in
     both directions over [-half_width, half_width] of the spec with fixed
-    step.
+    step.  kappa is called once per direction, on the stage abscissae of
+    all steps; a curvature that overflows there gives a non-finite curve
+    without a warning, for the caller to refuse (``Config.validate``
+    does).
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -197,38 +246,17 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
     n = int(n)
     if n < 1:
         raise ValueError("domain narrower than one step")
-    kappa = spec.kappa
-    # one row per node: c, c', c'' as (px, py, ax, ay, bx, by); (cx, cy) is c'''
     start = (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
-    states = np.empty((2 * n + 1, 6))
-    states[n] = start
-    for sign, rows in ((1, range(n + 1, 2 * n + 1)), (-1, range(n - 1, -1, -1))):
+    halves = []
+    for sign in (1, -1):
         h = sign * step
-        h2, h6 = h / 2, h / 6
-        px, py, ax, ay, bx, by = start
-        for i, row in enumerate(rows):
-            s = sign * i * step
-            k1, k23, k4 = -kappa(s), -kappa(s + h2), -kappa(s + h)
-            # the four RK4 stages of (c, c', c'')' = (c', c'', -kappa c')
-            cx1, cy1 = k1 * ax, k1 * ay
-            ax2, ay2 = ax + h2 * bx, ay + h2 * by
-            bx2, by2 = bx + h2 * cx1, by + h2 * cy1
-            cx2, cy2 = k23 * ax2, k23 * ay2
-            ax3, ay3 = ax + h2 * bx2, ay + h2 * by2
-            bx3, by3 = bx + h2 * cx2, by + h2 * cy2
-            cx3, cy3 = k23 * ax3, k23 * ay3
-            ax4, ay4 = ax + h * bx3, ay + h * by3
-            bx4, by4 = bx + h * cx3, by + h * cy3
-            cx4, cy4 = k4 * ax4, k4 * ay4
-            px += h6 * (ax + 2 * ax2 + 2 * ax3 + ax4)
-            py += h6 * (ay + 2 * ay2 + 2 * ay3 + ay4)
-            ax, ay, bx, by = (
-                ax + h6 * (bx + 2 * bx2 + 2 * bx3 + bx4),
-                ay + h6 * (by + 2 * by2 + 2 * by3 + by4),
-                bx + h6 * (cx1 + 2 * cx2 + 2 * cx3 + cx4),
-                by + h6 * (cy1 + 2 * cy2 + 2 * cy3 + cy4),
-            )
-            states[row] = (px, py, ax, ay, bx, by)
+        s = (sign * np.arange(n)) * step
+        neg_kappa = np.empty((3, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            neg_kappa[...] = -spec.kappa(np.stack([s, s + h / 2, s + h]))
+        steps = chain.from_iterable(_rk4_steps(neg_kappa, h, start))
+        halves.append(np.fromiter(steps, float, count=6 * n).reshape(n, 6))
+    states = np.concatenate([halves[1][::-1], [start], halves[0]])
 
     grid = np.arange(-n, n + 1) * step
     return NumCurve(
@@ -292,15 +320,26 @@ def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
         blocks = [x[:, i : i + _BLOCK] for i in range(0, x.shape[1], _BLOCK)]
         return np.concatenate([_interp_table(xs, ys, b) for b in blocks], axis=1)
     found = np.stack([np.searchsorted(table, row) for table, row in zip(xs, x)])
+    return _lagrange(*_windows(xs, ys, found), x)
+
+
+def _windows(xs: np.ndarray, ys: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Nodes, values and Lagrange denominators of the four-node window of
+    each abscissa, given its ``searchsorted`` index in its row's table."""
     start = np.minimum(np.maximum(found - 2, 0), xs.shape[1] - 4)
     row = np.arange(len(xs))[:, None, None]
     window = start[..., None] + np.arange(4)
     nodes = xs[row, window]
-    dx = (x[..., None] - nodes)[..., _OTHERS]
     dn = nodes[..., :, None] - nodes[..., _OTHERS]
+    return nodes, ys[row, window], dn[..., 0] * dn[..., 1] * dn[..., 2]
+
+
+def _lagrange(nodes: np.ndarray, values: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange value at each abscissa from its window (``_windows``),
+    basis products and sum in node order."""
+    dx = (x[..., None] - nodes)[..., _OTHERS]
     num = dx[..., 0] * dx[..., 1] * dx[..., 2]
-    den = dn[..., 0] * dn[..., 1] * dn[..., 2]
-    terms = ys[row, window] * (num / den)
+    terms = values * (num / den)
     return 0.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
 
 
@@ -440,6 +479,19 @@ def _chord_roots(
     neg_lo = flo < 0  # the sign of g - delta at lo never changes while bisecting
     failed |= ~at_lo & ~at_hi & (neg_lo == (fhi < 0))
     bisect = ~(failed | at_lo | at_hi)
+    # Every midpoint stays in its lane's cell [grid[j], grid[j + 1]],
+    # j = min(inner, outer).  Strictly above grid[j], searchsorted picks
+    # the same four nodes, so each lane's window is gathered once; an
+    # iteration with a midpoint on grid[j] itself interpolates afresh.
+    cell = np.minimum(inner, outer)
+    window = _windows(grids, gs, cell + 1)
+    cell_lo = grids[row, cell]
+
+    def g_at(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        if (lanes & (x == cell_lo)).any():
+            return _interp_table(grids, gs, x)
+        return _lagrange(*window, x)
+
     # bisect to bracket collapse; this lands far inside the |g - delta|
     # tolerance and keeps the root itself accurate to machine precision
     mid = 0.5 * (lo + hi)
@@ -447,7 +499,7 @@ def _chord_roots(
     for _ in range(200):
         if not active.any():
             break
-        fm = _interp_table(grids, gs, mid) - delta
+        fm = g_at(mid, active) - delta
         moving = active & (fm != 0.0)
         to_lo = moving & ((fm < 0) == neg_lo)
         lo = np.where(to_lo, mid, lo)
@@ -457,7 +509,7 @@ def _chord_roots(
         collapsed = (nxt == mid) | (width <= 1e-17 * np.maximum(1.0, np.abs(mid)))
         active = moving & ~collapsed
         mid = np.where(active, nxt, mid)
-    residual = np.abs(_interp_table(grids, gs, mid) - delta)
+    residual = np.abs(g_at(mid, bisect) - delta)
     failed |= bisect & (residual > ROOT_TOL)
     roots = np.where(at_lo, lo, np.where(at_hi, hi, mid))
     return roots, failed

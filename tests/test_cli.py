@@ -14,6 +14,9 @@ from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
+# ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --point 0 --format csv``,
+# printed before RK4 took its curvature values from one array per stage
+GRAVITY_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_point0.csv"
 # sha256 of ``expand --order N --format json`` without its final newline,
 # the exact rendering the pipeline produced before its rational rewrite
 # (orders 16 and 22) and before its packed monomial keys (order 26).
@@ -159,6 +162,14 @@ class TestGravity:
         assert float(first[0]) == 1e-3
         assert float(first[1]) == pytest.approx(-float(first[2]), abs=1e-14)
 
+    def test_kappa_point_golden_file(self, runner):
+        # at p = 0 the renormalizing frame is exactly the identity, so the
+        # printed bits come from RK4 and the chord kernels alone
+        args = ["--fixture", "kappa-poly:0.5,0.2,-0.3", "--point", "0", "--format", "csv"]
+        result = runner.invoke(main, ["gravity", *args])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == GRAVITY_GOLDEN.read_bytes()
+
     def test_csv_is_deterministic(self, runner):
         args = ["gravity", "--fixture", "circle", "--format", "csv"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
@@ -216,6 +227,7 @@ class TestGravity:
             (["--fixture", "hyperbola:3"], "hyperbola takes no arguments"),
             (["--fixture", "kappa-poly:1e300"], "kappa-poly:1e300 gives a curve that is not finite"),
             (["--fixture", "kappa-poly:1e200,1"], "gives a curve that is not finite"),
+            (["--fixture", "kappa-poly:1e308,1e308"], "gives a curve that is not finite"),
             (["--fixture", "kappa-poly:0,1", "--step", "1e-9"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e300,1"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e308,1e308"], "a grid of nan nodes exceeds MAX_GRID_NODES"),
@@ -242,10 +254,13 @@ class TestGravity:
         last = result.stderr.splitlines()[-1]
         assert last.startswith("Error: ") and message in last
 
-    @pytest.mark.parametrize("fixture", ["kappa-poly:1e300", "kappa-poly:1e200,1"])
+    @pytest.mark.parametrize(
+        "fixture", ["kappa-poly:1e300", "kappa-poly:1e200,1", "kappa-poly:1e308,1e308"]
+    )
     def test_non_finite_curve_is_refused_before_any_warning(self, runner, recwarn, fixture):
-        # RK4 overflows on these; the curve is refused before renormalize
-        # would invert its non-finite frame
+        # RK4 overflows on these (the last already in kappa itself); the
+        # curve is refused before renormalize would invert its non-finite
+        # frame
         result = runner.invoke(main, ["gravity", "--fixture", fixture])
         assert result.exit_code == 2
         assert not recwarn.list

@@ -26,7 +26,7 @@ from affgrav import (
 )
 from affgrav.cli import _CONICS, parse_fixture
 from affgrav.defaults import STRAIGHT_TOL_FLOOR
-from affgrav.numcurve import _cumulative_simpson, _interp_table
+from affgrav.numcurve import _cumulative_simpson, _interp_table, _lagrange, _windows
 
 
 def taylor_eval(series, assign, s):
@@ -399,6 +399,19 @@ class TestScalarOracles:
         for name in ("grid", "points", "d1", "d2"):
             assert np.array_equal(getattr(built, name), getattr(ref, name)), name
 
+    @pytest.mark.parametrize(
+        "kappa",
+        [lambda s: 0.0, lambda s: 1.0, parse_fixture("kappa-poly:0.5,0.2,-0.3")[0].kappa],
+        ids=["zero", "one", "poly"],
+    )
+    @pytest.mark.parametrize("step,half_width", [(3e-3, 1.0), (7e-4, 1.0), (1e-3, 0.5)])
+    def test_rk4_matches_oracle_at_other_steps(self, kappa, step, half_width):
+        # a scalar curvature broadcasts over the stage abscissae
+        spec = KappaCurveSpec(kappa, half_width=half_width)
+        built, ref = integrate_from_kappa(spec, step), oracle.integrate_from_kappa(spec, step)
+        for name in ("grid", "points", "d1", "d2"):
+            assert np.array_equal(getattr(built, name), getattr(ref, name)), name
+
     @pytest.mark.parametrize("p", ORACLE_POINTS)
     def test_gravity_samples_match_oracle(self, curve_pair, p):
         built, _ = curve_pair
@@ -481,6 +494,46 @@ class TestScalarOracles:
         probes = np.concatenate([rng.uniform(xs[0] - 2, xs[-1] + 2, 400), xs])
         got = _interp_table(xs, ys, probes)
         assert np.array_equal(got, [oracle.interp_table(xs, ys, float(x)) for x in probes])
+
+    def test_cell_window_matches_interp_table_inside_cells(self):
+        # the bisection gathers the window of cell j as searchsorted would
+        # find it for an abscissa in (xs[j], xs[j + 1]]
+        rng = np.random.default_rng(11)
+        xs = np.cumsum(rng.uniform(0.5, 1.5, 40))
+        ys = np.sin(xs)
+        cells = np.concatenate([[0, len(xs) - 2], rng.integers(0, len(xs) - 1, 398)])
+        probes = xs[cells] + rng.uniform(0.0, 1.0, len(cells)) * (xs[cells + 1] - xs[cells])
+        probes[::4] = xs[cells[::4] + 1]  # the upper node
+        probes = np.where(probes > xs[cells], probes, xs[cells + 1])
+        got = _lagrange(*_windows(xs[None], ys[None], cells[None] + 1), probes[None])[0]
+        assert np.array_equal(got, _interp_table(xs, ys, probes))
+
+    def test_midpoint_on_a_cell_lower_node_matches_oracle(self, monkeypatch):
+        # A height a few ulps above g at a right-hand grid node puts the
+        # root just above that node, the lower end of its cell, and some
+        # bisection midpoints land on the node itself.  There searchsorted
+        # picks the window one node lower, so the bisection falls back to
+        # _interp_table for that iteration.  Both windows hold the node and,
+        # unless a Lagrange denominator underflows, give g there exactly, so
+        # the call count, not the values, shows which path ran.
+        local = renormalize(integrate_from_kappa(parse_fixture("kappa-poly:1,0,1")[0]), 0.0)
+        c = local.center_index()
+        at_nodes = _interp_table(local.grid, local.points[:, 1], local.grid[c + 30 : c + 110])
+        deltas = []
+        for d in at_nodes.tolist():
+            for _ in range(5):
+                d = math.nextafter(d, math.inf)
+                deltas.append(d)
+        original, calls = _interp_table, []
+        monkeypatch.setattr(numcurve, "_BLOCK", 10**6)  # one call per interpolation
+        monkeypatch.setattr(numcurve, "_interp_table", lambda *a: calls.append(1) or original(*a))
+        got = gravity_samples(local, deltas)
+        # bracket ends and chord midpoints, then at least one fallback
+        assert len(calls) > 2
+        assert got == oracle.gravity_samples(local, deltas)
+        calls.clear()
+        gravity_samples(local, default_deltas())
+        assert len(calls) == 2  # no midpoint on a lower node: no fallback
 
     def test_cumulative_simpson_matches_loop(self):
         y = np.cos(np.linspace(-1.0, 1.0, 101)) ** 3
