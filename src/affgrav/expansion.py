@@ -120,15 +120,16 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
     Internally the frame is taken one order higher so that the square
     root, which loses one order, still reaches the requested truncation.
     The square root, inversion and composition run on the rational
-    series U, V, H of the module docstring.
+    series U, V, H of the module docstring.  V and H come from one
+    triangular solve against the power table of U: V(U(s)) = s and
+    H(U(s)) = f(s).
     """
     if order < MIN_ORDER:
         raise ValueError(f"pipeline needs order >= {MIN_ORDER}")
     frame = build_frame(order + 1)
     f_full, g_full = component_series(frame)
     big_u = g_full.scale(2).sqrt(sign=1)
-    big_v = big_u.compositional_inverse()
-    big_h = f_full.compose(big_v)
+    big_v, big_h = big_u.compositional_inverse(f_full)
     sqrt2 = QR2Scalar.sqrt2()
     h = big_h.dilate(sqrt2)
     return Pipeline(

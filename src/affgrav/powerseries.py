@@ -7,8 +7,11 @@ alternating/explicitness structure of coefficient sequences.
 Conventions.  A series of order N stores ordinary coefficients c0..cN
 and every operation is exact through the stated output order.  All
 products go through one kernel, the truncated Cauchy product
-``Series.mul``: composition and compositional inversion sum against its
-plain powers a, a*a, a*a*a, ...  The binomial convolution ``conv`` and
+``Series.mul``.  Inversion and composition are one triangular solve,
+``compositional_inverse``: with b the inverse of a, the series b and
+F(b) both satisfy W(a(s)) = F(s) (F = s for b itself), which is solved
+coefficient by coefficient against one table of the inner series'
+powers a, a*a, a*a*a, ...  The binomial convolution ``conv`` and
 the partial Bell polynomials ``bell``/``bell_via_conv`` (classical
 normalization, acting on derivative-scaled sequences) are kept as an
 independent check of the same combinatorics; no series operation uses
@@ -254,37 +257,18 @@ class Series:
             [c if k % 2 == 0 else DiffPoly.zero() for k, c in enumerate(self._coeffs)]
         )
 
-    # -- composition ---------------------------------------------------------
+    # -- inversion and composition ----------------------------------------------
 
-    def _powers(self, upto: int) -> list[Series]:
-        """[None, a, a*a, ..., a^upto], each a truncated Cauchy product at
-        this series' order; callers check that the constant term vanishes."""
-        out = [None, self]
-        for _ in range(2, upto + 1):
-            out.append(out[-1].mul(self))
-        return out
+    def compositional_inverse(self, *outer: Series) -> tuple[Series, ...]:
+        """(b, F_1(b), ..., F_m(b)) through this series' order, where b is
+        the compositional inverse: b(self(s)) = self(b(t)) = t.
 
-    def compose(self, inner: Series) -> Series:
-        """Series of self(inner(s)); both constant terms must vanish."""
-        if inner[0]:
-            raise ValueError(f"inner series has nonzero constant term {inner[0]}")
-        if self[0]:
-            raise ValueError(f"outer series has nonzero constant term {self[0]}")
-        n = min(self.order, inner.order)
-        powers = inner.truncate(n)._powers(n)
-        return Series(
-            [DiffPoly.zero()]
-            + [
-                DiffPoly.sum_of_products((self[l], powers[l][k]) for l in range(1, k + 1))
-                for k in range(1, n + 1)
-            ]
-        )
-
-    def compositional_inverse(self) -> Series:
-        """Series b with b(self(s)) = self(b(t)) = t through the order.
-
-        Requires zero constant term and a nonzero constant linear
-        coefficient.
+        Each result W satisfies W(self(s)) = F(s), with F = s for b, so
+        coefficient k solves a1^k W[k] = F[k] - sum_{l<k} W[l] (a^l)[k]
+        against one table of powers a, a*a, ... of this series; an outer
+        constant term passes through as W[0] = F[0].  Requires zero
+        constant term, a nonzero constant linear coefficient, and outer
+        series of at least this order.
         """
         if self[0]:
             raise ValueError(f"nonzero constant term {self[0]}")
@@ -294,14 +278,21 @@ class Series:
         if not a1:
             raise ValueError("linear coefficient is zero; no compositional inverse")
         n = self.order
-        # b(a(s)) = s: coefficient k >= 2 gives a1^k b[k] = -sum_{l<k} b[l] (a^l)[k]
-        powers = self._powers(n - 1)
+        for f in outer:
+            if f.order < n:
+                raise ValueError(f"outer series of order {f.order} is shorter than {n}")
+        powers = [None, self]
+        for _ in range(2, n):
+            powers.append(powers[-1].mul(self))
+        targets = (Series.identity(n), *outer)
+        solved = [[f[0]] for f in targets]
         inv_a1 = a1.inverse()
-        out = [DiffPoly.zero(), DiffPoly.constant(inv_a1)]
-        for k in range(2, n + 1):
-            acc = DiffPoly.sum_of_products((out[l], powers[l][k]) for l in range(1, k))
-            out.append(acc * (-(inv_a1**k)))
-        return Series(out)
+        for k in range(1, n + 1):
+            scale = inv_a1**k
+            for f, w in zip(targets, solved):
+                acc = DiffPoly.sum_of_products((w[l], powers[l][k]) for l in range(1, k))
+                w.append((f[k] - acc) * scale)
+        return tuple(Series(w) for w in solved)
 
     def sqrt(self, sign: int = 1) -> Series:
         """Series b of order N-1 with b*b == self through order N.

@@ -2,7 +2,10 @@
 
 The symbolic oracles work on plain Fraction lists or explicit
 enumerations, deliberately avoiding the library's own series and Bell
-machinery.  The tuple-keyed oracles are the differential-polynomial
+machinery.  ``compose`` is the exception: it sums an outer series
+against the powers of an inner one with ``Series.mul``, the direct
+composition the triangular solve in ``Series.compositional_inverse`` is
+checked against.  The tuple-keyed oracles are the differential-polynomial
 bookkeeping ``DiffPoly`` did before its packed monomial keys: a
 polynomial is a dict from an exponent map ((order, exponent), ...) to
 its nonzero ``QR2Scalar`` coefficient.  The numeric oracles are the
@@ -54,6 +57,25 @@ def poly_compose_trunc(outer: list[Fraction], inner: list[Fraction], order: int)
             for idx in range(order + 1):
                 out[idx] += outer[l] * power[idx]
     return out
+
+
+def compose(outer: Series, inner: Series) -> Series:
+    """Series of outer(inner(s)); both constant terms must vanish."""
+    if inner[0]:
+        raise ValueError(f"inner series has nonzero constant term {inner[0]}")
+    if outer[0]:
+        raise ValueError(f"outer series has nonzero constant term {outer[0]}")
+    n = min(outer.order, inner.order)
+    powers = [None, inner.truncate(n)]
+    for _ in range(2, n + 1):
+        powers.append(powers[-1].mul(powers[1]))
+    return Series(
+        [DiffPoly.zero()]
+        + [
+            DiffPoly.sum_of_products((outer[l], powers[l][k]) for l in range(1, k + 1))
+            for k in range(1, n + 1)
+        ]
+    )
 
 
 def invert_by_substitution(a: list[Fraction], order: int) -> list[Fraction]:

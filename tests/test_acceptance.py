@@ -13,7 +13,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from _oracles import const_series, poly_compose_trunc, rational_coeffs
+from _oracles import compose, const_series, invert_by_substitution, poly_compose_trunc, rational_coeffs
 from affgrav import (
     DiffPoly,
     KappaCurveSpec,
@@ -196,20 +196,21 @@ def test_criterion_4_lemma_property_suite():
         elif kind == "compose":
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             sigma = rng.randint(0, 1)
-            a = const_series(random_alternating(n, 1, force_zero=(0,)))
+            coeffs = random_alternating(n, 1, force_zero=(0,))
+            coeffs[1] = F(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice([1, -1])
             b = const_series(random_alternating(m, sigma, force_zero=(0,)))
-            chi = b.compose(a)
+            chi = const_series(coeffs).compositional_inverse(b)[1]
             assert chi.is_alternating(min(n + 1, m), sigma)
-            want = poly_compose_trunc(rational_coeffs(b), rational_coeffs(a), order)
-            assert rational_coeffs(chi) == want
+            a_inv = invert_by_substitution(coeffs, order)
+            assert rational_coeffs(chi) == poly_compose_trunc(rational_coeffs(b), a_inv, order)
         else:
             n = rng.randint(1, 4)
             coeffs = random_alternating(n, 1, force_zero=(0,))
             coeffs[1] = F(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice([1, -1])
             a = const_series(coeffs)
-            b = a.compositional_inverse()
-            assert a.compose(b) == Series.identity(order)
-            assert b.compose(a) == Series.identity(order)
+            (b,) = a.compositional_inverse()
+            assert compose(a, b) == Series.identity(order)
+            assert compose(b, a) == Series.identity(order)
             assert b.is_alternating(n, 1)
     assert sum(cases.values()) == 100
     report(4, f"Bell identity to k=9 and lemma suite exact on pipeline + {sum(cases.values())} random series")

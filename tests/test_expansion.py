@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from _oracles import compose
 from affgrav import (
     DiffPoly,
     GradedClass,
@@ -112,7 +113,7 @@ class TestInversionSeries:
         assert u.mul(u, order=pipe.order + 1) == full_g
 
     def test_g_of_v_is_t_squared(self, pipe):
-        gt = pipe.g.compose(pipe.v)
+        gt = compose(pipe.g, pipe.v)
         assert gt[2] == 1
         assert all(gt[i].is_zero for i in range(gt.order + 1) if i != 2)
 
@@ -271,6 +272,10 @@ class TestGradingInvariants:
             for kk, c in enumerate(series.coeffs):
                 for m in c.monomials():
                     assert _weight(m.exponents) == kk - shift, f"{name}[{kk}] has {m}"
+
+    def test_h_is_f_of_v(self, order):
+        pipe = build_pipeline(order)
+        assert pipe.h == compose(pipe.f, pipe.v)
 
     def test_sqrt2_parity(self, order):
         pipe = build_pipeline(order)
