@@ -9,9 +9,11 @@ factors with odd derivative order.
 Storage.  A polynomial is sqrt2^bit * sum(numerator * monomial) / den:
 integer numerators, one positive integer denominator, common gcd 1, and
 one sqrt2 bit (0 for zero).  Its coefficients thus lie all in Q or all
-in sqrt2 * Q, as the expansion's do; ring operations are integer
-arithmetic, and an input or result that would mix Q and sqrt2 * Q raises
-ValueError.  The inspection methods hand coefficients out as ``QR2Scalar``.
+in sqrt2 * Q, as the expansion's do: each is an exact scalar
+q * sqrt2^bit.  Ring operations are integer arithmetic, and a result that
+would mix Q and sqrt2 * Q raises ValueError, as a mixed ``QR2Scalar``
+does when it is built.  The inspection methods hand coefficients out as
+``QR2Scalar``.
 
 Monomial keys.  Each monomial is stored as one packed int (Kronecker
 substitution): bits ``B*o .. B*o + B - 1`` hold the exponent of ``ko``,
@@ -39,7 +41,7 @@ from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import MissingAssignmentError
-from .scalar import QR2Scalar, _coeff_text
+from .scalar import QR2Scalar, _coeff_text, _scalar
 
 __all__ = ["DiffMonomial", "DiffPoly", "GradedClass"]
 
@@ -115,13 +117,8 @@ def _check_storable(keys: Iterable[int]) -> None:
 
 
 def _split(c) -> tuple[int, int, int]:
-    """A scalar in Q or sqrt2 * Q as (numerator, denominator > 0, sqrt2 bit)."""
-    bit = 0
-    if isinstance(c, QR2Scalar):
-        if c.a and c.b:
-            raise ValueError(f"coefficient {c} mixes a rational and a sqrt2 part")
-        c, bit = (c.b, 1) if c.b else (c.a, 0)
-    q = Fraction(c)
+    """An exact scalar as (numerator, denominator > 0, sqrt2 bit)."""
+    q, bit = (c._q, c._bit) if isinstance(c, QR2Scalar) else (Fraction(c), 0)
     return q.numerator, q.denominator, bit
 
 
@@ -227,8 +224,7 @@ class DiffPoly:
     # -- inspection ------------------------------------------------------
 
     def _value(self, n: int) -> QR2Scalar:
-        q = Fraction(n, self._den)
-        return QR2Scalar(0, q) if self._bit else QR2Scalar(q)
+        return _scalar(Fraction(n, self._den), self._bit)
 
     def _sorted_terms(self) -> list[tuple[ExponentMap, int]]:
         """(exponent map, numerator) pairs in canonical order."""
@@ -266,8 +262,6 @@ class DiffPoly:
         return self._value(self._terms.get(0, 0))
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, QR2Scalar) and other.a and other.b:
-            return False  # no polynomial here has a mixed coefficient
         other = _as_poly(other)
         if other is None:
             return NotImplemented

@@ -272,6 +272,8 @@ class Series:
         """
         if self[0]:
             raise ValueError(f"nonzero constant term {self[0]}")
+        if self.order < 1:
+            raise ValueError("series of order 0 has no linear term; no compositional inverse")
         if not self[1].is_constant:
             raise ValueError(f"linear coefficient {self[1]} depends on the curvature")
         a1 = self[1].constant_value()

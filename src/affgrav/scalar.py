@@ -1,10 +1,13 @@
-"""Exact arithmetic in the quadratic field Q(sqrt(2)).
+"""Exact scalars q * sqrt2^bit with q rational.
 
-The symbolic pipeline computes over Q and meets sqrt2 only when it
-assembles its published series, so ``QR2Scalar`` is the exchange and
-display type of exact coefficients; ``DiffPoly`` stores integers and
-one sqrt2 bit, and takes only values in Q or sqrt2 * Q.  A ``QR2Scalar``
-with zero sqrt2 part equals, and hashes like, the same ``Fraction``.
+Every sqrt2 in the expansion comes from g_2 = 1/2, so each coefficient
+of u, v and h lies in Q or in sqrt2 * Q, never in a mix of the two.
+``QR2Scalar`` stores exactly that form, a Fraction q and one sqrt2 bit
+(0 for zero), and is the exchange and display type of exact
+coefficients; ``DiffPoly`` stores the same form with integer numerators.
+A value that would mix Q and sqrt2 * Q raises ValueError when it is
+built.  A ``QR2Scalar`` with bit 0 equals, and hashes like, the same
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -12,20 +15,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["QR2Scalar", "rational_sqrt"]
+__all__ = ["QR2Scalar"]
 
 _SQRT2_FLOAT = math.sqrt(2.0)
-
-
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact nonnegative square root of a rational, or None if irrational."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+_ZERO = Fraction(0)
 
 
 def _coeff_text(n: int, den: int, bit: int) -> str:
@@ -40,65 +33,76 @@ def _coeff_text(n: int, den: int, bit: int) -> str:
     return f"{sign}sqrt2" if n == 1 else f"{sign}{n}*sqrt2"
 
 
-class QR2Scalar:
-    """Number of the form a + b*sqrt(2) with rational a, b.
+def _scalar(q: Fraction, bit: int) -> QR2Scalar:
+    """q * sqrt2^bit for a Fraction q; zero gets bit 0."""
+    s = object.__new__(QR2Scalar)
+    s._q, s._bit = q, bit if q else 0
+    return s
 
-    Instances are immutable and canonical (components are reduced
-    fractions), so equality is componentwise and exact.  All arithmetic
-    stays inside the field.
+
+class QR2Scalar:
+    """The number q * sqrt2^bit with rational q and bit 0 or 1.
+
+    ``QR2Scalar(a, b)`` is a + b*sqrt2 with at most one of a, b nonzero,
+    and ``.a``, ``.b`` read the value back in that form.  Instances are
+    immutable and canonical (q a Fraction, zero with bit 0), so equality
+    is exact.
     """
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_q", "_bit")
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0) -> None:
-        self._a = a if type(a) is Fraction else Fraction(a)
-        self._b = b if type(b) is Fraction else Fraction(b)
+        if a and b:
+            raise ValueError(f"QR2Scalar({a}, {b}) mixes a rational and a sqrt2 part")
+        q, self._bit = (b, 1) if b else (a, 0)
+        self._q = q if type(q) is Fraction else Fraction(q)
 
     @property
     def a(self) -> Fraction:
-        return self._a
+        return _ZERO if self._bit else self._q
 
     @property
     def b(self) -> Fraction:
-        return self._b
+        return self._q if self._bit else _ZERO
 
     @classmethod
     def sqrt2(cls) -> QR2Scalar:
-        return cls(0, 1)
+        return _scalar(Fraction(1), 1)
 
     # -- basic protocol ------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"QR2Scalar({self._a}, {self._b})"
+        return f"QR2Scalar({self.a}, {self.b})"
 
     def __str__(self) -> str:
-        a, b = self._a, self._b
-        if not (a and b):
-            q, bit = (b, 1) if b else (a, 0)
-            return _coeff_text(q.numerator, q.denominator, bit)
-        b_text = _coeff_text(abs(b.numerator), b.denominator, 1)
-        return f"{_coeff_text(a.numerator, a.denominator, 0)} {'+' if b > 0 else '-'} {b_text}"
+        return _coeff_text(self._q.numerator, self._q.denominator, self._bit)
 
     def __eq__(self, other: object) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self._a == other._a and self._b == other._b
+        return self._bit == other._bit and self._q == other._q
 
     def __hash__(self) -> int:
-        # agree with Fraction, which compares equal when the sqrt2 part is 0
-        return hash((self._a, self._b)) if self._b else hash(self._a)
+        # agree with Fraction, which compares equal when the bit is 0
+        return hash((self._q, 1)) if self._bit else hash(self._q)
 
     def __bool__(self) -> bool:
-        return self._a != 0 or self._b != 0
+        return self._q != 0
 
-    # -- field arithmetic ----------------------------------------------
+    # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other) -> QR2Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return QR2Scalar(self._a + other._a, self._b + other._b)
+        if self._bit == other._bit:
+            return _scalar(self._q + other._q, self._bit)
+        if not other._q:
+            return self
+        if not self._q:
+            return other
+        raise ValueError(f"{self} + {other} mixes a rational and a sqrt2 part")
 
     __radd__ = __add__
 
@@ -106,23 +110,22 @@ class QR2Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return QR2Scalar(self._a - other._a, self._b - other._b)
+        return self + (-other)
 
     def __rsub__(self, other) -> QR2Scalar:
         return (-self) + other
 
     def __neg__(self) -> QR2Scalar:
-        return QR2Scalar(-self._a, -self._b)
+        return _scalar(-self._q, self._bit)
 
     def __mul__(self, other) -> QR2Scalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        # (a + b*sqrt2)(c + d*sqrt2) = (ac + 2bd) + (ad + bc)*sqrt2
-        return QR2Scalar(
-            self._a * other._a + 2 * self._b * other._b,
-            self._a * other._b + self._b * other._a,
-        )
+        q = self._q * other._q
+        if self._bit & other._bit:
+            q *= 2  # sqrt2 * sqrt2
+        return _scalar(q, self._bit ^ other._bit)
 
     __rmul__ = __mul__
 
@@ -136,79 +139,50 @@ class QR2Scalar:
         return self.inverse() * other
 
     def __pow__(self, n: int) -> QR2Scalar:
+        """q^n * 2^floor(bit*n/2) * sqrt2^(bit*n mod 2); ZeroDivisionError
+        for zero to a negative power."""
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QR2Scalar(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        e = self._bit * n
+        return _scalar(self._q**n * Fraction(2) ** (e // 2), e % 2)
 
     def inverse(self) -> QR2Scalar:
-        """Multiplicative inverse via the conjugate: (a - b*sqrt2)/(a^2 - 2b^2)."""
-        norm = self._a * self._a - 2 * self._b * self._b
-        if norm == 0:
-            # a^2 = 2b^2 forces a = b = 0 since sqrt2 is irrational
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return QR2Scalar(self._a / norm, -self._b / norm)
+        """1/q, or sqrt2/(2q) when the bit is set."""
+        if not self._q:
+            raise ZeroDivisionError("inverse of zero")
+        if self._bit:
+            return _scalar(1 / (2 * self._q), 1)
+        return _scalar(1 / self._q, 0)
 
     # -- order and embeddings --------------------------------------------
 
     def sign(self) -> int:
-        """Sign of the real value a + b*sqrt(2), computed exactly."""
-        a, b = self._a, self._b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # mixed signs: compare a^2 against 2 b^2
-        if a > 0:
-            return 1 if a * a > 2 * b * b else -1
-        return 1 if a * a < 2 * b * b else -1
+        """Sign of the real value, the sign of q."""
+        return (self._q > 0) - (self._q < 0)
 
     def sqrt(self) -> QR2Scalar:
-        """Nonnegative y with y*y == self, if one exists in Q(sqrt2).
+        """Nonnegative y with y*y == self: r for r^2, r*sqrt2 for 2*r^2.
 
-        Raises ValueError when self is negative or the root falls outside
-        the field.
+        Raises ValueError when self is negative or has no such root.
         """
-        if self.sign() < 0:
+        if self._q < 0:
             raise ValueError(f"square root of negative value {self}")
-        if self._b == 0:
-            r = rational_sqrt(self._a)
-            if r is not None:
-                return QR2Scalar(r)
-            r = rational_sqrt(self._a / 2)
-            if r is not None:
-                return QR2Scalar(0, r)
-            raise ValueError(f"sqrt({self}) is not in Q(sqrt2)")
-        # y = c + d*sqrt2 needs c^2 + 2d^2 = a, 2cd = b; the field norm
-        # a^2 - 2b^2 must be a rational square.
-        m = rational_sqrt(self._a * self._a - 2 * self._b * self._b)
-        if m is not None:
-            for half in ((self._a + m) / 2, (self._a - m) / 2):
-                c = rational_sqrt(half)
-                if c:
-                    cand = QR2Scalar(c, self._b / (2 * c))
-                    if cand * cand == self:
-                        return cand if cand.sign() >= 0 else -cand
-        raise ValueError(f"sqrt({self}) is not in Q(sqrt2)")
+        if not self._bit:
+            for q, bit in ((self._q, 0), (self._q / 2, 1)):
+                num, den = q.numerator, q.denominator
+                rn, rd = math.isqrt(num), math.isqrt(den)
+                if rn * rn == num and rd * rd == den:
+                    return _scalar(Fraction(rn, rd), bit)
+        raise ValueError(f"sqrt({self}) is not in Q or sqrt2 * Q")
 
     def to_float(self) -> float:
-        """Double-precision value of a + b*sqrt(2)."""
-        return float(self._a) + float(self._b) * _SQRT2_FLOAT
+        """Double-precision value of q * sqrt2^bit."""
+        return float(self._q) * _SQRT2_FLOAT if self._bit else float(self._q)
 
 
 def _coerce(x) -> QR2Scalar | None:
     if isinstance(x, QR2Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return QR2Scalar(x)
+        return _scalar(Fraction(x), 0)
     return None

@@ -206,10 +206,9 @@ class TestExactNumberType:
         assert hash(k(0) * k(1) * 2) == hash(2 * k(0) * k(1))
         assert hash(k(0) * self.SQRT2) == hash(DiffPoly.monomial(self.SQRT2, {0: 1}))
 
-    def test_mixed_scalar_compares_unequal(self):
-        assert (DiffPoly.constant(1) == QR2Scalar(1, 1)) is False
-        assert k(0) != QR2Scalar(1, 1)
-        assert QR2Scalar(1, 1) != DiffPoly.constant(1)
+    def test_mixed_scalar_is_refused(self):
+        with pytest.raises(ValueError, match="mix"):
+            QR2Scalar(1, 1)
 
     def test_sqrt2_bit_in_products(self):
         s = self.SQRT2

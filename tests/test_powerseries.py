@@ -170,6 +170,9 @@ class TestCompositionalInverse:
     def test_rejects_zero_linear_term(self):
         with pytest.raises(ValueError):
             const_series([0, 0, 1, 0]).compositional_inverse()
+        # an order-0 series has no linear term at all
+        with pytest.raises(ValueError, match="linear term"):
+            const_series([0]).compositional_inverse()
         # an outer series shorter than the inner one
         with pytest.raises(ValueError):
             const_series([0, 1, 1, 0]).compositional_inverse(const_series([0, 1, 1]))
