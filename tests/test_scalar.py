@@ -21,9 +21,13 @@ rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 bits = st.integers(0, 1)
 scalars = st.builds(graded, rationals, bits)
 nonzero_scalars = scalars.filter(bool)
-# two values with one sqrt2 bit, so that their sum is defined
-same_bit_pairs = st.builds(
-    lambda y, z, bit: (graded(y, bit), graded(z, bit)), rationals, rationals, bits
+# three values with one sqrt2 bit, so that their sums are defined
+same_bit_triples = st.builds(
+    lambda y, z, t, bit: (graded(y, bit), graded(z, bit), graded(t, bit)),
+    rationals,
+    rationals,
+    rationals,
+    bits,
 )
 
 
@@ -108,15 +112,16 @@ class TestFloatAndText:
 
 
 class TestFieldAxioms:
-    @given(scalars, scalars, same_bit_pairs)
-    def test_associativity_and_distributivity(self, x, w, pair):
-        y, z = pair
+    @given(scalars, scalars, same_bit_triples)
+    def test_associativity_and_distributivity(self, x, w, triple):
+        y, z, t = triple
+        assert (y + z) + t == y + (z + t)
         assert (x * w) * y == x * (w * y)
         assert x * (y + z) == x * y + x * z
 
-    @given(scalars, same_bit_pairs)
-    def test_commutativity(self, x, pair):
-        y, z = pair
+    @given(scalars, same_bit_triples)
+    def test_commutativity(self, x, triple):
+        y, z, _ = triple
         assert y + z == z + y
         assert x * y == y * x
 
