@@ -32,7 +32,7 @@ from .expansion import (
     theorem2_symbolic,
     wronskian_series,
 )
-from .powerseries import ExplicitnessReport, Series, bell, bell_via_conv, conv
+from .powerseries import ExplicitnessReport, Series, bell
 from .scalar import QR2Scalar
 
 __version__ = "0.1.0"

@@ -35,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import repeat
 from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import MissingAssignmentError
-from .scalar import QR2Scalar, _coeff_text, _scalar
+from .scalar import QR2Scalar, _coeff_text, _exact, _scalar
 
 __all__ = ["DiffMonomial", "DiffPoly", "GradedClass"]
 
@@ -117,9 +116,12 @@ def _check_storable(keys: Iterable[int]) -> None:
 
 
 def _split(c) -> tuple[int, int, int]:
-    """An exact scalar as (numerator, denominator > 0, sqrt2 bit)."""
-    q, bit = (c._q, c._bit) if isinstance(c, QR2Scalar) else (Fraction(c), 0)
-    return q.numerator, q.denominator, bit
+    """An exact scalar as (numerator, denominator > 0, sqrt2 bit);
+    TypeError unless it is an int, Fraction or QR2Scalar."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator, 0
+    c = _exact(c)
+    return c._q.numerator, c._q.denominator, c._bit
 
 
 def _one_bit(bits: Iterable[int]) -> int:
@@ -160,7 +162,8 @@ class DiffPoly:
     __slots__ = ("_den", "_terms", "_bit")
 
     def __init__(self, terms: Mapping[ExponentMap, object] | None = None):
-        split = [(_pack(exps), *_split(c)) for exps, c in (terms or {}).items() if c]
+        split = [(exps, *_split(c)) for exps, c in (terms or {}).items()]
+        split = [(_pack(exps), n, d, bit) for exps, n, d, bit in split if n]
         den = lcm(*(d for _, _, d, _ in split))
         nums: dict[int, int] = {}
         for key, n, d, _ in split:
@@ -194,24 +197,22 @@ class DiffPoly:
         return cls({exps: coeff})
 
     @staticmethod
-    def sum_of_products(
-        pairs: Iterable[tuple[DiffPoly, DiffPoly]], weights: Iterable[int] | None = None
-    ) -> DiffPoly:
-        """The sum of p * q over the pairs, each times its integer weight
-        when weights are given, over one common denominator; the kernel of
-        every series product.  Two sqrt2 factors double a product's weight;
-        products with different sqrt2 bits raise ValueError, and so does a
-        product monomial with an exponent above 127."""
-        weights = repeat(1) if weights is None else weights
-        pairs = [(p, q, w) for (p, q), w in zip(pairs, weights) if w and p._terms and q._terms]
+    def sum_of_products(pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
+        """The sum of p * q over the pairs, over one common denominator;
+        the kernel of every series product.  An integer weight rides in
+        one factor of its pair, e.g. ``(p.scale(w), q)``.  Two sqrt2
+        factors double a product; products with different sqrt2 bits
+        raise ValueError, and so does a product monomial with an exponent
+        above 127."""
+        pairs = [(p, q) for p, q in pairs if p._terms and q._terms]
         if not pairs:
             return DiffPoly()
-        bit = _one_bit(p._bit ^ q._bit for p, q, _ in pairs)
-        den = lcm(*(p._den * q._den for p, q, _ in pairs))
+        bit = _one_bit(p._bit ^ q._bit for p, q in pairs)
+        den = lcm(*(p._den * q._den for p, q in pairs))
         nums: dict[int, int] = {}
         get = nums.get
-        for p, q, w in pairs:
-            f = den // (p._den * q._den) * w << (p._bit & q._bit)
+        for p, q in pairs:
+            f = den // (p._den * q._den) << (p._bit & q._bit)
             q_items = list(q._terms.items())
             for e1, n1 in p._terms.items():
                 n1 *= f
@@ -394,10 +395,7 @@ class DiffPoly:
 
     def substitute_partial(self, assign: Mapping[int, object]) -> DiffPoly:
         """Exactly substitute scalars for a subset of the derivative orders."""
-        values = {
-            order: (v if isinstance(v, QR2Scalar) else QR2Scalar(v))
-            for order, v in assign.items()
-        }
+        values = {order: _exact(v) for order, v in assign.items()}
         terms: dict[ExponentMap, QR2Scalar] = {}
         for key, n in self._terms.items():
             c = self._value(n)

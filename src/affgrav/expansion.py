@@ -128,7 +128,7 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
         raise ValueError(f"pipeline needs order >= {MIN_ORDER}")
     frame = build_frame(order + 1)
     f_full, g_full = component_series(frame)
-    big_u = g_full.scale(2).sqrt(sign=1)
+    big_u = g_full.scale(2).sqrt()
     big_v, big_h = big_u.compositional_inverse(f_full)
     sqrt2 = QR2Scalar.sqrt2()
     h = big_h.dilate(sqrt2)

@@ -11,44 +11,25 @@ products go through one kernel, the truncated Cauchy product
 ``compositional_inverse``: with b the inverse of a, the series b and
 F(b) both satisfy W(a(s)) = F(s) (F = s for b itself), which is solved
 coefficient by coefficient against one table of the inner series'
-powers a, a*a, a*a*a, ...  The binomial convolution ``conv`` and
-the partial Bell polynomials ``bell``/``bell_via_conv`` (classical
-normalization, acting on derivative-scaled sequences) are kept as an
-independent check of the same combinatorics; no series operation uses
-them.
+powers a, a*a, a*a*a, ...  The partial Bell polynomials ``bell``
+(classical normalization, acting on derivative-scaled sequences) are
+summed over integer partitions, independently of ``Series.mul``; the
+verify suite checks the two against each other through
+l! B_{k,l}(a) = k! [s^k] A(s)^l with A(s) = sum a_i s^i / i!.  No series
+operation uses ``bell``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 from .diffpoly import DiffPoly, GradedClass, _as_poly
 from .scalar import QR2Scalar
 
-__all__ = [
-    "Series",
-    "ExplicitnessReport",
-    "conv",
-    "bell",
-    "bell_via_conv",
-]
-
-
-def conv(a: Sequence[DiffPoly], b: Sequence[DiffPoly], k: int) -> DiffPoly:
-    """Binomial-weighted convolution sum_{l=1}^{k-1} C(k,l) a[l] b[k-l].
-
-    Sequences are read at indices 1..k-1; index 0 is ignored.  k = 1
-    yields the empty sum.
-    """
-    if k < 1:
-        raise ValueError("convolution index must be >= 1")
-    return DiffPoly.sum_of_products(
-        ((_as_poly(a[l]), _as_poly(b[k - l])) for l in range(1, k)),
-        (comb(k, l) for l in range(1, k)),
-    )
+__all__ = ["Series", "ExplicitnessReport", "bell"]
 
 
 def bell(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
@@ -56,13 +37,19 @@ def bell(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
 
     Sums over tuples (j_1, ..., j_{k-l+1}) of nonnegative integers with
     sum j_i = l and sum i*j_i = k, each weighted by the integer
-    k! / prod(j_i! * (i!)^j_i).
+    k! / prod(j_i! * (i!)^j_i).  Entries past the end of a read as zero;
+    an entry that is neither a DiffPoly nor an exact scalar raises
+    TypeError.
     """
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
     width = k - l + 1
+    parts = [None] + [
+        _as_poly(a[i]) if i < len(a) else DiffPoly.zero() for i in range(1, width + 1)
+    ]
+    if None in parts[1:]:
+        raise TypeError("Bell sequence entries must be DiffPoly or exact scalars")
     pairs: list[tuple[DiffPoly, DiffPoly]] = []
-    weights: list[int] = []
 
     def walk(
         pos: int, parts_left: int, weight_left: int, denom: int, head: DiffPoly, last
@@ -71,37 +58,19 @@ def bell(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
         # None before the first part)
         if parts_left == 0:
             if weight_left == 0:
-                pairs.append((head, last))
-                weights.append(factorial(k) // denom)
+                pairs.append((head.scale(factorial(k) // denom), last))
             return
         if pos > width:
             return
         walk(pos + 1, parts_left, weight_left, denom, head, last)
         for j in range(1, min(parts_left, weight_left // pos) + 1):
             # j copies of part size pos
-            head, last = (head if last is None else head * last), _as_poly(a[pos])
+            head, last = (head if last is None else head * last), parts[pos]
             denom *= j * factorial(pos)
             walk(pos + 1, parts_left - j, weight_left - j * pos, denom, head, last)
 
     walk(1, l, k, 1, DiffPoly.constant(1), None)
-    return DiffPoly.sum_of_products(pairs, weights)
-
-
-def bell_via_conv(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
-    """B_{k,l} computed as the l-fold weighted convolution over l!.
-
-    The j-fold layer vanishes below index j, and the later layers read it
-    only up to index k-l+j, so only those entries are built.
-    """
-    if not 1 <= l <= k:
-        raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    base = [DiffPoly.zero()] + [
-        _as_poly(a[i]) if i < len(a) else DiffPoly.zero() for i in range(1, k + 1)
-    ]
-    cur = base
-    for j in range(2, l + 1):
-        cur = [DiffPoly.zero()] * j + [conv(cur, base, i) for i in range(j, k - l + j + 1)]
-    return cur[k] * Fraction(1, factorial(l))
+    return DiffPoly.sum_of_products(pairs)
 
 
 @dataclass(frozen=True)
@@ -296,15 +265,14 @@ class Series:
                 w.append((f[k] - acc) * scale)
         return tuple(Series(w) for w in solved)
 
-    def sqrt(self, sign: int = 1) -> Series:
+    def sqrt(self) -> Series:
         """Series b of order N-1 with b*b == self through order N.
 
         Requires coefficients 0 and 1 to vanish and coefficient 2 to be a
         positive constant whose square root lies in Q or sqrt2 * Q (a
-        rational square or twice one).  The sign picks the linear branch.
+        rational square or twice one).  Returns the branch with positive
+        linear coefficient; the other branch is the negation.
         """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if self.order < 2:
             raise ValueError("need order >= 2 to take a series square root")
         if self[0] or self[1]:
@@ -314,7 +282,7 @@ class Series:
         a2 = self[2].constant_value()
         if a2.sign() <= 0:
             raise ValueError(f"quadratic coefficient {a2} is not positive")
-        b1 = a2.sqrt() * sign
+        b1 = a2.sqrt()
         n = self.order - 1
         out = [DiffPoly.zero(), DiffPoly.constant(b1)]
         half_inv = QR2Scalar(Fraction(1, 2)) * b1.inverse()

@@ -8,6 +8,12 @@ coefficients; ``DiffPoly`` stores the same form with integer numerators.
 A value that would mix Q and sqrt2 * Q raises ValueError when it is
 built.  A ``QR2Scalar`` with bit 0 equals, and hashes like, the same
 ``Fraction``.
+
+Exact scalars are int, Fraction and QR2Scalar.  ``QR2Scalar(a, b)`` and
+the ``DiffPoly`` entry points (``constant``, ``monomial``, ``scale``, the
+mapping constructor, ``substitute_partial``) take their values through
+one gate, ``_coerce``, and raise TypeError for anything else: a float
+such as 0.1 is refused, not read as its binary fraction.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ __all__ = ["QR2Scalar"]
 
 _SQRT2_FLOAT = math.sqrt(2.0)
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _coeff_text(n: int, den: int, bit: int) -> str:
@@ -43,19 +50,22 @@ def _scalar(q: Fraction, bit: int) -> QR2Scalar:
 class QR2Scalar:
     """The number q * sqrt2^bit with rational q and bit 0 or 1.
 
-    ``QR2Scalar(a, b)`` is a + b*sqrt2 with at most one of a, b nonzero,
-    and ``.a``, ``.b`` read the value back in that form.  Instances are
-    immutable and canonical (q a Fraction, zero with bit 0), so equality
-    is exact.
+    ``QR2Scalar(a, b)`` is a + b*sqrt2 with a, b exact scalars, at most
+    one of them nonzero, and ``.a``, ``.b`` read the value back in that
+    form.  Instances are immutable and canonical (q a Fraction, zero with
+    bit 0), so equality is exact.
     """
 
     __slots__ = ("_q", "_bit")
 
-    def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0) -> None:
+    def __init__(
+        self, a: Fraction | int | QR2Scalar = 0, b: Fraction | int | QR2Scalar = 0
+    ) -> None:
+        a, b = _exact(a), _exact(b)
         if a and b:
             raise ValueError(f"QR2Scalar({a}, {b}) mixes a rational and a sqrt2 part")
-        q, self._bit = (b, 1) if b else (a, 0)
-        self._q = q if type(q) is Fraction else Fraction(q)
+        value = b * _scalar(_ONE, 1) if b else a
+        self._q, self._bit = value._q, value._bit
 
     @property
     def a(self) -> Fraction:
@@ -67,7 +77,7 @@ class QR2Scalar:
 
     @classmethod
     def sqrt2(cls) -> QR2Scalar:
-        return _scalar(Fraction(1), 1)
+        return _scalar(_ONE, 1)
 
     # -- basic protocol ------------------------------------------------
 
@@ -186,3 +196,11 @@ def _coerce(x) -> QR2Scalar | None:
     if isinstance(x, (int, Fraction)):
         return _scalar(Fraction(x), 0)
     return None
+
+
+def _exact(x) -> QR2Scalar:
+    """x as a QR2Scalar; TypeError unless it is an int, Fraction or QR2Scalar."""
+    value = _coerce(x)
+    if value is None:
+        raise TypeError(f"exact scalars are int, Fraction or QR2Scalar, not {x!r}")
+    return value

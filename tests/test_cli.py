@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from affgrav import GradedClass
+from affgrav import GradedClass, cli
 from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, _random_poly_in_class, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
@@ -90,7 +90,16 @@ class TestVerify:
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["pass"] is True
-        assert {s["name"] for s in data["suites"]} >= {"h_leading_law", "theorem2"}
+        # the suite names, in order, that the benchmark's verify gate reads
+        assert [s["name"] for s in data["suites"]] == [
+            "grading_closure",
+            "bell_identity",
+            "wronskian_series",
+            "lemma4",
+            "h_leading_law",
+            "theorem1",
+            "theorem2",
+        ]
 
     def test_all_suites_pass_at_max_order(self, runner):
         result = runner.invoke(main, ["verify", "--order", str(MAX_ORDER)])
@@ -105,6 +114,19 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--order", "8", "--self-test"])
         assert result.exit_code == 0
         assert "SELF-TEST OK: detected lemma4.leading.f" in result.output
+
+    def test_wrong_bell_polynomial_fails_the_identity(self, runner, monkeypatch):
+        true_bell = cli.bell
+
+        def wrong_bell(k, l, a):
+            value = true_bell(k, l, a)
+            return value + 1 if (k, l) == (4, 2) else value
+
+        monkeypatch.setattr(cli, "bell", wrong_bell)
+        result = runner.invoke(main, ["verify", "--order", "8"])
+        assert result.exit_code == 1
+        assert "FAIL bell_identity: bell.identity: k=4, l=2" in result.output.splitlines()
+        assert "PASS theorem2" in result.output.splitlines()
 
     def test_seed_env_is_reported(self, runner):
         result = runner.invoke(main, ["verify", "--order", "8"], env={"AFFGRAV_SEED": "7"})

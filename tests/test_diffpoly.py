@@ -214,7 +214,8 @@ class TestExactNumberType:
         s = self.SQRT2
         assert (k(0) * s) * (k(1) * s) == 2 * k(0) * k(1)
         assert k(0).scale(s).scale(s) == k(0).scale(2)
-        got = DiffPoly.sum_of_products([(k(0) * s, k(1) * s), (k(0), k(1))], [3, 1])
+        # the sqrt2 * sqrt2 pair doubles: 3 * 2 + 1
+        got = DiffPoly.sum_of_products([((k(0) * s).scale(3), k(1) * s), (k(0), k(1))])
         assert got == 7 * k(0) * k(1)
         assert (k(0) * s).coefficient_of({0: 1}) == s
         assert k(0) * s != k(0)
@@ -294,7 +295,9 @@ class TestPackedKeysMatchTupleOracle:
     def test_weighted_sum_of_products(self, triples):
         pairs = [(p, q) for p, q, _ in triples]
         weights = [w for _, _, w in triples]
-        got = DiffPoly.sum_of_products([(DiffPoly(p), DiffPoly(q)) for p, q in pairs], weights)
+        got = DiffPoly.sum_of_products(
+            (DiffPoly(p).scale(w), DiffPoly(q)) for p, q, w in triples
+        )
         assert got == DiffPoly(tuple_sum_of_products(pairs, weights))
 
 
@@ -337,7 +340,7 @@ class TestStorageRange:
         with pytest.raises(ValueError, match="exponent"):
             p * p
         with pytest.raises(ValueError, match="exponent"):
-            DiffPoly.sum_of_products([(k(0), k(1)), (p, p)], [1, 2])
+            DiffPoly.sum_of_products([(k(0), k(1)), (p.scale(2), p)])
 
     def test_exponent_bound_is_inclusive(self):
         top = DiffPoly.monomial(1, {3: 64}) * DiffPoly.monomial(1, {3: 63})

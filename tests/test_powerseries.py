@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,28 +13,11 @@ from _oracles import (
     poly_compose_trunc,
     rational_coeffs,
 )
-from affgrav import DiffPoly, QR2Scalar, Series, bell, bell_via_conv, conv
+from affgrav import DiffPoly, QR2Scalar, Series, bell
 
 k = DiffPoly.kappa
 
 GENERIC = [DiffPoly.zero()] + [k(i) for i in range(1, 12)]
-
-
-class TestConv:
-    def test_unit_sequences(self):
-        ones = [None, DiffPoly.constant(1)]
-        assert conv(ones, ones, 2) == DiffPoly.constant(2)
-
-    def test_symbolic_entry(self):
-        seq = [None, DiffPoly.constant(1), k(0)]
-        assert conv(seq, seq, 3) == 6 * k(0)
-
-    def test_empty_range(self):
-        assert conv(GENERIC, GENERIC, 1).is_zero
-
-    def test_rejects_nonpositive_index(self):
-        with pytest.raises(ValueError):
-            conv(GENERIC, GENERIC, 0)
 
 
 class TestBell:
@@ -65,23 +49,45 @@ class TestBell:
         with pytest.raises(ValueError):
             bell(3, 0, GENERIC)
 
+    def test_missing_entries_read_as_zero(self):
+        assert bell(5, 2, [0, k(0)]).is_zero
+        assert bell(2, 2, [0, k(0)]) == k(0) * k(0)
+        assert bell(4, 2, [0, k(0), k(1)]) == 3 * k(1) * k(1)
+        assert bell(2, 2, [None, DiffPoly.constant(1)]) == DiffPoly.constant(1)
 
-class TestBellViaConv:
-    def test_single_copy(self):
-        assert bell_via_conv(5, 1, GENERIC) == k(5)
+    def test_non_exact_entry_raises_type_error(self):
+        with pytest.raises(TypeError):
+            bell(2, 2, [0, 1.5])
 
-    def test_two_by_two(self):
-        seq = [None, DiffPoly.constant(1)]
-        assert bell_via_conv(2, 2, seq) == DiffPoly.constant(1)
 
-    def test_identity_with_partition_sum(self):
+def egf_powers(a, order):
+    """The powers A, A^2, ..., A^order of A(s) = sum a[i] s^i / i!, by Series.mul."""
+    big_a = Series(
+        [0] + [a[i] * F(1, factorial(i)) if i < len(a) else 0 for i in range(1, order + 1)]
+    )
+    powers = [None, big_a]
+    for _ in range(2, order + 1):
+        powers.append(powers[-1].mul(big_a))
+    return powers
+
+
+class TestBellAgainstSeriesPowers:
+    """l! B_{k,l}(a) = k! [s^k] A^l with A = sum a_i s^i / i!."""
+
+    def test_identity_with_series_powers(self):
+        powers = egf_powers(GENERIC, 9)
         for n in range(1, 10):
             for l in range(1, n + 1):
-                assert bell_via_conv(n, l, GENERIC) == bell(n, l, GENERIC)
+                assert bell(n, l, GENERIC) * factorial(l) == powers[l][n] * factorial(n)
 
-    def test_argument_range(self):
-        with pytest.raises(ValueError):
-            bell_via_conv(2, 3, GENERIC)
+    def test_constant_sequence_counts_set_partitions(self):
+        # a_i = 1 makes B_{k,l} the Stirling number S(k, l)
+        ones = [0] + [1] * 6
+        powers = egf_powers(ones, 6)
+        assert bell(4, 2, ones) == 7 and powers[2][4] * F(factorial(4), factorial(2)) == 7
+        for n in range(1, 7):
+            for l in range(1, n + 1):
+                assert bell(n, l, ones) * factorial(l) == powers[l][n] * factorial(n)
 
 
 class TestCompose:
@@ -187,13 +193,13 @@ class TestSqrt:
     def test_plain_square(self):
         root = const_series([0, 0, 1, 0, 0]).sqrt()
         assert rational_coeffs(root) == [0, 1, 0, 0]
-        other = const_series([0, 0, 1, 0, 0]).sqrt(sign=-1)
+        other = -const_series([0, 0, 1, 0, 0]).sqrt()
         assert rational_coeffs(other) == [0, -1, 0, 0]
 
     def test_half_quadratic_term(self):
         root = const_series([0, 0, F(1, 2), 0]).sqrt()
         assert root[1].constant_value() == QR2Scalar(0, F(1, 2))
-        root = const_series([0, 0, F(1, 2), 0]).sqrt(sign=-1)
+        root = -const_series([0, 0, F(1, 2), 0]).sqrt()
         assert root[1].constant_value() == QR2Scalar(0, F(-1, 2))
 
     def test_cubic_perturbation(self):

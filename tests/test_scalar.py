@@ -1,11 +1,12 @@
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from affgrav import QR2Scalar
+from affgrav import DiffPoly, QR2Scalar, Series
 
 
 def q(a, b=0):
@@ -60,6 +61,36 @@ class TestGradedForm:
         assert s - s == 0
         assert hash(s - s) == hash(0)
         assert q(0) + s == s + 0 == s
+
+
+# Every entry point that takes an exact scalar, as a function of that scalar.
+EXACT_ENTRY_POINTS = {
+    "QR2Scalar-a": lambda x: QR2Scalar(x),
+    "QR2Scalar-b": lambda x: QR2Scalar(0, x),
+    "constant": DiffPoly.constant,
+    "monomial": lambda x: DiffPoly.monomial(x, {0: 1}),
+    "mapping": lambda x: DiffPoly({((1, 2),): x}),
+    "scale": lambda x: DiffPoly.kappa(0).scale(x),
+    "substitute_partial": lambda x: DiffPoly.kappa(0).substitute_partial({0: x}),
+    "mul": lambda x: DiffPoly.kappa(0) * x,
+    "add": lambda x: DiffPoly.kappa(0) + x,
+    "series": lambda x: Series([x]),
+}
+
+
+class TestExactGate:
+    """One gate: int, Fraction and QR2Scalar pass, anything else is a TypeError."""
+
+    @pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS.values(), ids=EXACT_ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [0.1, 0.5, 0.0, "1/2", Decimal("0.5")], ids=repr)
+    def test_non_exact_scalar_raises_type_error(self, entry, bad):
+        with pytest.raises(TypeError):
+            entry(bad)
+
+    @pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS.values(), ids=EXACT_ENTRY_POINTS)
+    def test_exact_scalars_pass(self, entry):
+        for good in (3, F(1, 2), q(F(-1, 3))):
+            entry(good)
 
 
 class TestInverse:
