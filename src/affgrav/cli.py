@@ -281,7 +281,7 @@ def _suite_wronskian(order: int, seed: int) -> None:
 
 
 def _suite_lemma4(order: int, seed: int) -> None:
-    expansion.lemma4_check(order)
+    expansion.lemma4_check(build_pipeline(order).frame)
 
 
 def _suite_h_leading(order: int, seed: int) -> None:
@@ -400,9 +400,8 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
     """Run the symbolic identity suite; nonzero exit on any failure."""
     seed = _seed_from_env()
     if self_test:
-        corrupted = expansion.build_frame(order, corrupt=True)
         try:
-            expansion.lemma4_check(order, frame=corrupted)
+            expansion.lemma4_check(expansion.build_frame(order, corrupt=True))
         except VerificationError as exc:
             _echo(f"SELF-TEST OK: detected {exc.check}")
             ctx.exit(0)

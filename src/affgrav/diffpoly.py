@@ -97,6 +97,8 @@ def _pack(exps: ExponentMap) -> int:
                 f"exponents to {_MAX_EXPONENT}"
             )
         key += e << (_B * order)
+        if key & _GUARD:  # a repeated order passed the bound; caught before it carries
+            raise ValueError(f"{exps} cannot be stored: exponents sum past {_MAX_EXPONENT}")
     return key
 
 

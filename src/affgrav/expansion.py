@@ -16,7 +16,8 @@ U_1 = 1, V = U^(-1) and H = f(V) have rational coefficients, and the
 published series follow as u = U / sqrt2, v_k = sqrt2^k V_k and
 h_k = sqrt2^k H_k.  ``build_pipeline`` computes U, V, H with the same
 ``Series`` operations it publishes and applies sqrt2 once, when it
-assembles the ``Pipeline``.
+assembles the ``Pipeline``, which keeps its frame, of order N + 1: the
+one frame per order, and the one on which the verifier checks Lemma 4.
 """
 
 from __future__ import annotations
@@ -64,9 +65,10 @@ class FrameCoefficients:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """All series of the expansion pipeline, truncated at one order."""
+    """Pipeline series truncated at order N, and the order-(N+1) frame they come from."""
 
     order: int
+    frame: FrameCoefficients
     f: Series
     g: Series
     u: Series
@@ -134,6 +136,7 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
     h = big_h.dilate(sqrt2)
     return Pipeline(
         order=order,
+        frame=frame,
         f=f_full.truncate(order),
         g=g_full.truncate(order),
         u=big_u.scale(QR2Scalar(0, Fraction(1, 2))),
@@ -164,17 +167,16 @@ class Lemma4Report:
     q_residuals: tuple[DiffPoly, ...]   # q[k] = k! g_k + (k-3) kappa^(k-4)
 
 
-def lemma4_check(order: int, frame: FrameCoefficients | None = None) -> Lemma4Report:
-    """Verify the explicit shape of f and g.
+def lemma4_check(frame: FrameCoefficients) -> Lemma4Report:
+    """Verify the explicit shape of the f and g built from a frame.
 
-    Checks, for every k up to the order: the leading laws
+    Checks, for every k up to the frame's order: the leading laws
     l_f[k] = -1/k! and l_g[k] = -(k-3)/k!, the residual class
     memberships, and the recursion-induced identities between
     consecutive residuals.  Raises VerificationError naming the first
-    failing item.
+    failing item.  The verifier passes ``build_pipeline(N).frame``.
     """
-    if frame is None:
-        frame = build_frame(order)
+    order = frame.order
     f, g = component_series(frame)
     f_rep = f.explicitness(3)
     g_rep = g.explicitness(4)
@@ -238,18 +240,14 @@ def h_leading_law(order: int = DEFAULT_ORDER) -> list[QR2Scalar]:
     """Leading coefficients of h, checked two independent ways.
 
     Returns the list l_h[0..order] where l_h[k] = -3 sqrt(2)^k / (k+1)!
-    for k >= 3.  Verifies the direct extraction from h and the
-    composition route through the leading laws of g, u and v; raises
-    VerificationError on any mismatch.
+    for k >= 3.  Checks extraction from h against the composition route
+    from Lemma 4's law l_g[k+1] = -(k-2)/(k+1)!, checked on the pipeline's
+    frame by ``lemma4_check``, through l_u and l_v; raises VerificationError.
     """
     pipe = build_pipeline(order)
     h_rep = pipe.h.explicitness(3)
     u_rep = pipe.u.explicitness(3)
     v_rep = pipe.v.explicitness(3)
-    # l_g is needed one index past the pipeline order for the sqrt step
-    _, g_ext = component_series(build_frame(order + 1))
-    g_lead = g_ext.explicitness(4).leading
-
     sqrt2 = QR2Scalar.sqrt2()
     u1 = pipe.u[1].constant_value()
     v1 = pipe.v[1].constant_value()
@@ -264,7 +262,7 @@ def h_leading_law(order: int = DEFAULT_ORDER) -> list[QR2Scalar]:
                 "hlaw.extracted", f"k={k}: got {h_rep.leading[k]}, want {expect}"
             )
         # square-root step: l_u[k] = l_g[k+1] / sqrt2 since g2 = 1/2
-        lu = g_lead[k + 1] / sqrt2
+        lu = QR2Scalar(Fraction(-(k - 2), factorial(k + 1))) / sqrt2
         if u_rep.leading[k] != lu:
             raise VerificationError(
                 "hlaw.sqrt_step", f"k={k}: got {u_rep.leading[k]}, want {lu}"

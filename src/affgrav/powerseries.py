@@ -310,9 +310,9 @@ class Series:
     def explicitness(self, n: int) -> ExplicitnessReport:
         """Split each coefficient into its leading k(k-n) term and residual.
 
-        The report is explicit when the series is (n, n)-alternating,
-        every residual uses only derivative orders below k-n, and the
-        leading constant is nonzero for all k >= n.
+        The report is explicit when every residual lies in
+        GradedClass(k-n-1, k-n) and the leading constant is nonzero for
+        all k >= n; the series is then (n, n)-alternating.
         """
         leading: list[QR2Scalar] = []
         residuals: list[DiffPoly] = []
@@ -334,13 +334,13 @@ class Series:
             residual_ok.append(ok)
             if not ok:
                 all_ok = False
-        is_explicit = all_ok and self.is_alternating(n, n)
+        # explicit implies (n, n)-alternating: residual + k(k-n) is in GradedClass(k-n, k+n)
         return ExplicitnessReport(
             n=n,
             leading=tuple(leading),
             residuals=tuple(residuals),
             residual_ok=tuple(residual_ok),
-            is_explicit=is_explicit,
+            is_explicit=all_ok,
         )
 
     # -- serialization -----------------------------------------------------------

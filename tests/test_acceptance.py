@@ -106,7 +106,7 @@ def test_criterion_2_lemma4_laws():
     build_pipeline.cache_clear()
     build_frame.cache_clear()
     t0 = time.perf_counter()
-    rep = lemma4_check(12)  # raises on any law, class or identity failure
+    rep = lemma4_check(build_frame(12))  # raises on any law, class or identity failure
     elapsed = time.perf_counter() - t0
     for kk in range(3, 13):
         assert rep.f_report.leading[kk] == QR2Scalar(F(-1, factorial(kk)))

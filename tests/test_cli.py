@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from affgrav import GradedClass, cli
+from affgrav import DiffPoly, GradedClass, cli, expansion
 from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, _random_poly_in_class, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
@@ -28,6 +28,18 @@ ORDER26_DIGEST = "f0cea7e92d427f82305b55baf9e5aaa4e3831a0e9f0237917208408c77bbc3
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def cold_caches():
+    """Empty pipeline caches before the test, as in a fresh process, and
+    after it, so a frame built under a patch does not outlive the test."""
+    caches = (expansion.build_frame, expansion.build_pipeline)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
 
 
 class TestExpand:
@@ -127,6 +139,45 @@ class TestVerify:
         assert result.exit_code == 1
         assert "FAIL bell_identity: bell.identity: k=4, l=2" in result.output.splitlines()
         assert "PASS theorem2" in result.output.splitlines()
+
+    def test_fault_in_the_top_frame_coefficient_fails_lemma4(
+        self, runner, monkeypatch, cold_caches
+    ):
+        # + k9 in psi_15 keeps q_15's class and g's leading law but breaks
+        # the recursion; only the order-15 frame that builds the order-14
+        # pipeline carries it, so u[14] and h[14] change with it
+        true_frame = expansion.build_frame
+
+        def faulty_frame(order, corrupt=False):
+            frame = true_frame(order, corrupt)
+            if order != 15:
+                return frame
+            psi = frame.psi[:15] + (frame.psi[15] + DiffPoly.kappa(9),)
+            return expansion.FrameCoefficients(order, frame.phi, psi)
+
+        monkeypatch.setattr(expansion, "build_frame", faulty_frame)
+        result = runner.invoke(main, ["verify", "--order", "14"])
+        assert result.exit_code == 1
+        lines = result.output.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL ")]
+        assert len(fails) == 1 and fails[0].startswith("FAIL lemma4: lemma4.induction.q: k=15")
+        assert len([line for line in lines if line.startswith("PASS ")]) == 6
+        assert lines[-1] == "FAIL: 1 of 7 suites"
+
+    @pytest.mark.parametrize("order", [6, 14, 26])
+    def test_cold_verify_builds_one_frame(self, runner, monkeypatch, cold_caches, order):
+        true_frame = expansion.build_frame
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return true_frame(*args, **kwargs)
+
+        monkeypatch.setattr(expansion, "build_frame", spy)
+        result = runner.invoke(main, ["verify", "--order", str(order)])
+        assert result.exit_code == 0
+        assert calls == [((order + 1,), {})]
+        assert expansion.build_pipeline(order).frame is true_frame(order + 1)
 
     def test_seed_env_is_reported(self, runner):
         result = runner.invoke(main, ["verify", "--order", "8"], env={"AFFGRAV_SEED": "7"})

@@ -370,6 +370,8 @@ class TestStorageRange:
             lambda: DiffPoly({((128, 1),): 1}),
             lambda: DiffPoly({((-1, 1),): 1}),
             lambda: DiffPoly({((0, -1),): 1}),
+            lambda: DiffPoly({((0, 100), (0, 100)): 1}),
+            lambda: DiffPoly({((3, 100), (3, 100), (3, 100)): 1}),
         ],
         ids=[
             "kappa",
@@ -380,6 +382,8 @@ class TestStorageRange:
             "order",
             "negative-order",
             "negative-exponent",
+            "repeated-order-sum",
+            "repeated-order-carry",
         ],
     )
     def test_unstorable_input_is_refused(self, build):

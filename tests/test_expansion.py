@@ -149,25 +149,25 @@ class TestCompositionH:
 
 class TestLemma4:
     def test_report_laws(self):
-        rep = lemma4_check(12)
+        rep = lemma4_check(build_frame(12))
         for kk in range(3, 13):
             assert rep.f_report.leading[kk] == QR2Scalar(F(-1, factorial(kk)))
         for kk in range(4, 13):
             assert rep.g_report.leading[kk] == QR2Scalar(F(-(kk - 3), factorial(kk)))
 
     def test_g_leading_vanishes_at_three(self):
-        rep = lemma4_check(8)
+        rep = lemma4_check(build_frame(8))
         assert rep.g_report.leading[3] == QR2Scalar(0)
         assert component_series(build_frame(8))[1][3].is_zero
 
     def test_q6_residual(self):
         # 6! g_6 + 3 k2 = k0^2
-        rep = lemma4_check(8)
+        rep = lemma4_check(build_frame(8))
         assert rep.q_residuals[6] == k(0) * k(0)
         assert rep.q_residuals[6].in_class(GradedClass(0, 0))
 
     def test_residual_classes(self):
-        rep = lemma4_check(12)
+        rep = lemma4_check(build_frame(12))
         for kk in range(13):
             assert rep.p_residuals[kk].in_class(GradedClass(kk - 5, kk + 1))
             assert rep.q_residuals[kk].in_class(GradedClass(kk - 6, kk))
@@ -175,8 +175,15 @@ class TestLemma4:
     def test_corrupted_frame_is_detected(self):
         frame = build_frame(8, corrupt=True)
         with pytest.raises(VerificationError) as info:
-            lemma4_check(8, frame=frame)
+            lemma4_check(frame)
         assert info.value.check == "lemma4.leading.f"
+
+    def test_pipeline_frame_is_checked_one_order_past(self):
+        pipe = build_pipeline(10)
+        assert pipe.frame is build_frame(11)
+        rep = lemma4_check(pipe.frame)
+        assert rep.order == 11
+        assert rep.g_report.leading[11] == QR2Scalar(F(-8, factorial(11)))
 
 
 class TestHLeadingLaw:
@@ -190,6 +197,17 @@ class TestHLeadingLaw:
         assert leads[3] == QR2Scalar(0, F(-1, 4))     # -3*2*sqrt2/24
         assert leads[4] == QR2Scalar(F(-1, 10))       # -3*4/120
         assert leads[5] == QR2Scalar(0, F(-1, 60))    # -3*4*sqrt2/720
+
+    def test_derives_no_second_g(self, monkeypatch):
+        # the square-root step takes l_g from Lemma 4's law, not a frame
+        build_pipeline(8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("h_leading_law built a frame or a component series")
+
+        monkeypatch.setattr(expansion, "build_frame", refuse)
+        monkeypatch.setattr(expansion, "component_series", refuse)
+        assert h_leading_law(8)[8] == QR2Scalar(-3) * SQRT2**8 * F(1, factorial(9))
 
 
 class TestTheorems:

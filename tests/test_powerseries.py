@@ -242,6 +242,24 @@ class TestMulGuard:
         assert rational_coeffs(a.mul(a, order=5)) == [0, 0, 0, 0, 1, 2]
 
 
+@st.composite
+def near_explicit_series(draw):
+    """(series, n) whose coefficient k is c * k(k-n) plus up to two
+    monomials in orders up to k-n, of either odd-degree parity, so that
+    draws come out explicit, alternating only, or neither."""
+    n = draw(st.integers(1, 4))
+    coeffs = []
+    for kk in range(draw(st.integers(0, 7)) + 1):
+        c = draw(st.sampled_from([0, 1, -2, F(1, 3)])) * k(kk - n) if kk >= n else DiffPoly.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            mono = DiffPoly.constant(draw(st.integers(-3, 3)))
+            for _ in range(draw(st.integers(0, 2))):
+                mono = mono * k(draw(st.integers(0, max(kk - n, 0))))
+            c = c + mono
+        coeffs.append(c)
+    return Series(coeffs), n
+
+
 class TestAlternatingAndExplicit:
     def test_zero_series_alternates_everywhere(self):
         z = Series.zero(6)
@@ -269,6 +287,16 @@ class TestAlternatingAndExplicit:
         assert rep.is_explicit
         assert [str(c) for c in rep.leading] == ["0", "0", "1", "1", "1"]
         assert rep.residuals[4] == k(0) * k(0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_explicit_series())
+    def test_explicit_needs_no_alternation_pass(self, drawn):
+        a, n = drawn
+        rep = a.explicitness(n)
+        leads_nonzero = all(rep.leading[kk] for kk in range(n, a.order + 1))
+        assert rep.is_explicit == (
+            all(rep.residual_ok) and leads_nonzero and a.is_alternating(n, n)
+        )
 
 
 class TestDilate:
