@@ -178,7 +178,10 @@ def parse_fixture(text: str):
     from .numcurve import KappaCurveSpec, ParametricCurveSpec
 
     name, _, argtext = text.partition(":")
-    args = [float(v) for v in argtext.split(",") if v] if argtext else []
+    try:  # an empty item, as in ellipse:2,,1, is no number either
+        args = [float(v) for v in argtext.split(",")] if argtext else []
+    except ValueError:
+        raise ValueError(f"fixture arguments must be numbers, got {text!r}") from None
     if not all(math.isfinite(a) for a in args):
         raise ValueError(f"fixture arguments must be finite, got {text!r}")
     if name in _CONICS:
@@ -239,7 +242,7 @@ def _random_poly_in_class(rng: random.Random, k: int, sigma: int) -> DiffPoly:
     return poly
 
 
-def _suite_grading_closure(order: int, seed: int) -> None:
+def _suite_grading_closure(seed: int) -> None:
     rng = random.Random(seed)
     for case in range(40):
         k1, k2 = rng.randint(1, 4), rng.randint(1, 4)
@@ -261,7 +264,7 @@ def _suite_grading_closure(order: int, seed: int) -> None:
             raise VerificationError("grading.leibniz", f"case {case}: {p}, {q}")
 
 
-def _suite_bell_identity(order: int, seed: int) -> None:
+def _suite_bell_identity() -> None:
     # l! B_{k,l}(a) = k! [s^k] A^l with A = sum a_i s^i / i!
     generic = [DiffPoly.zero()] + [DiffPoly.kappa(i) for i in range(10)]
     big_a = Series(a * Fraction(1, math.factorial(i)) for i, a in enumerate(generic))
@@ -274,44 +277,22 @@ def _suite_bell_identity(order: int, seed: int) -> None:
                 raise VerificationError("bell.identity", f"k={k}, l={l}")
 
 
-def _suite_wronskian(order: int, seed: int) -> None:
-    w = expansion.wronskian_series(build_pipeline(order))
-    if w[0] != 1 or any(w[i] for i in range(1, w.order + 1)):
-        raise VerificationError("wronskian.series", f"got {w.to_strings()}")
-
-
-def _suite_lemma4(order: int, seed: int) -> None:
-    expansion.lemma4_check(build_pipeline(order).frame)
-
-
-def _suite_h_leading(order: int, seed: int) -> None:
-    expansion.h_leading_law(order)
-
-
-def _suite_theorem1(order: int, seed: int) -> None:
-    expansion.theorem1_criterion(order)
-
-
-def _suite_theorem2(order: int, seed: int) -> None:
-    expansion.theorem2_symbolic(order)
-
-
-_SUITES = [
-    ("grading_closure", _suite_grading_closure),
-    ("bell_identity", _suite_bell_identity),
-    ("wronskian_series", _suite_wronskian),
-    ("lemma4", _suite_lemma4),
-    ("h_leading_law", _suite_h_leading),
-    ("theorem1", _suite_theorem1),
-    ("theorem2", _suite_theorem2),
-]
-
-
 def run_verification(order: int, seed: int) -> list[dict]:
+    """Run the seven suites in order on one pipeline built at ``order``."""
+    pipe = build_pipeline(order)
+    suites = [
+        ("grading_closure", lambda: _suite_grading_closure(seed)),
+        ("bell_identity", _suite_bell_identity),
+        ("wronskian_series", lambda: expansion.wronskian_series(pipe)),
+        ("lemma4", lambda: expansion.lemma4_check(pipe.frame)),
+        ("h_leading_law", lambda: expansion.h_leading_law(pipe)),
+        ("theorem1", lambda: expansion.theorem1_criterion(pipe)),
+        ("theorem2", lambda: expansion.theorem2_symbolic(pipe)),
+    ]
     results = []
-    for name, fn in _SUITES:
+    for name, check in suites:
         try:
-            fn(order, seed)
+            check()
             results.append({"name": name, "ok": True, "detail": ""})
         except VerificationError as exc:
             results.append({"name": name, "ok": False, "detail": f"{exc.check}: {exc.detail}"})

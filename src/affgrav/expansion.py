@@ -18,6 +18,12 @@ h_k = sqrt2^k H_k.  ``build_pipeline`` computes U, V, H with the same
 ``Series`` operations it publishes and applies sqrt2 once, when it
 assembles the ``Pipeline``, which keeps its frame, of order N + 1: the
 one frame per order, and the one on which the verifier checks Lemma 4.
+
+The identity checks judge what they are handed: ``lemma4_check`` a
+frame, and ``wronskian_series``, ``h_leading_law``, ``theorem1_criterion``
+and ``theorem2_symbolic`` a ``Pipeline``, whose ``order`` bounds them.
+None of them builds a frame or a pipeline, so a caller can check a
+pipeline it already holds, or one with a fault put in.
 """
 
 from __future__ import annotations
@@ -147,13 +153,18 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
 
 
 def wronskian_series(pipe: Pipeline) -> Series:
-    """The series f' g'' - f'' g', the frame determinant along the curve.
+    """The series f' g'' - f'' g' of a pipeline, the frame determinant
+    along the curve, exact through order N - 2.
 
-    Exact through order N - 2; identically the constant series 1.
+    Raises VerificationError unless it is the constant series 1;
+    returns it otherwise.
     """
     d1f, d1g = pipe.f.s_derivative(), pipe.g.s_derivative()
     d2f, d2g = d1f.s_derivative(), d1g.s_derivative()
-    return d1f.mul(d2g) - d2f.mul(d1g)
+    w = d1f.mul(d2g) - d2f.mul(d1g)
+    if w[0] != 1 or any(w[i] for i in range(1, w.order + 1)):
+        raise VerificationError("wronskian.series", f"got {w.to_strings()}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -236,15 +247,15 @@ def lemma4_check(frame: FrameCoefficients) -> Lemma4Report:
     )
 
 
-def h_leading_law(order: int = DEFAULT_ORDER) -> list[QR2Scalar]:
-    """Leading coefficients of h, checked two independent ways.
+def h_leading_law(pipe: Pipeline) -> list[QR2Scalar]:
+    """Leading coefficients of a pipeline's h, checked two independent ways.
 
-    Returns the list l_h[0..order] where l_h[k] = -3 sqrt(2)^k / (k+1)!
-    for k >= 3.  Checks extraction from h against the composition route
-    from Lemma 4's law l_g[k+1] = -(k-2)/(k+1)!, checked on the pipeline's
-    frame by ``lemma4_check``, through l_u and l_v; raises VerificationError.
+    Returns the list l_h[0..N] where l_h[k] = -3 sqrt(2)^k / (k+1)! for
+    k >= 3.  Checks extraction from h, u and v against the composition
+    route from Lemma 4's law l_g[k+1] = -(k-2)/(k+1)!, checked on the
+    pipeline's frame by ``lemma4_check``, through l_u and l_v; raises
+    VerificationError.
     """
-    pipe = build_pipeline(order)
     h_rep = pipe.h.explicitness(3)
     u_rep = pipe.u.explicitness(3)
     v_rep = pipe.v.explicitness(3)
@@ -255,7 +266,7 @@ def h_leading_law(order: int = DEFAULT_ORDER) -> list[QR2Scalar]:
     if (u1, v1, f1) != (QR2Scalar(0, Fraction(1, 2)), sqrt2, QR2Scalar(1)):
         raise VerificationError("hlaw.setup", f"u1={u1}, v1={v1}, f1={f1}")
 
-    for k in range(3, order + 1):
+    for k in range(3, pipe.order + 1):
         expect = QR2Scalar(-3) * sqrt2**k * Fraction(1, factorial(k + 1))
         if h_rep.leading[k] != expect:
             raise VerificationError(
@@ -283,35 +294,33 @@ def h_leading_law(order: int = DEFAULT_ORDER) -> list[QR2Scalar]:
     return list(h_rep.leading)
 
 
-def theorem1_criterion(order: int = MIN_ORDER) -> DiffPoly:
-    """The quartic coefficient of h, which controls flatness.
+def theorem1_criterion(pipe: Pipeline) -> DiffPoly:
+    """The quartic coefficient of a pipeline's h, which controls flatness.
 
     Asserts the exact value -k1/10 and returns it; a base point gives a
     flat chord-midpoint curve exactly when this evaluates to zero, i.e.
     when the curvature has vanishing derivative there.
     """
-    pipe = build_pipeline(order)
     expect = DiffPoly.monomial(Fraction(-1, 10), {1: 1})
     if pipe.h[4] != expect:
         raise VerificationError("theorem1.h4", f"h_4 = {pipe.h[4]}, want {expect}")
     return pipe.h[4]
 
 
-def theorem2_symbolic(order: int = DEFAULT_ORDER) -> bool:
-    """Check both directions of the straight-line characterization by
-    degree parity: every even-index coefficient h_k lies in Q^(k-3),
-    which is {0} for k < 4.  Structural direction: each monomial of a
-    Q-class member has odd odd-degree, so it carries an odd derivative
-    and h_k dies when the curvature is even about the base point.
-    Induction direction: for k >= 4, h_k is a nonzero constant times
-    k(k-3) plus a residual in Q^(k-4), which dies once the odd
-    derivatives below k-3 vanish, so h_k = 0 then pins k(k-3) = 0.
-    Raises VerificationError with a counterexample on failure; returns
-    True otherwise.
+def theorem2_symbolic(pipe: Pipeline) -> bool:
+    """Check both directions of the straight-line characterization on a
+    pipeline's h through its order, by degree parity: every even-index
+    coefficient h_k lies in Q^(k-3), which is {0} for k < 4.  Structural
+    direction: each monomial of a Q-class member has odd odd-degree, so
+    it carries an odd derivative and h_k dies when the curvature is even
+    about the base point.  Induction direction: for k >= 4, h_k is a
+    nonzero constant times k(k-3) plus a residual in Q^(k-4), which dies
+    once the odd derivatives below k-3 vanish, so h_k = 0 then pins
+    k(k-3) = 0.  Raises VerificationError with a counterexample on
+    failure; returns True otherwise.
     """
-    pipe = build_pipeline(order)
     report = pipe.h.explicitness(3)
-    for k in range(0, order + 1, 2):
+    for k in range(0, pipe.order + 1, 2):
         cls = GradedClass(k - 3, 1)
         if not pipe.h[k].in_class(cls):
             terms = pipe.h[k].monomials()

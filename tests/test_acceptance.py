@@ -117,7 +117,7 @@ def test_criterion_2_lemma4_laws():
 
 def test_criterion_3_h_leading_law():
     """l_h[k] = -3 sqrt2^k/(k+1)! for 3 <= k <= 12 via both routes."""
-    leads = h_leading_law(12)  # checks extraction and composition route
+    leads = h_leading_law(build_pipeline(12))  # checks extraction and composition route
     for kk in range(3, 13):
         assert leads[kk] == QR2Scalar(-3) * SQRT2**kk * F(1, factorial(kk + 1))
     report(3, "leading coefficients of h exact to k=12 via both routes")
@@ -218,8 +218,8 @@ def test_criterion_4_lemma_property_suite():
 
 def test_criterion_5_symbolic_theorems():
     """Exact flatness coefficient and straight-line triangularity."""
-    assert theorem1_criterion(6) == F(-1, 10) * k(1)
-    assert theorem2_symbolic(12)
+    assert theorem1_criterion(build_pipeline(6)) == F(-1, 10) * k(1)
+    assert theorem2_symbolic(build_pipeline(12))
     pipe = build_pipeline(12)
     leads = pipe.h.explicitness(3).leading
     for kk in range(0, 13, 2):

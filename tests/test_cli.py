@@ -295,6 +295,9 @@ class TestGravity:
             (["--fixture", "ellipse:0.1,0.1", "--sweep", "3"], "base point -0.5 is not inside"),
             (["--fixture", "kappa-poly:1", "--step", "0.4", "--sweep", "3"], "base point -0.5"),
             (["--fixture", "kappa-poly:nan"], "fixture arguments must be finite"),
+            (["--fixture", "kappa-poly:1,,2"], "must be numbers, got 'kappa-poly:1,,2'"),
+            (["--fixture", "ellipse:2,,1"], "must be numbers, got 'ellipse:2,,1'"),
+            (["--fixture", "ellipse:,2,1"], "must be numbers, got 'ellipse:,2,1'"),
             (["--fixture", "parabola:5", "--sweep", "3"], "parabola takes no arguments"),
             (["--fixture", "circle:1,2"], "circle takes no arguments"),
             (["--fixture", "hyperbola:3"], "hyperbola takes no arguments"),
@@ -363,10 +366,11 @@ class TestFixtureParsing:
         assert kprime(0.5) == pytest.approx(2.0)       # 4 s
 
     def test_ellipse_defaults(self):
-        spec, _ = parse_fixture("ellipse")
-        assert isinstance(spec, ParametricCurveSpec)
-        x, y = spec.xy(0.0)
-        assert (x, y) == (2.0, 0.0)
+        for text in ("ellipse", "ellipse:"):
+            spec, _ = parse_fixture(text)
+            assert isinstance(spec, ParametricCurveSpec)
+            x, y = spec.xy(0.0)
+            assert (x, y) == (2.0, 0.0)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

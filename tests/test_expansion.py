@@ -19,7 +19,7 @@ from affgrav import (
     wronskian_series,
 )
 from affgrav import expansion
-from affgrav.expansion import MAX_ORDER, component_series
+from affgrav.expansion import MAX_ORDER, MIN_ORDER, component_series
 from affgrav.powerseries import Series
 
 k = DiffPoly.kappa
@@ -188,37 +188,42 @@ class TestLemma4:
 
 class TestHLeadingLaw:
     def test_values_through_order(self):
-        leads = h_leading_law(8)
+        leads = h_leading_law(build_pipeline(8))
         for kk in range(3, 9):
             assert leads[kk] == QR2Scalar(-3) * SQRT2**kk * F(1, factorial(kk + 1))
 
     def test_low_order_closed_forms(self):
-        leads = h_leading_law(6)
+        leads = h_leading_law(build_pipeline(6))
         assert leads[3] == QR2Scalar(0, F(-1, 4))     # -3*2*sqrt2/24
         assert leads[4] == QR2Scalar(F(-1, 10))       # -3*4/120
         assert leads[5] == QR2Scalar(0, F(-1, 60))    # -3*4*sqrt2/720
 
     def test_derives_no_second_g(self, monkeypatch):
-        # the square-root step takes l_g from Lemma 4's law, not a frame
-        build_pipeline(8)
+        # the square-root step takes l_g from Lemma 4's law, not a frame;
+        # no pipeline check builds a frame, a component series or a pipeline
+        pipe = build_pipeline(14)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("h_leading_law built a frame or a component series")
+            raise AssertionError("a pipeline check built a frame, series or pipeline")
 
+        monkeypatch.setattr(expansion, "build_pipeline", refuse)
         monkeypatch.setattr(expansion, "build_frame", refuse)
         monkeypatch.setattr(expansion, "component_series", refuse)
-        assert h_leading_law(8)[8] == QR2Scalar(-3) * SQRT2**8 * F(1, factorial(9))
+        assert h_leading_law(pipe)[8] == QR2Scalar(-3) * SQRT2**8 * F(1, factorial(9))
+        assert wronskian_series(pipe)[0] == 1
+        assert theorem1_criterion(pipe) == F(-1, 10) * k(1)
+        assert theorem2_symbolic(pipe)
 
 
 class TestTheorems:
     def test_flatness_criterion(self):
-        h4 = theorem1_criterion()
+        h4 = theorem1_criterion(build_pipeline(MIN_ORDER))
         assert h4 == F(-1, 10) * k(1)
         assert h4.substitute({1: 0.0}) == 0.0
         assert h4.substitute({1: 1.0}) == pytest.approx(-0.1)
 
     def test_straightness_symbolic(self):
-        assert theorem2_symbolic(12)
+        assert theorem2_symbolic(build_pipeline(12))
 
     def test_h6_reduces_to_third_derivative(self, pipe):
         reduced = pipe.h[6].substitute_partial({1: 0})
@@ -244,19 +249,35 @@ class TestTheorems:
         ],
         ids=["h8+k1*k5", "h8+k1^2*k5", "h10+k1*k7", "h8+k0", "h2+k1"],
     )
-    def test_straightness_catches_injected_term(self, monkeypatch, index, extra, check):
+    def test_straightness_catches_injected_term(self, index, extra, check):
         # the first three terms vanish once the odd derivatives below
         # k(k-3) are zeroed, so only the parity classes catch them
-        real = expansion.build_pipeline
-        h = list(real(12).h.coeffs)
+        pipe = build_pipeline(12)
+        h = list(pipe.h.coeffs)
         h[index] = h[index] + extra
-        monkeypatch.setattr(
-            expansion, "build_pipeline", lambda order: dataclasses.replace(real(order), h=Series(h))
-        )
         with pytest.raises(VerificationError) as err:
-            theorem2_symbolic(12)
+            theorem2_symbolic(dataclasses.replace(pipe, h=Series(h)))
         assert err.value.check == check
         assert f"h_{index}" in err.value.detail
+
+    @pytest.mark.parametrize(
+        "name, index, fault, check, failure, detail",
+        [
+            ("g", 5, lambda c: c + k(0), wronskian_series, "wronskian.series", "got "),
+            ("h", 5, lambda c: c * 2, h_leading_law, "hlaw.extracted", "k=5"),
+            ("u", 5, lambda c: c * 2, h_leading_law, "hlaw.sqrt_step", "k=5"),
+            ("h", 4, lambda c: c + k(0), theorem1_criterion, "theorem1.h4", "h_4 = "),
+        ],
+        ids=["g5+k0", "h5*2", "u5*2", "h4+k0"],
+    )
+    def test_check_catches_injected_fault(self, pipe, name, index, fault, check, failure, detail):
+        # each fault keeps the coefficient's sqrt2 bit: a mixed one could not be built
+        coeffs = list(getattr(pipe, name).coeffs)
+        coeffs[index] = fault(coeffs[index])
+        with pytest.raises(VerificationError) as err:
+            check(dataclasses.replace(pipe, **{name: Series(coeffs)}))
+        assert err.value.check == failure
+        assert detail in err.value.detail
 
 
 class TestPipelineValidation:
