@@ -56,10 +56,6 @@ class DiffMonomial:
     coeff: QR2Scalar
     exponents: ExponentMap
 
-    def odd_degree(self) -> int:
-        """Total exponent over odd derivative orders."""
-        return sum(e for order, e in self.exponents if order % 2 == 1)
-
     def __str__(self) -> str:
         return _format_term(self.coeff, self.exponents)
 
@@ -83,7 +79,6 @@ _MAX_KAPPA_ORDER = _FIELDS - 1
 _KEY_BITS = _B * _FIELDS
 _FIELD = (1 << _B) - 1
 _GUARD = sum(1 << (_B * o + _B - 1) for o in range(_FIELDS))
-_ODD = sum(_MAX_EXPONENT << (_B * o) for o in range(1, _FIELDS, 2))
 _ODD_LOW_BITS = sum(1 << (_B * o) for o in range(1, _FIELDS, 2))
 
 
@@ -174,19 +169,23 @@ class DiffPoly:
 
     # -- constructors ----------------------------------------------------
 
+    # The single-term constructors build the canonical form directly,
+    # raising as the mapping constructor does.
+
     @classmethod
     def zero(cls) -> DiffPoly:
-        return cls()
+        return _reduced(1, {}, 0)
 
     @classmethod
     def constant(cls, value) -> DiffPoly:
-        return cls({(): value})
+        num, den, bit = _split(value)
+        return _reduced(den, {0: num}, bit)
 
     @classmethod
     def kappa(cls, order: int = 0) -> DiffPoly:
         """The single variable k<order>, i.e. the order-th derivative of kappa;
         the order runs from 0 to 127."""
-        return cls({((order, 1),): 1})
+        return _reduced(1, {_pack(((order, 1),)): 1}, 0)
 
     @classmethod
     def monomial(cls, coeff, exponents: Mapping[int, int]) -> DiffPoly:
@@ -196,7 +195,8 @@ class DiffPoly:
             if order < 0 or e < 0:
                 raise ValueError("orders and exponents must be nonnegative")
         exps = tuple(sorted((o, e) for o, e in exponents.items() if e > 0))
-        return cls({exps: coeff})
+        num, den, bit = _split(coeff)
+        return _reduced(den, {_pack(exps): num} if num else {}, bit)
 
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
@@ -368,15 +368,6 @@ class DiffPoly:
         return not any(
             key >> high or (key & _ODD_LOW_BITS).bit_count() & 1 != parity
             for key in self._terms
-        )
-
-    def kill_odd_derivatives(self) -> DiffPoly:
-        """Substitute 0 for every odd-order derivative of kappa.
-
-        Keeps exactly the monomials of odd degree 0; idempotent.
-        """
-        return _reduced(
-            self._den, {key: n for key, n in self._terms.items() if not key & _ODD}, self._bit
         )
 
     # -- evaluation ----------------------------------------------------------

@@ -16,12 +16,14 @@ U_1 = 1, V = U^(-1) and H = f(V) have rational coefficients, and the
 published series follow as u = U / sqrt2, v_k = sqrt2^k V_k and
 h_k = sqrt2^k H_k.  ``build_pipeline`` computes U, V, H with the same
 ``Series`` operations it publishes and applies sqrt2 once, when it
-assembles the ``Pipeline``, which keeps its frame, of order N + 1: the
-one frame per order, and the one on which the verifier checks Lemma 4.
+assembles the ``Pipeline``, which keeps its frame, of order N + 1, and
+that frame's f and g: the one frame per order, and the one on which the
+verifier checks Lemma 4.
 
 The identity checks judge what they are handed: ``lemma4_check`` a
-frame, and ``wronskian_series``, ``h_leading_law``, ``theorem1_criterion``
-and ``theorem2_symbolic`` a ``Pipeline``, whose ``order`` bounds them.
+frame and its f and g, and ``wronskian_series``, ``h_leading_law``,
+``theorem1_criterion`` and ``theorem2_symbolic`` a ``Pipeline``, whose
+``order`` bounds them.
 None of them builds a frame or a pipeline, so a caller can check a
 pipeline it already holds, or one with a fault put in.
 """
@@ -71,10 +73,14 @@ class FrameCoefficients:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Pipeline series truncated at order N, and the order-(N+1) frame they come from."""
+    """Pipeline series truncated at order N, and the order-(N+1) frame they
+    come from with its component series f_full, g_full (f and g are their
+    truncations)."""
 
     order: int
     frame: FrameCoefficients
+    f_full: Series
+    g_full: Series
     f: Series
     g: Series
     u: Series
@@ -143,6 +149,8 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
     return Pipeline(
         order=order,
         frame=frame,
+        f_full=f_full,
+        g_full=g_full,
         f=f_full.truncate(order),
         g=g_full.truncate(order),
         u=big_u.scale(QR2Scalar(0, Fraction(1, 2))),
@@ -178,17 +186,21 @@ class Lemma4Report:
     q_residuals: tuple[DiffPoly, ...]   # q[k] = k! g_k + (k-3) kappa^(k-4)
 
 
-def lemma4_check(frame: FrameCoefficients) -> Lemma4Report:
-    """Verify the explicit shape of the f and g built from a frame.
+def lemma4_check(frame: FrameCoefficients, f: Series, g: Series) -> Lemma4Report:
+    """Verify the explicit shape of a frame's component series f and g,
+    ``component_series(frame)``.
 
     Checks, for every k up to the frame's order: the leading laws
     l_f[k] = -1/k! and l_g[k] = -(k-3)/k!, the residual class
     memberships, and the recursion-induced identities between
     consecutive residuals.  Raises VerificationError naming the first
-    failing item.  The verifier passes ``build_pipeline(N).frame``.
+    failing item, and ValueError when f or g does not reach the frame's
+    order.  The verifier passes the frame, f_full and g_full of
+    ``build_pipeline(N)``, so it derives them once.
     """
     order = frame.order
-    f, g = component_series(frame)
+    if min(f.order, g.order) < order:
+        raise ValueError(f"f and g must reach the frame's order {order}")
     f_rep = f.explicitness(3)
     g_rep = g.explicitness(4)
 

@@ -2,7 +2,7 @@
 
 The toolbox covers the operations needed to push a curve expansion
 through square root, compositional inversion and composition, plus the
-alternating/explicitness structure of coefficient sequences.
+explicitness structure of coefficient sequences.
 
 Conventions.  A series of order N stores ordinary coefficients c0..cN
 and every operation is exact through the stated output order.  All
@@ -55,16 +55,19 @@ def bell(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
         pos: int, parts_left: int, weight_left: int, denom: int, head: DiffPoly, last
     ) -> None:
         # head * last is the product of the parts taken so far (last is
-        # None before the first part)
-        if parts_left == 0:
-            if weight_left == 0:
-                pairs.append((head.scale(factorial(k) // denom), last))
+        # None before the first part).  Each part still to take has a size
+        # in pos..width, so a branch outside these bounds cannot finish.
+        if not pos * parts_left <= weight_left <= width * parts_left:
             return
-        if pos > width:
+        if parts_left == 0:
+            pairs.append((head.scale(factorial(k) // denom), last))
             return
         walk(pos + 1, parts_left, weight_left, denom, head, last)
         for j in range(1, min(parts_left, weight_left // pos) + 1):
-            # j copies of part size pos
+            # j copies of part size pos; once the parts left over cannot
+            # hold the weight left over, each further copy widens the gap
+            if weight_left - j * pos > width * (parts_left - j):
+                break
             head, last = (head if last is None else head * last), parts[pos]
             denom *= j * factorial(pos)
             walk(pos + 1, parts_left - j, weight_left - j * pos, denom, head, last)
@@ -299,13 +302,6 @@ class Series:
         return Series(out)
 
     # -- grading ---------------------------------------------------------------
-
-    def is_alternating(self, n: int, sigma: int) -> bool:
-        """True when coefficient k lies in the graded class (k-n, k+sigma)
-        for every k up to the order."""
-        return all(
-            self[k].in_class(GradedClass(k - n, k + sigma)) for k in range(self.order + 1)
-        )
 
     def explicitness(self, n: int) -> ExplicitnessReport:
         """Split each coefficient into its leading k(k-n) term and residual.

@@ -8,7 +8,10 @@ composition the triangular solve in ``Series.compositional_inverse`` is
 checked against.  The tuple-keyed oracles are the differential-polynomial
 bookkeeping ``DiffPoly`` did before its packed monomial keys: a
 polynomial is a dict from an exponent map ((order, exponent), ...) to
-its nonzero ``QR2Scalar`` coefficient.  The numeric oracles are the
+its nonzero ``QR2Scalar`` coefficient.  The grading helpers
+(``odd_degree``, ``kill_odd_derivatives``, ``is_alternating``) and the
+product-built ``random_poly_in_class`` read polynomials only through
+their public methods.  The numeric oracles are the
 scalar, one-value-at-a-time forms of the conic plots, the curve
 builders, the chord-root search and the base-point sweep: the array code
 in ``numcurve`` and the array plots of ``cli`` must reproduce them bit
@@ -18,11 +21,20 @@ for bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from affgrav import BracketingError, DiffPoly, GravitySample, NumCurve, Series, VerificationError
+from affgrav import (
+    BracketingError,
+    DiffPoly,
+    GradedClass,
+    GravitySample,
+    NumCurve,
+    Series,
+    VerificationError,
+)
 from affgrav.numcurve import (
     KAPPA_SPREAD_TOL,
     ROOT_TOL,
@@ -112,12 +124,20 @@ def set_partitions(items: list, blocks: int):
 
 
 def bell_by_set_partitions(k: int, l: int, a) -> DiffPoly:
-    """Partial Bell polynomial as a sum over set partitions of {1..k}."""
+    """Partial Bell polynomial as a sum over set partitions of {1..k}.
+
+    A partition contributes the product of a[size] over its blocks; the
+    partitions are counted by their block sizes first, so each distinct
+    product is formed once.
+    """
+    counts = Counter(
+        tuple(sorted(map(len, part))) for part in set_partitions(list(range(1, k + 1)), l)
+    )
     total = DiffPoly.zero()
-    for part in set_partitions(list(range(1, k + 1)), l):
-        term = DiffPoly.constant(1)
-        for block in part:
-            entry = a[len(block)]
+    for sizes, count in counts.items():
+        term = DiffPoly.constant(count)
+        for size in sizes:
+            entry = a[size]
             term = term * (entry if isinstance(entry, DiffPoly) else DiffPoly.constant(entry))
         total = total + term
     return total
@@ -210,6 +230,44 @@ def tuple_str(terms: dict) -> str:
         factors = "".join(f"*k{o}" if e == 1 else f"*k{o}^{e}" for o, e in exps)
         parts.append(f"({coeff}){factors}")
     return " + ".join(parts)
+
+
+# -- grading ------------------------------------------------------------------
+
+
+def odd_degree(mono) -> int:
+    """Total exponent of a ``DiffMonomial`` over odd derivative orders."""
+    return sum(e for order, e in mono.exponents if order % 2 == 1)
+
+
+def kill_odd_derivatives(poly: DiffPoly) -> DiffPoly:
+    """Substitute 0 for every odd-order derivative of kappa: keep exactly
+    the monomials of odd degree 0."""
+    return DiffPoly({m.exponents: m.coeff for m in poly.monomials() if odd_degree(m) == 0})
+
+
+def is_alternating(series: Series, n: int, sigma: int) -> bool:
+    """True when coefficient k lies in the graded class (k-n, k+sigma)
+    for every k up to the order."""
+    return all(
+        series[k].in_class(GradedClass(k - n, k + sigma)) for k in range(series.order + 1)
+    )
+
+
+def random_poly_in_class(rng, k: int, sigma: int) -> DiffPoly:
+    """The grading suite's random member of the class (k, sigma), built
+    from products: the same random draws, one factor at a time."""
+    poly = DiffPoly.zero()
+    for _ in range(rng.randint(1, 3)):
+        mono = DiffPoly.constant(rng.randint(1, 5) - 3 or 1)
+        for _ in range(rng.randint(0, 3)):
+            mono = mono * DiffPoly.kappa(rng.randint(0, k))
+        if not mono.in_class(GradedClass(k, sigma)):
+            mono = mono * DiffPoly.kappa(1 if k >= 1 else 0)
+        poly = poly + mono
+    if poly.is_zero or not poly.in_class(GradedClass(k, sigma)):
+        return DiffPoly.kappa(1) if sigma % 2 else DiffPoly.kappa(0)
+    return poly
 
 
 # -- numeric oracles -----------------------------------------------------------

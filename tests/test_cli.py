@@ -5,6 +5,7 @@ import os
 import random
 from pathlib import Path
 
+import _oracles as oracle
 import pytest
 from click.testing import CliRunner
 
@@ -23,6 +24,13 @@ GRAVITY_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_point0.csv"
 ORDER16_DIGEST = "f17e075173dddb2c36b8e85af9579d3a03abfb7e56fd792a63984795c1ddab45"
 ORDER22_DIGEST = "f7a5e14a49951d1423e4f0f3b5d928e296f951fdf7cfffe5b52d9791ba0410ce"
 ORDER26_DIGEST = "f0cea7e92d427f82305b55baf9e5aaa4e3831a0e9f0237917208408c77bbc311"
+
+
+def _drop_last_term(poly: DiffPoly) -> DiffPoly:
+    terms = poly.monomials()
+    if len(terms) < 2:
+        return poly
+    return DiffPoly({m.exponents: m.coeff for m in terms[:-1]})
 
 
 @pytest.fixture()
@@ -179,6 +187,44 @@ class TestVerify:
         assert calls == [((order + 1,), {})]
         assert expansion.build_pipeline(order).frame is true_frame(order + 1)
 
+    @pytest.mark.parametrize("order", [6, 14, 26])
+    def test_cold_verify_derives_f_and_g_once(self, runner, monkeypatch, cold_caches, order):
+        true_series = expansion.component_series
+        calls = []
+
+        def spy(frame):
+            calls.append(frame.order)
+            return true_series(frame)
+
+        monkeypatch.setattr(expansion, "component_series", spy)
+        result = runner.invoke(main, ["verify", "--order", str(order)])
+        assert result.exit_code == 0
+        assert calls == [order + 1]
+
+    @pytest.mark.parametrize(
+        "method, fault, check",
+        [
+            # every product gains k9, which lies outside each class the suite draws
+            ("__mul__", lambda true: lambda p, q: true(p, q) + DiffPoly.kappa(9), "grading.product"),
+            # no derivative: the parity stays, so p' misses its class
+            ("differentiate", lambda true: lambda p: p, "grading.derivative"),
+            # drops the last term of a derivative with two or more
+            (
+                "differentiate",
+                lambda true: lambda p: _drop_last_term(true(p)),
+                "grading.leibniz",
+            ),
+        ],
+        ids=["product", "derivative", "leibniz"],
+    )
+    def test_grading_fault_is_reported(self, runner, monkeypatch, method, fault, check):
+        expansion.build_pipeline(6)  # built before the fault, so only the suites see it
+        monkeypatch.setattr(DiffPoly, method, fault(getattr(DiffPoly, method)))
+        result = runner.invoke(main, ["verify", "--order", "6"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"FAIL grading_closure: {check}: case 0" in result.output.splitlines()[1]
+
     def test_seed_env_is_reported(self, runner):
         result = runner.invoke(main, ["verify", "--order", "8"], env={"AFFGRAV_SEED": "7"})
         assert result.exit_code == 0
@@ -190,6 +236,19 @@ class TestVerify:
         for seed in range(60):
             poly = _random_poly_in_class(random.Random(seed), k, sigma)
             assert poly and poly.in_class(GradedClass(k, sigma)), (seed, str(poly))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_random_poly_matches_the_product_built_oracle(self, k, sigma):
+        # the same polynomial from the same random state, and the same
+        # state left behind, so the suite's later draws agree too
+        for seed in range(250):
+            rng, oracle_rng = random.Random(seed), random.Random(seed)
+            for draw in range(3):
+                got = _random_poly_in_class(rng, k, sigma)
+                want = oracle.random_poly_in_class(oracle_rng, k, sigma)
+                assert got == want and str(got) == str(want), (seed, draw)
+                assert rng.getstate() == oracle_rng.getstate(), (seed, draw)
 
 
 class TestGravity:
@@ -284,6 +343,8 @@ class TestGravity:
         "args,message",
         [
             (["--point", "5"], "base point 5.0 is not inside the grid"),
+            (["--point", "1e308"], "base point 1e+308 is not inside the grid"),
+            (["--point", "-1e308"], "base point -1e+308 is not inside the grid"),
             (["--point", "nan"], "--point must be finite"),
             (["--delta-count", "3"], "needs --delta-count >= 6"),
             (["--delta0", "nan"], "--delta0 must be finite"),

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from _oracles import compose
+from _oracles import compose, is_alternating, kill_odd_derivatives
 from affgrav import (
     DiffPoly,
     GradedClass,
@@ -147,43 +147,55 @@ class TestCompositionH:
         assert all(w[i].is_zero for i in range(1, w.order + 1))
 
 
+def frame_lemma4(order, corrupt=False):
+    """lemma4_check on the frame of the given order and its f and g."""
+    frame = build_frame(order, corrupt)
+    return lemma4_check(frame, *component_series(frame))
+
+
 class TestLemma4:
     def test_report_laws(self):
-        rep = lemma4_check(build_frame(12))
+        rep = frame_lemma4(12)
         for kk in range(3, 13):
             assert rep.f_report.leading[kk] == QR2Scalar(F(-1, factorial(kk)))
         for kk in range(4, 13):
             assert rep.g_report.leading[kk] == QR2Scalar(F(-(kk - 3), factorial(kk)))
 
     def test_g_leading_vanishes_at_three(self):
-        rep = lemma4_check(build_frame(8))
+        rep = frame_lemma4(8)
         assert rep.g_report.leading[3] == QR2Scalar(0)
         assert component_series(build_frame(8))[1][3].is_zero
 
     def test_q6_residual(self):
         # 6! g_6 + 3 k2 = k0^2
-        rep = lemma4_check(build_frame(8))
+        rep = frame_lemma4(8)
         assert rep.q_residuals[6] == k(0) * k(0)
         assert rep.q_residuals[6].in_class(GradedClass(0, 0))
 
     def test_residual_classes(self):
-        rep = lemma4_check(build_frame(12))
+        rep = frame_lemma4(12)
         for kk in range(13):
             assert rep.p_residuals[kk].in_class(GradedClass(kk - 5, kk + 1))
             assert rep.q_residuals[kk].in_class(GradedClass(kk - 6, kk))
 
     def test_corrupted_frame_is_detected(self):
-        frame = build_frame(8, corrupt=True)
         with pytest.raises(VerificationError) as info:
-            lemma4_check(frame)
+            frame_lemma4(8, corrupt=True)
         assert info.value.check == "lemma4.leading.f"
 
     def test_pipeline_frame_is_checked_one_order_past(self):
         pipe = build_pipeline(10)
         assert pipe.frame is build_frame(11)
-        rep = lemma4_check(pipe.frame)
+        assert (pipe.f_full, pipe.g_full) == component_series(pipe.frame)
+        assert (pipe.f, pipe.g) == (pipe.f_full.truncate(10), pipe.g_full.truncate(10))
+        rep = lemma4_check(pipe.frame, pipe.f_full, pipe.g_full)
         assert rep.order == 11
         assert rep.g_report.leading[11] == QR2Scalar(F(-8, factorial(11)))
+
+    def test_series_short_of_the_frame_are_refused(self):
+        pipe = build_pipeline(10)
+        with pytest.raises(ValueError, match="frame's order 11"):
+            lemma4_check(pipe.frame, pipe.f, pipe.g_full)
 
 
 class TestHLeadingLaw:
@@ -210,6 +222,7 @@ class TestHLeadingLaw:
         monkeypatch.setattr(expansion, "build_frame", refuse)
         monkeypatch.setattr(expansion, "component_series", refuse)
         assert h_leading_law(pipe)[8] == QR2Scalar(-3) * SQRT2**8 * F(1, factorial(9))
+        assert lemma4_check(pipe.frame, pipe.f_full, pipe.g_full).order == 15
         assert wronskian_series(pipe)[0] == 1
         assert theorem1_criterion(pipe) == F(-1, 10) * k(1)
         assert theorem2_symbolic(pipe)
@@ -236,7 +249,7 @@ class TestTheorems:
 
     def test_even_coefficients_die_without_odd_derivatives(self, pipe):
         for kk in range(0, pipe.order + 1, 2):
-            assert pipe.h[kk].kill_odd_derivatives().is_zero
+            assert kill_odd_derivatives(pipe.h[kk]).is_zero
 
     @pytest.mark.parametrize(
         "index, extra, check",
@@ -286,12 +299,12 @@ class TestPipelineValidation:
             build_pipeline(5)
 
     def test_alternating_structure(self, pipe):
-        assert pipe.f.is_alternating(3, 3)
-        assert pipe.g.is_alternating(4, 0)
-        assert pipe.g.is_alternating(4, 4)
-        assert pipe.u.is_alternating(3, 1)
-        assert pipe.v.is_alternating(3, 1)
-        assert pipe.h.is_alternating(3, 1)
+        assert is_alternating(pipe.f, 3, 3)
+        assert is_alternating(pipe.g, 4, 0)
+        assert is_alternating(pipe.g, 4, 4)
+        assert is_alternating(pipe.u, 3, 1)
+        assert is_alternating(pipe.v, 3, 1)
+        assert is_alternating(pipe.h, 3, 1)
 
 
 def _weight(exponents) -> int:

@@ -10,6 +10,7 @@ from _oracles import (
     compose,
     const_series,
     invert_by_substitution,
+    is_alternating,
     poly_compose_trunc,
     rational_coeffs,
 )
@@ -58,6 +59,46 @@ class TestBell:
     def test_non_exact_entry_raises_type_error(self):
         with pytest.raises(TypeError):
             bell(2, 2, [0, 1.5])
+
+
+class TestBellPruning:
+    """The partition walk leaves branches that cannot finish; every
+    (k, l) up to 10 still matches the sum over set partitions."""
+
+    SEQUENCES = {
+        "generic": GENERIC,
+        # a[i] = sqrt2 * (i + 1) / 3: every product of l entries carries sqrt2^l
+        "sqrt2": [0] + [QR2Scalar(0, F(i + 1, 3)) for i in range(1, 11)],
+        "rational": [0] + [F((-1) ** i * i, i + 2) for i in range(1, 11)],
+    }
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_matches_set_partitions_through_ten(self, name):
+        a = self.SEQUENCES[name]
+        for n in range(1, 11):
+            for l in range(1, n + 1):
+                assert bell(n, l, a) == bell_by_set_partitions(n, l, a), (n, l)
+
+    def test_short_sequence_reads_trailing_entries_as_zero(self):
+        # a[1..3] given; B_{k,l} needs a[1..k-l+1], so a[4..] read as zero
+        short = [0, k(0), 2 * k(1), QR2Scalar(3)]
+        padded = short + [0] * 8
+        for n in range(1, 11):
+            for l in range(1, n + 1):
+                got = bell(n, l, short)
+                assert got == bell_by_set_partitions(n, l, padded), (n, l)
+                if n - l + 1 > 3 and l == 1:
+                    assert got.is_zero
+
+    @pytest.mark.parametrize("n, l", [(3, 4), (3, 0), (1, 2), (0, 0), (5, -1)])
+    def test_argument_range(self, n, l):
+        with pytest.raises(ValueError):
+            bell(n, l, GENERIC)
+
+    @pytest.mark.parametrize("entry", [1.5, 0.0, "1"])
+    def test_non_exact_entry_raises_type_error(self, entry):
+        with pytest.raises(TypeError):
+            bell(6, 2, [0, k(0), entry, k(1)])
 
 
 def egf_powers(a, order):
@@ -265,14 +306,14 @@ class TestAlternatingAndExplicit:
         z = Series.zero(6)
         for n in range(-2, 5):
             for sigma in range(2):
-                assert z.is_alternating(n, sigma)
+                assert is_alternating(z, n, sigma)
 
     def test_constant_quadratic_breaks_odd_offset(self):
         # a nonzero constant at an even index fails odd total parity for
         # every expansion index n
         a = const_series([0, 0, F(1, 2)], order=5)
         for n in range(-3, 6):
-            assert not a.is_alternating(n, 1)
+            assert not is_alternating(a, n, 1)
 
     def test_constant_series_not_explicit(self):
         a = const_series([0, 1, 0, 2, 0, 4], order=6)
@@ -295,7 +336,7 @@ class TestAlternatingAndExplicit:
         rep = a.explicitness(n)
         leads_nonzero = all(rep.leading[kk] for kk in range(n, a.order + 1))
         assert rep.is_explicit == (
-            all(rep.residual_ok) and leads_nonzero and a.is_alternating(n, n)
+            all(rep.residual_ok) and leads_nonzero and is_alternating(a, n, n)
         )
 
 
