@@ -292,7 +292,7 @@ def run_verification(order: int, seed: int) -> list[dict]:
         ("grading_closure", lambda: _suite_grading_closure(seed)),
         ("bell_identity", _suite_bell_identity),
         ("wronskian_series", lambda: expansion.wronskian_series(pipe)),
-        ("lemma4", lambda: expansion.lemma4_check(pipe.frame, pipe.f_full, pipe.g_full)),
+        ("lemma4", lambda: expansion.lemma4_check(pipe.f_full, pipe.g_full)),
         ("h_leading_law", lambda: expansion.h_leading_law(pipe)),
         ("theorem1", lambda: expansion.theorem1_criterion(pipe)),
         ("theorem2", lambda: expansion.theorem2_symbolic(pipe)),
@@ -391,7 +391,7 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
     if self_test:
         frame = expansion.build_frame(order, corrupt=True)
         try:
-            expansion.lemma4_check(frame, *expansion.component_series(frame))
+            expansion.lemma4_check(*expansion.component_series(frame))
         except VerificationError as exc:
             _echo(f"SELF-TEST OK: detected {exc.check}")
             ctx.exit(0)

@@ -16,12 +16,12 @@ U_1 = 1, V = U^(-1) and H = f(V) have rational coefficients, and the
 published series follow as u = U / sqrt2, v_k = sqrt2^k V_k and
 h_k = sqrt2^k H_k.  ``build_pipeline`` computes U, V, H with the same
 ``Series`` operations it publishes and applies sqrt2 once, when it
-assembles the ``Pipeline``, which keeps its frame, of order N + 1, and
-that frame's f and g: the one frame per order, and the one on which the
-verifier checks Lemma 4.
+assembles the ``Pipeline``, which keeps the order-(N + 1) component
+series f_full and g_full it took them from: the verifier checks Lemma 4
+on those, so a run derives f and g once.
 
-The identity checks judge what they are handed: ``lemma4_check`` a
-frame and its f and g, and ``wronskian_series``, ``h_leading_law``,
+The identity checks judge what they are handed: ``lemma4_check`` the
+component series f and g, and ``wronskian_series``, ``h_leading_law``,
 ``theorem1_criterion`` and ``theorem2_symbolic`` a ``Pipeline``, whose
 ``order`` bounds them.
 None of them builds a frame or a pipeline, so a caller can check a
@@ -37,7 +37,7 @@ from math import factorial
 
 from .diffpoly import DiffPoly, GradedClass
 from .errors import VerificationError
-from .powerseries import ExplicitnessReport, Series
+from .powerseries import Series
 from .scalar import QR2Scalar
 
 __all__ = [
@@ -73,12 +73,10 @@ class FrameCoefficients:
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Pipeline series truncated at order N, and the order-(N+1) frame they
-    come from with its component series f_full, g_full (f and g are their
-    truncations)."""
+    """Pipeline series truncated at order N, and the order-(N+1) component
+    series f_full, g_full they come from (f and g are their truncations)."""
 
     order: int
-    frame: FrameCoefficients
     f_full: Series
     g_full: Series
     f: Series
@@ -140,15 +138,13 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
     """
     if order < MIN_ORDER:
         raise ValueError(f"pipeline needs order >= {MIN_ORDER}")
-    frame = build_frame(order + 1)
-    f_full, g_full = component_series(frame)
+    f_full, g_full = component_series(build_frame(order + 1))
     big_u = g_full.scale(2).sqrt()
     big_v, big_h = big_u.compositional_inverse(f_full)
     sqrt2 = QR2Scalar.sqrt2()
     h = big_h.dilate(sqrt2)
     return Pipeline(
         order=order,
-        frame=frame,
         f_full=f_full,
         g_full=g_full,
         f=f_full.truncate(order),
@@ -177,53 +173,48 @@ def wronskian_series(pipe: Pipeline) -> Series:
 
 @dataclass(frozen=True)
 class Lemma4Report:
-    """Explicitness data of f and g together with the scaled residuals."""
+    """The scaled residuals of the component series f and g."""
 
     order: int
-    f_report: ExplicitnessReport
-    g_report: ExplicitnessReport
     p_residuals: tuple[DiffPoly, ...]   # p[k] = k! f_k + kappa^(k-3)
     q_residuals: tuple[DiffPoly, ...]   # q[k] = k! g_k + (k-3) kappa^(k-4)
 
 
-def lemma4_check(frame: FrameCoefficients, f: Series, g: Series) -> Lemma4Report:
-    """Verify the explicit shape of a frame's component series f and g,
-    ``component_series(frame)``.
+def lemma4_check(f: Series, g: Series) -> Lemma4Report:
+    """Verify the explicit shape of the component series f and g of a
+    frame, ``component_series(frame)``.
 
-    Checks, for every k up to the frame's order: the leading laws
-    l_f[k] = -1/k! and l_g[k] = -(k-3)/k!, the residual class
-    memberships, and the recursion-induced identities between
+    Checks, for every k up to their order: the leading laws
+    l_f[k] = -1/k! and l_g[k] = -(k-3)/k!, read as the coefficients of
+    k(k-3) in f_k and k(k-4) in g_k; the residual classes p_k in P^(k-5)
+    and q_k in P^(k-6); and the recursion-induced identities between
     consecutive residuals.  Raises VerificationError naming the first
-    failing item, and ValueError when f or g does not reach the frame's
-    order.  The verifier passes the frame, f_full and g_full of
-    ``build_pipeline(N)``, so it derives them once.
+    failing item, and ValueError when f and g differ in order.  The
+    verifier passes the f_full and g_full of ``build_pipeline(N)``, so
+    it derives them once.
+
+    f and g are then 3- and 4-explicit, with no explicitness report
+    taken: the leading laws are nonzero from k = 3 and k = 4, and P^(k-5)
+    and P^(k-6) lie strictly inside the residual classes that
+    explicitness tests, with the same parity.
     """
-    order = frame.order
-    if min(f.order, g.order) < order:
-        raise ValueError(f"f and g must reach the frame's order {order}")
-    f_rep = f.explicitness(3)
-    g_rep = g.explicitness(4)
-
+    order = f.order
+    if g.order != order:
+        raise ValueError(f"f and g must have one order, got {order} and {g.order}")
     for k in range(3, order + 1):
+        lead = f[k].coefficient_of({k - 3: 1})
         expect = QR2Scalar(Fraction(-1, factorial(k)))
-        if f_rep.leading[k] != expect:
-            raise VerificationError(
-                "lemma4.leading.f", f"k={k}: got {f_rep.leading[k]}, want {expect}"
-            )
+        if lead != expect:
+            raise VerificationError("lemma4.leading.f", f"k={k}: got {lead}, want {expect}")
     for k in range(4, order + 1):
+        lead = g[k].coefficient_of({k - 4: 1})
         expect = QR2Scalar(Fraction(-(k - 3), factorial(k)))
-        if g_rep.leading[k] != expect:
-            raise VerificationError(
-                "lemma4.leading.g", f"k={k}: got {g_rep.leading[k]}, want {expect}"
-            )
-    if not f_rep.is_explicit:
-        raise VerificationError("lemma4.explicit.f", "f is not 3-explicit")
-    if not g_rep.is_explicit:
-        raise VerificationError("lemma4.explicit.g", "g is not 4-explicit")
+        if lead != expect:
+            raise VerificationError("lemma4.leading.g", f"k={k}: got {lead}, want {expect}")
 
-    p = [frame.phi[k] + _kappa_or_zero(k - 3) for k in range(order + 1)]
+    p = [f[k] * factorial(k) + _kappa_or_zero(k - 3) for k in range(order + 1)]
     q = [
-        frame.psi[k] + Fraction(k - 3) * _kappa_or_zero(k - 4)
+        g[k] * factorial(k) + Fraction(k - 3) * _kappa_or_zero(k - 4)
         for k in range(order + 1)
     ]
     kappa = DiffPoly.kappa(0)
@@ -250,60 +241,43 @@ def lemma4_check(frame: FrameCoefficients, f: Series, g: Series) -> Lemma4Report
             raise VerificationError(
                 "lemma4.induction.q", f"k={k}: q_k = {q[k]}, recursion gives {want_q}"
             )
-    return Lemma4Report(
-        order=order,
-        f_report=f_rep,
-        g_report=g_rep,
-        p_residuals=tuple(p),
-        q_residuals=tuple(q),
-    )
+    return Lemma4Report(order=order, p_residuals=tuple(p), q_residuals=tuple(q))
 
 
 def h_leading_law(pipe: Pipeline) -> list[QR2Scalar]:
-    """Leading coefficients of a pipeline's h, checked two independent ways.
+    """Leading coefficients of a pipeline's h, with those of u and v.
 
-    Returns the list l_h[0..N] where l_h[k] = -3 sqrt(2)^k / (k+1)! for
-    k >= 3.  Checks extraction from h, u and v against the composition
-    route from Lemma 4's law l_g[k+1] = -(k-2)/(k+1)!, checked on the
-    pipeline's frame by ``lemma4_check``, through l_u and l_v; raises
-    VerificationError.
+    Returns the list l_h[0..N], where l_h[k] is the coefficient of
+    k(k-3) in h_k: 0 for k < 3 and -3 sqrt(2)^k / (k+1)! from there.
+    Checks the values read off h, u and v against closed forms: l_h's
+    own, and the square-root and inverse steps from Lemma 4's law
+    l_g[k+1] = -(k-2)/(k+1)!, which ``lemma4_check`` checks on the
+    pipeline's g_full.  Raises VerificationError.
     """
-    h_rep = pipe.h.explicitness(3)
-    u_rep = pipe.u.explicitness(3)
-    v_rep = pipe.v.explicitness(3)
     sqrt2 = QR2Scalar.sqrt2()
-    u1 = pipe.u[1].constant_value()
-    v1 = pipe.v[1].constant_value()
-    f1 = pipe.f[1].constant_value()
-    if (u1, v1, f1) != (QR2Scalar(0, Fraction(1, 2)), sqrt2, QR2Scalar(1)):
-        raise VerificationError("hlaw.setup", f"u1={u1}, v1={v1}, f1={f1}")
+    u1 = QR2Scalar(0, Fraction(1, 2))
+    got = (pipe.u[1], pipe.v[1], pipe.f[1])
+    if got != tuple(map(DiffPoly.constant, (u1, sqrt2, 1))):
+        raise VerificationError("hlaw.setup", "u1={}, v1={}, f1={}".format(*got))
 
+    leads = [QR2Scalar(0)] * 3
     for k in range(3, pipe.order + 1):
+        lh = pipe.h[k].coefficient_of({k - 3: 1})
         expect = QR2Scalar(-3) * sqrt2**k * Fraction(1, factorial(k + 1))
-        if h_rep.leading[k] != expect:
-            raise VerificationError(
-                "hlaw.extracted", f"k={k}: got {h_rep.leading[k]}, want {expect}"
-            )
+        if lh != expect:
+            raise VerificationError("hlaw.extracted", f"k={k}: got {lh}, want {expect}")
         # square-root step: l_u[k] = l_g[k+1] / sqrt2 since g2 = 1/2
         lu = QR2Scalar(Fraction(-(k - 2), factorial(k + 1))) / sqrt2
-        if u_rep.leading[k] != lu:
-            raise VerificationError(
-                "hlaw.sqrt_step", f"k={k}: got {u_rep.leading[k]}, want {lu}"
-            )
+        got_u = pipe.u[k].coefficient_of({k - 3: 1})
+        if got_u != lu:
+            raise VerificationError("hlaw.sqrt_step", f"k={k}: got {got_u}, want {lu}")
         # inverse step: l_v[k] = -u1^(-k-1) l_u[k]
         lv = -(u1 ** (-k - 1)) * lu
-        if v_rep.leading[k] != lv:
-            raise VerificationError(
-                "hlaw.inverse_step", f"k={k}: got {v_rep.leading[k]}, want {lv}"
-            )
-        # composition step: l_h[k] = f1 l_v[k] + v1^k l_f[k]
-        lf = QR2Scalar(Fraction(-1, factorial(k)))
-        lh = f1 * lv + v1**k * lf
-        if lh != expect:
-            raise VerificationError(
-                "hlaw.composed", f"k={k}: composition route gives {lh}, want {expect}"
-            )
-    return list(h_rep.leading)
+        got_v = pipe.v[k].coefficient_of({k - 3: 1})
+        if got_v != lv:
+            raise VerificationError("hlaw.inverse_step", f"k={k}: got {got_v}, want {lv}")
+        leads.append(lh)
+    return leads
 
 
 def theorem1_criterion(pipe: Pipeline) -> DiffPoly:

@@ -114,19 +114,22 @@ def test_criterion_2_lemma4_laws():
     build_pipeline.cache_clear()
     build_frame.cache_clear()
     t0 = time.perf_counter()
-    frame = build_frame(12)
-    rep = lemma4_check(frame, *component_series(frame))  # raises on any failure
+    f, g = component_series(build_frame(12))
+    rep = lemma4_check(f, g)  # raises on any failure
     elapsed = time.perf_counter() - t0
+    assert rep.order == 12
+    f_rep, g_rep = f.explicitness(3), g.explicitness(4)
     for kk in range(3, 13):
-        assert rep.f_report.leading[kk] == QR2Scalar(F(-1, factorial(kk)))
-        assert rep.g_report.leading[kk] == QR2Scalar(F(-(kk - 3), factorial(kk)))
+        assert f_rep.leading[kk] == QR2Scalar(F(-1, factorial(kk)))
+        assert g_rep.leading[kk] == QR2Scalar(F(-(kk - 3), factorial(kk)))
     assert elapsed < 5.0
     report(2, f"lemma-4 laws and induction identities exact to k=12 ({elapsed:.3f} s)")
 
 
 def test_criterion_3_h_leading_law():
-    """l_h[k] = -3 sqrt2^k/(k+1)! for 3 <= k <= 12 via both routes."""
-    leads = h_leading_law(build_pipeline(12))  # checks extraction and composition route
+    """l_h[k] = -3 sqrt2^k/(k+1)! for 3 <= k <= 12 via both routes; the
+    composition route is checked against the pipeline in criterion 4."""
+    leads = h_leading_law(build_pipeline(12))  # checks h, u and v against closed forms
     for kk in range(3, 13):
         assert leads[kk] == QR2Scalar(-3) * SQRT2**kk * F(1, factorial(kk + 1))
     report(3, "leading coefficients of h exact to k=12 via both routes")

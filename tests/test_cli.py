@@ -9,7 +9,7 @@ import _oracles as oracle
 import pytest
 from click.testing import CliRunner
 
-from affgrav import DiffPoly, GradedClass, cli, expansion
+from affgrav import DiffPoly, GradedClass, Series, cli, expansion
 from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, _random_poly_in_class, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
@@ -185,7 +185,8 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--order", str(order)])
         assert result.exit_code == 0
         assert calls == [((order + 1,), {})]
-        assert expansion.build_pipeline(order).frame is true_frame(order + 1)
+        pipe = expansion.build_pipeline(order)
+        assert (pipe.f_full, pipe.g_full) == expansion.component_series(true_frame(order + 1))
 
     @pytest.mark.parametrize("order", [6, 14, 26])
     def test_cold_verify_derives_f_and_g_once(self, runner, monkeypatch, cold_caches, order):
@@ -200,6 +201,24 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--order", str(order)])
         assert result.exit_code == 0
         assert calls == [order + 1]
+
+    @pytest.mark.parametrize("order", [6, 14, 26])
+    def test_cold_verify_takes_one_explicitness_report(
+        self, runner, monkeypatch, cold_caches, order
+    ):
+        # h's, for theorem2; lemma4 and h_leading_law read the leading
+        # coefficients off the series
+        true_explicitness = Series.explicitness
+        calls = []
+
+        def spy(series, n):
+            calls.append((series.order, n))
+            return true_explicitness(series, n)
+
+        monkeypatch.setattr(Series, "explicitness", spy)
+        result = runner.invoke(main, ["verify", "--order", str(order)])
+        assert result.exit_code == 0
+        assert calls == [(order, 3)]
 
     @pytest.mark.parametrize(
         "method, fault, check",

@@ -148,23 +148,27 @@ class TestCompositionH:
 
 
 def frame_lemma4(order, corrupt=False):
-    """lemma4_check on the frame of the given order and its f and g."""
-    frame = build_frame(order, corrupt)
-    return lemma4_check(frame, *component_series(frame))
+    """lemma4_check on the f and g of the frame of the given order."""
+    return lemma4_check(*component_series(build_frame(order, corrupt)))
 
 
 class TestLemma4:
     def test_report_laws(self):
-        rep = frame_lemma4(12)
+        f, g = component_series(build_frame(12))
+        rep = lemma4_check(f, g)
+        assert rep.order == 12
+        f_rep, g_rep = f.explicitness(3), g.explicitness(4)
+        assert f_rep.is_explicit and g_rep.is_explicit
         for kk in range(3, 13):
-            assert rep.f_report.leading[kk] == QR2Scalar(F(-1, factorial(kk)))
+            assert f_rep.leading[kk] == QR2Scalar(F(-1, factorial(kk)))
         for kk in range(4, 13):
-            assert rep.g_report.leading[kk] == QR2Scalar(F(-(kk - 3), factorial(kk)))
+            assert g_rep.leading[kk] == QR2Scalar(F(-(kk - 3), factorial(kk)))
 
     def test_g_leading_vanishes_at_three(self):
-        rep = frame_lemma4(8)
-        assert rep.g_report.leading[3] == QR2Scalar(0)
-        assert component_series(build_frame(8))[1][3].is_zero
+        f, g = component_series(build_frame(8))
+        lemma4_check(f, g)
+        assert g.explicitness(4).leading[3] == QR2Scalar(0)
+        assert g[3].is_zero
 
     def test_q6_residual(self):
         # 6! g_6 + 3 k2 = k0^2
@@ -183,19 +187,22 @@ class TestLemma4:
             frame_lemma4(8, corrupt=True)
         assert info.value.check == "lemma4.leading.f"
 
-    def test_pipeline_frame_is_checked_one_order_past(self):
+    def test_pipeline_series_are_checked_one_order_past(self):
         pipe = build_pipeline(10)
-        assert pipe.frame is build_frame(11)
-        assert (pipe.f_full, pipe.g_full) == component_series(pipe.frame)
+        assert (pipe.f_full, pipe.g_full) == component_series(build_frame(11))
         assert (pipe.f, pipe.g) == (pipe.f_full.truncate(10), pipe.g_full.truncate(10))
-        rep = lemma4_check(pipe.frame, pipe.f_full, pipe.g_full)
+        rep = lemma4_check(pipe.f_full, pipe.g_full)
         assert rep.order == 11
-        assert rep.g_report.leading[11] == QR2Scalar(F(-8, factorial(11)))
+        assert pipe.f_full.explicitness(3).is_explicit
+        g_rep = pipe.g_full.explicitness(4)
+        assert g_rep.is_explicit and g_rep.leading[11] == QR2Scalar(F(-8, factorial(11)))
 
-    def test_series_short_of_the_frame_are_refused(self):
+    def test_series_of_unequal_order_are_refused(self):
         pipe = build_pipeline(10)
-        with pytest.raises(ValueError, match="frame's order 11"):
-            lemma4_check(pipe.frame, pipe.f, pipe.g_full)
+        with pytest.raises(ValueError, match="one order, got 10 and 11"):
+            lemma4_check(pipe.f, pipe.g_full)
+        with pytest.raises(ValueError, match="one order, got 11 and 10"):
+            lemma4_check(pipe.f_full, pipe.g)
 
 
 class TestHLeadingLaw:
@@ -222,10 +229,19 @@ class TestHLeadingLaw:
         monkeypatch.setattr(expansion, "build_frame", refuse)
         monkeypatch.setattr(expansion, "component_series", refuse)
         assert h_leading_law(pipe)[8] == QR2Scalar(-3) * SQRT2**8 * F(1, factorial(9))
-        assert lemma4_check(pipe.frame, pipe.f_full, pipe.g_full).order == 15
+        assert lemma4_check(pipe.f_full, pipe.g_full).order == 15
         assert wronskian_series(pipe)[0] == 1
         assert theorem1_criterion(pipe) == F(-1, 10) * k(1)
         assert theorem2_symbolic(pipe)
+
+
+def _lemma4(pipe):
+    return lemma4_check(pipe.f_full, pipe.g_full)
+
+
+def _lead_term(c, order):
+    """The k<order> term of a coefficient."""
+    return DiffPoly.monomial(c.coefficient_of({order: 1}), {order: 1})
 
 
 class TestTheorems:
@@ -277,11 +293,42 @@ class TestTheorems:
         "name, index, fault, check, failure, detail",
         [
             ("g", 5, lambda c: c + k(0), wronskian_series, "wronskian.series", "got "),
+            # a u1 that is not constant is a setup failure, not a ValueError
+            ("u", 1, lambda c: c + SQRT2 * k(0), h_leading_law, "hlaw.setup", "u1="),
             ("h", 5, lambda c: c * 2, h_leading_law, "hlaw.extracted", "k=5"),
             ("u", 5, lambda c: c * 2, h_leading_law, "hlaw.sqrt_step", "k=5"),
+            ("v", 5, lambda c: c * 2, h_leading_law, "hlaw.inverse_step", "k=5"),
             ("h", 4, lambda c: c + k(0), theorem1_criterion, "theorem1.h4", "h_4 = "),
+            # h_8 keeps its class but loses its k5 term
+            ("h", 8, lambda c: c - _lead_term(c, 5), theorem2_symbolic, "theorem2.leading", "l_h[8]"),
+            ("g_full", 7, lambda c: c * 2, _lemma4, "lemma4.leading.g", "k=7"),
+            # k4 and k3 lie above P^3 and P^2; the leading terms stay
+            ("f_full", 8, lambda c: c + k(4), _lemma4, "lemma4.residual.f", "p_8 = "),
+            ("g_full", 8, lambda c: c + k(3), _lemma4, "lemma4.residual.g", "q_8 = "),
+            # p_11 gains k6, which lies in its class P^6 with its parity;
+            # at the top order only the recursion sees it
+            (
+                "f_full",
+                11,
+                lambda c: c + k(6) * F(1, factorial(11)),
+                _lemma4,
+                "lemma4.induction.p",
+                "k=11",
+            ),
         ],
-        ids=["g5+k0", "h5*2", "u5*2", "h4+k0"],
+        ids=[
+            "g5+k0",
+            "u1+sqrt2*k0",
+            "h5*2",
+            "u5*2",
+            "v5*2",
+            "h4+k0",
+            "h8-lead",
+            "g_full7*2",
+            "f_full8+k4",
+            "g_full8+k3",
+            "f_full11+k6",
+        ],
     )
     def test_check_catches_injected_fault(self, pipe, name, index, fault, check, failure, detail):
         # each fault keeps the coefficient's sqrt2 bit: a mixed one could not be built
