@@ -7,40 +7,43 @@ proves the structural identities of the expansion pipeline by exact
 computation.  The numeric half realizes curves from a
 prescribed curvature or a parametric plot and measures flatness and
 straightness of the chord-midpoint curve; it is the only part that
-imports numpy, and it loads when one of its names is first used.
+imports numpy.
+
+Every public name loads its module on first access, so importing the
+package, or ``affgrav.cli``, loads neither half: the numeric command
+runs without the exact layer and the symbolic commands without numpy.
 """
 
 from importlib import import_module as _import_module
 
-from .diffpoly import DiffMonomial, DiffPoly, GradedClass
-from .errors import (
-    AffGravError,
-    BracketingError,
-    DegenerateCurveError,
-    MissingAssignmentError,
-    VerificationError,
-)
-from .expansion import (
-    FrameCoefficients,
-    Lemma4Report,
-    Pipeline,
-    build_frame,
-    build_pipeline,
-    h_leading_law,
-    lemma4_check,
-    theorem1_criterion,
-    theorem2_symbolic,
-    wronskian_series,
-)
-from .powerseries import ExplicitnessReport, Series, bell
-from .scalar import QR2Scalar
-
 __version__ = "0.1.0"
 
-# The numeric half needs numpy; its names load on first access, so the
-# symbolic half and the command line start without it.
-_NUMERIC = frozenset(
-    {
+# Submodule -> the public names it defines.  A submodule, and with it
+# each of its names, is imported on first access.
+_EXPORTS = {
+    "diffpoly": ("DiffMonomial", "DiffPoly", "GradedClass"),
+    "errors": (
+        "AffGravError",
+        "BracketingError",
+        "DegenerateCurveError",
+        "MissingAssignmentError",
+        "VerificationError",
+    ),
+    "expansion": (
+        "FrameCoefficients",
+        "Lemma4Report",
+        "Pipeline",
+        "build_frame",
+        "build_pipeline",
+        "h_leading_law",
+        "lemma4_check",
+        "theorem1_criterion",
+        "theorem2_symbolic",
+        "wronskian_series",
+    ),
+    "powerseries": ("ExplicitnessReport", "Series", "bell"),
+    "scalar": ("QR2Scalar",),
+    "numcurve": (
         "FlatnessResult",
         "GravitySample",
         "KappaCurveSpec",
@@ -56,16 +59,18 @@ _NUMERIC = frozenset(
         "reparametrize_affine",
         "straightness_test",
         "wronskian_drift",
-    }
-)
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name == "numcurve" or name in _NUMERIC:
-        numcurve = _import_module(".numcurve", __name__)
-        return numcurve if name == "numcurve" else getattr(numcurve, name)
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name in _MODULE_OF:
+        return getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(globals()) | _NUMERIC | {"numcurve"})
+    return sorted(set(globals()) | set(_EXPORTS) | set(_MODULE_OF))

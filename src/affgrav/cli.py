@@ -1,9 +1,11 @@
 """Command-line front end: symbolic expansion, identity verification,
 and chord-midpoint experiments on built-in curve fixtures.
 
-Only the gravity code paths import ``numcurve`` (and with it numpy), each
-where it uses it, so ``expand``, ``verify`` and ``--help`` start without
-the numeric layer.
+Each half of the package loads where a command uses it: the gravity code
+paths import ``numcurve`` (and with it numpy), and ``expand``, ``verify``
+and their suites import the exact layer (``expansion``, ``powerseries``,
+``diffpoly``, ``scalar``).  So ``--help`` starts with neither, ``expand``
+and ``verify`` without numpy, and ``gravity`` without the exact layer.
 """
 
 from __future__ import annotations
@@ -11,36 +13,50 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from importlib import import_module
 from itertools import chain
 from typing import TYPE_CHECKING
 
 import click
 
-from . import expansion
 from .defaults import (
     DEFAULT_DELTA0,
     DEFAULT_DELTA_COUNT,
     DEFAULT_DELTA_RATIO,
+    DEFAULT_ORDER,
     DEFAULT_STEP,
     DEFAULT_TOL_FLAT,
+    MAX_ORDER,
+    MIN_ORDER,
     STRAIGHT_TOL_FLOOR,
     TOL_STRAIGHT_FACTOR,
 )
-from .diffpoly import DiffPoly, GradedClass
 from .errors import AffGravError, BracketingError, VerificationError
-from .expansion import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER, build_pipeline
-from .powerseries import Series, bell
 
 if TYPE_CHECKING:
+    import random
+
     import numpy as np
 
+    from .diffpoly import DiffPoly
     from .numcurve import NumCurve
 
 __all__ = ["main", "Config", "parse_fixture"]
+
+# Exact-layer names this module once imported at its top.  They still
+# read as attributes here, resolved through the package on each access,
+# so a name patched in its own module reads patched here too.
+_EXACT_LAYER_NAMES = frozenset(
+    {"expansion", "build_pipeline", "DiffPoly", "GradedClass", "Series", "bell"}
+)
+
+
+def __getattr__(name: str):
+    if name in _EXACT_LAYER_NAMES:
+        return getattr(import_module(__package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _ORDER_OPTION = click.IntRange(MIN_ORDER, MAX_ORDER)
 # Upper bounds of the gravity work sizes, checked before anything is built.
@@ -239,6 +255,10 @@ def _random_poly_in_class(rng: random.Random, k: int, sigma: int) -> DiffPoly:
     times zero to three factors k0..k<k>, with one more factor k1 when
     the count of odd orders has the wrong parity.
     """
+    from collections import Counter
+
+    from .diffpoly import DiffPoly
+
     poly = DiffPoly.zero()
     for _ in range(rng.randint(1, 3)):
         coeff = rng.randint(1, 5) - 3 or 1
@@ -252,6 +272,10 @@ def _random_poly_in_class(rng: random.Random, k: int, sigma: int) -> DiffPoly:
 
 
 def _suite_grading_closure(seed: int) -> None:
+    import random
+
+    from .diffpoly import GradedClass
+
     rng = random.Random(seed)
     for case in range(40):
         k1, k2 = rng.randint(1, 4), rng.randint(1, 4)
@@ -274,6 +298,11 @@ def _suite_grading_closure(seed: int) -> None:
 
 def _suite_bell_identity() -> None:
     # l! B_{k,l}(a) = k! [s^k] A^l with A = sum a_i s^i / i!
+    from fractions import Fraction
+
+    from .diffpoly import DiffPoly
+    from .powerseries import Series, bell
+
     generic = [DiffPoly.zero()] + [DiffPoly.kappa(i) for i in range(10)]
     big_a = Series(a * Fraction(1, math.factorial(i)) for i, a in enumerate(generic))
     powers = [None, big_a]
@@ -287,7 +316,9 @@ def _suite_bell_identity() -> None:
 
 def run_verification(order: int, seed: int) -> list[dict]:
     """Run the seven suites in order on one pipeline built at ``order``."""
-    pipe = build_pipeline(order)
+    from . import expansion
+
+    pipe = expansion.build_pipeline(order)
     suites = [
         ("grading_closure", lambda: _suite_grading_closure(seed)),
         ("bell_identity", _suite_bell_identity),
@@ -351,6 +382,8 @@ def main() -> None:
 def cmd_expand(order: int, fmt: str) -> None:
     """Print the pipeline series f, g, u, v, h and the midpoint-curve
     abscissa through the given order."""
+    from .expansion import build_pipeline
+
     pipe = build_pipeline(order)
     series = {
         "f": pipe.f,
@@ -389,6 +422,8 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
     """Run the symbolic identity suite; nonzero exit on any failure."""
     seed = _seed_from_env()
     if self_test:
+        from . import expansion
+
         frame = expansion.build_frame(order, corrupt=True)
         try:
             expansion.lemma4_check(*expansion.component_series(frame))

@@ -1,11 +1,19 @@
-"""Constants of the numeric experiment that the command line needs.
+"""Constants that the command line needs before it runs a command: the
+order bounds of the exact pipeline and the defaults of the numeric
+experiment.
 
-They live apart from ``numcurve`` so that ``gravity --help`` and the
-input checks of ``Config.validate`` run without importing numpy;
-``numcurve`` re-exports the ones it uses.
+They live apart from ``expansion`` and ``numcurve`` so that ``--help``,
+option parsing and the input checks of ``Config.validate`` run without
+the exact layer or numpy; ``expansion`` and ``numcurve`` re-export the
+ones they use.
 """
 
 import sys
+
+# Series orders the pipeline builds: MIN_ORDER <= N <= MAX_ORDER.
+DEFAULT_ORDER = 10
+MIN_ORDER = 6
+MAX_ORDER = 26
 
 DEFAULT_STEP = 1e-3
 DEFAULT_TOL_FLAT = 1e-3

@@ -208,7 +208,7 @@ class DiffPoly:
         above 127."""
         pairs = [(p, q) for p, q in pairs if p._terms and q._terms]
         if not pairs:
-            return DiffPoly()
+            return _reduced(1, {}, 0)
         bit = _one_bit(p._bit ^ q._bit for p, q in pairs)
         den = lcm(*(p._den * q._den for p, q in pairs))
         nums: dict[int, int] = {}

@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from .defaults import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER
 from .diffpoly import DiffPoly, GradedClass
 from .errors import VerificationError
 from .powerseries import Series
@@ -55,10 +56,6 @@ __all__ = [
     "MIN_ORDER",
     "MAX_ORDER",
 ]
-
-DEFAULT_ORDER = 10
-MIN_ORDER = 6
-MAX_ORDER = 26
 
 
 @dataclass(frozen=True)

@@ -398,21 +398,28 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     return renormalize(raw, 0.0)
 
 
+def _affine_map(curve: NumCurve, p: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The map that ``renormalize`` applies at p: the grid node j nearest
+    p, the origin c(s_j) and the transposed inverse frame inv_t, so that a
+    point x maps to (x - origin) @ inv_t and a frame vector v to v @ inv_t.
+    """
+    j = curve.index_of(p)
+    frame = np.column_stack([curve.d1[j], curve.d2[j]])
+    return j, curve.points[j], np.linalg.inv(frame).T
+
+
 def renormalize(curve: NumCurve, p: float) -> NumCurve:
     """Affinely move the base point to the grid node nearest p.
 
     The affine map sends (c(p), c'(p), c''(p)) to ((0,0), e1, e2); grid
     values shift so the base point reads s = 0.
     """
-    j = curve.index_of(p)
-    origin = curve.points[j]
-    frame = np.column_stack([curve.d1[j], curve.d2[j]])
-    inv = np.linalg.inv(frame)
+    j, origin, inv_t = _affine_map(curve, p)
     return NumCurve(
         grid=curve.grid - curve.grid[j],
-        points=(curve.points - origin) @ inv.T,
-        d1=curve.d1 @ inv.T,
-        d2=curve.d2 @ inv.T,
+        points=(curve.points - origin) @ inv_t,
+        d1=curve.d1 @ inv_t,
+        d2=curve.d2 @ inv_t,
         step=curve.step,
     )
 
@@ -571,10 +578,12 @@ def _sweep_samples(
     """``gravity_samples`` of the curve renormalized at each base point,
     in order.
 
-    Base points are solved a chunk at a time, each chunk in one pass.  A
-    chunk stacks at most ``_SWEEP_TABLE`` entries per table and, beyond
-    one point, at most ``_BLOCK`` lanes.  An error surfaces at the base
-    point where a loop over the points would have raised it.
+    Only the grid and the points of each renormalized curve are mapped;
+    the chord roots read nothing else.  Base points are solved a chunk at
+    a time, each chunk in one pass.  A chunk stacks at most
+    ``_SWEEP_TABLE`` entries per table and, beyond one point, at most
+    ``_BLOCK`` lanes.  An error surfaces at the base point where a loop
+    over the points would have raised it.
     """
     n = len(curve)
     size = max(1, min(_BLOCK // (2 * max(1, len(deltas))), _SWEEP_TABLE // n))
@@ -583,12 +592,13 @@ def _sweep_samples(
         centers, error = [], None
         for r, p in enumerate(base_points[i : i + size]):
             try:
-                local = renormalize(curve, p)
+                j, origin, inv_t = _affine_map(curve, p)
             except ValueError as exc:  # LinAlgError is one too
                 error = exc
                 break
-            grids[r], gs[r], fs[r] = local.grid, local.points[:, 1], local.points[:, 0]
-            centers.append(local.center_index())
+            points = (curve.points - origin) @ inv_t
+            grids[r], gs[r], fs[r] = curve.grid - curve.grid[j], points[:, 1], points[:, 0]
+            centers.append(j)  # the zero of the shifted uniform grid
         done = len(centers)
         if done:
             yield from _samples_per_row(grids[:done], gs[:done], fs[:done], centers, deltas)

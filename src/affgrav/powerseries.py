@@ -265,7 +265,8 @@ class Series:
             scale = inv_a1**k
             for f, w in zip(targets, solved):
                 acc = DiffPoly.sum_of_products((w[l], powers[l][k]) for l in range(1, k))
-                w.append((f[k] - acc) * scale)
+                # a1 = 1 in the pipeline (U_1 = 1): no rescale to rebuild
+                w.append(f[k] - acc if scale == 1 else (f[k] - acc) * scale)
         return tuple(Series(w) for w in solved)
 
     def sqrt(self) -> Series:

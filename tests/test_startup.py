@@ -1,6 +1,7 @@
-"""The symbolic commands start without the numeric layer: in a fresh
-interpreter, importing the CLI and running ``--help``, ``expand`` or
-``verify`` leave numpy out of ``sys.modules``."""
+"""Each half of the package loads only where a command uses it: in a
+fresh interpreter, importing the CLI and running ``--help``, ``expand``
+or ``verify`` leave numpy out of ``sys.modules``, and importing the CLI,
+``--help`` and ``gravity`` leave the exact layer out of it."""
 
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+EXACT_LAYER = {f"affgrav.{name}" for name in ("diffpoly", "scalar", "powerseries", "expansion")}
 # Prints sys.modules as the interpreter exits, after a command's SystemExit too.
 REPORT = (
     "import atexit, json, sys\n"
@@ -62,3 +64,44 @@ def test_numeric_layer_still_loads_where_it_is_used():
     assert {"numpy", "affgrav.numcurve"} <= modules_after(gravity)
     lazy = "from affgrav import NumCurve, numcurve\nassert numcurve.NumCurve is NumCurve"
     assert "numpy" in modules_after(lazy)
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "import affgrav.cli",
+        command("--help"),
+        command("gravity", "--help"),
+        command("gravity", "--fixture", "ellipse:2,1", "--sweep", "3"),
+    ],
+    ids=["import", "help", "gravity-help", "gravity"],
+)
+def test_numeric_start_does_not_import_the_exact_layer(statement):
+    modules = modules_after(statement)
+    assert "affgrav.cli" in modules
+    assert not EXACT_LAYER & modules, sorted(EXACT_LAYER & modules)
+
+
+@pytest.mark.parametrize(
+    "statement",
+    [command("expand", "--order", "6"), command("verify", "--order", "6")],
+    ids=["expand", "verify"],
+)
+def test_exact_layer_still_loads_where_it_is_used(statement):
+    assert EXACT_LAYER <= modules_after(statement)
+
+
+def test_every_listed_name_resolves():
+    import affgrav
+
+    names = dir(affgrav)
+    assert {"build_pipeline", "NumCurve", "expansion", "numcurve"} <= set(names)
+    for name in names:
+        getattr(affgrav, name)
+
+
+def test_cli_names_of_the_exact_layer_are_the_modules_own():
+    from affgrav import cli, expansion, powerseries
+
+    assert cli.build_pipeline is expansion.build_pipeline
+    assert cli.expansion is expansion and cli.bell is powerseries.bell
