@@ -28,6 +28,17 @@ last field.  Products and derivatives check their result keys for
 either once and raise ValueError; the constructor refuses an exponent
 or order it cannot store.  The expansion needs far less: the order-26
 pipeline, frame included, uses exponents up to 13 and orders up to 24.
+
+Term order.  Text and ``monomials()`` list terms graded-lexicographically:
+total degree first, then the exponent maps pair by pair.  At the lowest
+order o where two maps of one degree differ, the smaller exponent of
+``ko`` comes first, and a map without ``ko`` comes after one with it,
+since its next pair has a higher order.  Both read this off the key
+bytes: byte o of the key's little-endian ``to_bytes`` is the exponent of
+``ko``, so the degree is the byte sum, and within one degree sorting the
+bytes with 0 read as 255, above any exponent, decides at that same first
+differing byte in the same way.  The length of the bytes never decides:
+``to_bytes`` drops trailing zeros, so a proper prefix has lower degree.
 """
 
 from __future__ import annotations
@@ -60,15 +71,11 @@ class DiffMonomial:
         return _format_term(self.coeff, self.exponents)
 
 
-def _format_term(coeff, exps: ExponentMap) -> str:
-    factors = "*".join(f"k{order}" if e == 1 else f"k{order}^{e}" for order, e in exps)
-    head = f"({coeff})"
-    return head if not factors else f"{head}*{factors}"
-
-
-def _monomial_key(exps: ExponentMap) -> tuple:
-    # graded-lex: total degree first, then the exponent map itself
-    return (sum(e for _, e in exps), exps)
+def _format_term(coeff, pairs: Iterable[tuple[int, int]]) -> str:
+    """The text of coeff times k<order>^e over the (order, e) pairs,
+    skipping zero exponents."""
+    factors = [f"k{order}" if e == 1 else f"k{order}^{e}" for order, e in pairs if e]
+    return f"({coeff})*{'*'.join(factors)}" if factors else f"({coeff})"
 
 
 # Packed monomial keys; see the module docstring.
@@ -97,10 +104,24 @@ def _pack(exps: ExponentMap) -> int:
     return key
 
 
-def _unpack(key: int) -> ExponentMap:
-    """The exponent map of a key: one byte per field, since B = 8."""
-    fields = key.to_bytes((key.bit_length() + 7) // 8, "little")
+def _fields(key: int) -> bytes:
+    """The fields of a key, one byte each since B = 8: byte o is the
+    exponent of k<o>, and trailing zero fields are dropped."""
+    return key.to_bytes((key.bit_length() + 7) // 8, "little")
+
+
+def _unpack(fields: bytes) -> ExponentMap:
+    """The exponent map of a key's fields."""
     return tuple((order, e) for order, e in enumerate(fields) if e)
+
+
+# Fields with byte 0 (a missing factor) read as 255, above any exponent.
+_ZERO_LAST = bytes([255]) + bytes(range(1, 256))
+
+
+def _graded_lex(term: tuple[bytes, int]) -> tuple[int, bytes]:
+    fields = term[0]
+    return sum(fields), fields.translate(_ZERO_LAST)
 
 
 def _check_storable(keys: Iterable[int]) -> None:
@@ -229,16 +250,17 @@ class DiffPoly:
     def _value(self, n: int) -> QR2Scalar:
         return _scalar(Fraction(n, self._den), self._bit)
 
-    def _sorted_terms(self) -> list[tuple[ExponentMap, int]]:
-        """(exponent map, numerator) pairs in canonical order."""
+    def _sorted_terms(self) -> list[tuple[bytes, int]]:
+        """(fields, numerator) pairs in canonical order; see ``_fields``."""
         return sorted(
-            ((_unpack(key), n) for key, n in self._terms.items()),
-            key=lambda t: _monomial_key(t[0]),
+            [(_fields(key), n) for key, n in self._terms.items()], key=_graded_lex
         )
 
     def monomials(self) -> list[DiffMonomial]:
         """Terms in canonical order."""
-        return [DiffMonomial(self._value(n), exps) for exps, n in self._sorted_terms()]
+        return [
+            DiffMonomial(self._value(n), _unpack(fields)) for fields, n in self._sorted_terms()
+        ]
 
     def coefficient_of(self, exponents: Mapping[int, int]) -> QR2Scalar:
         """The coefficient of a monomial; 0 for one that cannot be stored,
@@ -284,7 +306,10 @@ class DiffPoly:
             return "0"
         den, bit = self._den, self._bit
         return " + ".join(
-            _format_term(_coeff_text(n, den, bit), exps) for exps, n in self._sorted_terms()
+            [
+                _format_term(_coeff_text(n, den, bit), enumerate(fields))
+                for fields, n in self._sorted_terms()
+            ]
         )
 
     def __repr__(self) -> str:
@@ -294,33 +319,24 @@ class DiffPoly:
 
     def __add__(self, other) -> DiffPoly:
         other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        bit = _one_bit((self._bit, other._bit))
-        den = lcm(self._den, other._den)
-        f1, f2 = den // self._den, den // other._den
-        nums = {key: n * f1 for key, n in self._terms.items()}
-        for key, n in other._terms.items():
-            nums[key] = nums.get(key, 0) + n * f2
-        return _reduced(den, nums, bit)
+        return NotImplemented if other is None else _combine(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> DiffPoly:
         other = _as_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else _combine(self, other, -1)
 
     def __rsub__(self, other) -> DiffPoly:
-        return (-self) + other
+        other = _as_poly(other)
+        return NotImplemented if other is None else _combine(other, self, -1)
 
     def __neg__(self) -> DiffPoly:
-        return _reduced(self._den, {key: -n for key, n in self._terms.items()}, self._bit)
+        # negation keeps the gcd and the sqrt2 bit: the result is canonical as built
+        neg = DiffPoly.__new__(DiffPoly)
+        neg._den, neg._bit = self._den, self._bit
+        neg._terms = {key: -n for key, n in self._terms.items()}
+        return neg
 
     def __mul__(self, other) -> DiffPoly:
         if isinstance(other, (int, Fraction, QR2Scalar)):
@@ -374,7 +390,7 @@ class DiffPoly:
 
     def substitute(self, assign: Mapping[int, float]) -> float:
         """Numeric value with the given derivative-order assignments."""
-        terms = [(_unpack(key), n) for key, n in self._terms.items()]
+        terms = [(_unpack(_fields(key)), n) for key, n in self._terms.items()]
         missing = sorted({order for exps, _ in terms for order, _ in exps if order not in assign})
         if missing:
             raise MissingAssignmentError(missing)
@@ -393,7 +409,7 @@ class DiffPoly:
         for key, n in self._terms.items():
             c = self._value(n)
             kept: list[tuple[int, int]] = []
-            for order, e in _unpack(key):
+            for order, e in _unpack(_fields(key)):
                 if order in values:
                     c = c * values[order] ** e
                 else:
@@ -428,6 +444,22 @@ class GradedClass:
 
     def __str__(self) -> str:
         return f"{'P' if self.parity == 0 else 'Q'}^{self.k}"
+
+
+def _combine(p: DiffPoly, q: DiffPoly, sign: int) -> DiffPoly:
+    """p + sign * q for sign 1 or -1, in one pass over both."""
+    if not q._terms:
+        return p
+    if not p._terms:
+        return q if sign == 1 else -q
+    bit = _one_bit((p._bit, q._bit))
+    den = lcm(p._den, q._den)
+    f1, f2 = den // p._den, sign * (den // q._den)
+    nums = {key: n * f1 for key, n in p._terms.items()}
+    get = nums.get
+    for key, n in q._terms.items():
+        nums[key] = get(key, 0) + n * f2
+    return _reduced(den, nums, bit)
 
 
 def _as_poly(x) -> DiffPoly | None:

@@ -47,7 +47,7 @@ def bell(k: int, l: int, a: Sequence[DiffPoly]) -> DiffPoly:
     parts = [None] + [
         _as_poly(a[i]) if i < len(a) else DiffPoly.zero() for i in range(1, width + 1)
     ]
-    if None in parts[1:]:
+    if any(p is None for p in parts[1:]):
         raise TypeError("Bell sequence entries must be DiffPoly or exact scalars")
     pairs: list[tuple[DiffPoly, DiffPoly]] = []
 
@@ -100,8 +100,8 @@ class Series:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        cs = tuple(_as_poly(c) for c in coeffs)
-        if None in cs:
+        cs = tuple(map(_as_poly, coeffs))
+        if any(c is None for c in cs):
             raise TypeError("series coefficients must be DiffPoly or exact scalars")
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
@@ -168,10 +168,14 @@ class Series:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other: Series) -> Series:
+        if not isinstance(other, Series):
+            return NotImplemented
         n = min(self.order, other.order)
         return Series([self[k] + other[k] for k in range(n + 1)])
 
     def __sub__(self, other: Series) -> Series:
+        if not isinstance(other, Series):
+            return NotImplemented
         n = min(self.order, other.order)
         return Series([self[k] - other[k] for k in range(n + 1)])
 
@@ -195,8 +199,11 @@ class Series:
         The default output order is min of the operand orders.  A higher
         order may be requested when the operands' valuations guarantee
         that no unknown coefficient beyond either truncation could
-        contribute.
+        contribute.  A non-series operand raises TypeError; ``scale``
+        multiplies by a scalar.
         """
+        if not isinstance(other, Series):
+            raise TypeError(f"a series multiplies a Series, not {type(other).__name__}")
         if order is None:
             order = min(self.order, other.order)
         va, vb = self.valuation(), other.valuation()
@@ -206,11 +213,10 @@ class Series:
                 raise ValueError(
                     f"product not exact beyond order {exact_to}, requested {order}"
                 )
-        a = [(i, c) for i, c in enumerate(self._coeffs) if c]
-        b = other._coeffs
+        a, b, na, nb = self._coeffs, other._coeffs, self.order, other.order
         return Series(
             DiffPoly.sum_of_products(
-                (c, b[k - i]) for i, c in a if i <= k and k - i <= other.order
+                (a[i], b[k - i]) for i in range(max(0, k - nb), min(k, na) + 1)
             )
             for k in range(order + 1)
         )

@@ -218,13 +218,19 @@ def tuple_kill_odd_derivatives(terms: dict) -> dict:
     return {exps: c for exps, c in terms.items() if all(order % 2 == 0 for order, _ in exps)}
 
 
+def monomial_key(exps) -> tuple:
+    """Graded-lex sort key of an exponent map: total degree first, then
+    the map itself, compared pair by pair."""
+    return (sum(e for _, e in exps), exps)
+
+
 def tuple_str(terms: dict) -> str:
-    """The text form in graded-lex order (total degree, then exponent map),
-    each coefficient printed as its Fraction or QR2Scalar."""
+    """The text form in graded-lex order (see ``monomial_key``), each
+    coefficient printed as its Fraction or QR2Scalar."""
     if not terms:
         return "0"
     parts = []
-    for exps in sorted(terms, key=lambda exps: (sum(e for _, e in exps), exps)):
+    for exps in sorted(terms, key=monomial_key):
         c = terms[exps]
         coeff = c if c.b else c.a  # a rational prints as its Fraction
         factors = "".join(f"*k{o}" if e == 1 else f"*k{o}^{e}" for o, e in exps)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from _oracles import (
     kill_odd_derivatives,
+    monomial_key,
     odd_degree,
     tuple_differentiate,
     tuple_in_class,
@@ -14,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affgrav import DiffPoly, GradedClass, MissingAssignmentError, QR2Scalar
-from affgrav.diffpoly import _monomial_key
 
 k = DiffPoly.kappa
 
@@ -181,9 +181,23 @@ class TestKillOddDerivatives:
 
 
 class TestTextForm:
-    def test_deterministic_rendering(self):
-        poly = F(1, 120) * k(2) * k(0) * k(0) + F(-1, 6) * k(0)
-        assert str(poly) == "(-1/6)*k0 + (1/120)*k0^2*k2"
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (
+                lambda: F(1, 120) * k(2) * k(0) * k(0) + F(-1, 6) * k(0),
+                "(-1/6)*k0 + (1/120)*k0^2*k2",
+            ),
+            # ties within one degree: the first factor that differs decides,
+            # and a missing factor sorts after any exponent
+            (lambda: k(0) * k(0) + k(0) * k(1), "(1)*k0*k1 + (1)*k0^2"),
+            (lambda: k(1) * k(1) + k(0) * k(2), "(1)*k0*k2 + (1)*k1^2"),
+            (lambda: k(0) + 3, "(3) + (1)*k0"),
+        ],
+        ids=["degrees", "k0k1-k0^2", "k0k2-k1^2", "constant-first"],
+    )
+    def test_deterministic_rendering(self, build, text):
+        assert str(build()) == text
 
     def test_zero(self):
         assert str(DiffPoly.zero()) == "0"
@@ -230,12 +244,25 @@ class TestExactNumberType:
             lambda: DiffPoly({(): 1, ((0, 1),): QR2Scalar.sqrt2()}),
             lambda: k(0) + k(1) * QR2Scalar.sqrt2(),
             lambda: k(0) - QR2Scalar.sqrt2(),
+            lambda: k(0) - k(1) * QR2Scalar.sqrt2(),
+            lambda: 1 - k(1) * QR2Scalar.sqrt2(),
             lambda: k(0) + QR2Scalar(1, 1),
             lambda: k(0).scale(QR2Scalar(F(1, 2), 3)),
             lambda: k(0) * QR2Scalar(1, 1),
             lambda: DiffPoly.sum_of_products([(k(0), k(1)), (k(0) * QR2Scalar.sqrt2(), k(1))]),
         ],
-        ids=["scalar", "terms", "add", "sub-scalar", "add-scalar", "scale", "mul", "products"],
+        ids=[
+            "scalar",
+            "terms",
+            "add",
+            "sub-scalar",
+            "sub",
+            "rsub",
+            "add-scalar",
+            "scale",
+            "mul",
+            "products",
+        ],
     )
     def test_mixed_input_is_refused(self, build):
         with pytest.raises(ValueError, match="mix"):
@@ -273,8 +300,16 @@ class TestPackedKeysMatchTupleOracle:
             assert poly.coefficient_of(dict(exps)) == c
         assert poly.coefficient_of(dict(absent)) == a.get(absent, 0)
         got = [(m.exponents, m.coeff) for m in poly.monomials()]
-        assert got == [(exps, a[exps]) for exps in sorted(a, key=_monomial_key)]
+        assert got == [(exps, a[exps]) for exps in sorted(a, key=monomial_key)]
         assert str(poly) == tuple_str(a)
+
+    def test_term_order_on_every_small_exponent_map(self):
+        # every exponent map with exponents 0..3 over k0..k5
+        maps = [()]
+        for order in range(6):
+            maps = [m + ((order, e),) if e else m for m in maps for e in range(4)]
+        got = [m.exponents for m in DiffPoly(dict.fromkeys(maps, 1)).monomials()]
+        assert got == sorted(maps, key=monomial_key)
 
     @given(tuple_polys(), tuple_polys())
     def test_product_equality_and_hash(self, a, b):
@@ -283,6 +318,16 @@ class TestPackedKeysMatchTupleOracle:
         p_again = DiffPoly(dict(reversed(list(a.items()))))
         assert p == p_again and hash(p) == hash(p_again)
         assert (p == q) == (a == b)
+
+    @given(st.integers(0, 1).flatmap(lambda bit: st.tuples(tuple_polys(bit), tuple_polys(bit))))
+    def test_subtraction_and_negation(self, ab):
+        a, b = ab
+        p, q = DiffPoly(a), DiffPoly(b)
+        minus_a = {exps: -c for exps, c in a.items()}
+        difference = {exps: a.get(exps, 0) - b.get(exps, 0) for exps in a.keys() | b.keys()}
+        for got, want in ((p - q, difference), (-p, minus_a), (0 - p, minus_a), (p - 0, a)):
+            want = DiffPoly({exps: c for exps, c in want.items() if c})
+            assert got == want and hash(got) == hash(want)
 
     @settings(max_examples=50)  # each example draws up to six polynomials
     @given(
@@ -320,6 +365,9 @@ class TestIntegerRendering:
             ((0, 1),): unit * coeff * 5,
             ((1, 2),): -unit * coeff / 3,
             ((0, 1), (2, 1)): unit * F(-1, 2),
+            # degree-2 ties, stored out of order: k0*k1, k0*k2, k0^2, k1^2
+            ((0, 2),): unit * coeff * 7,
+            ((0, 1), (1, 1)): unit * F(2, 3),
         }
         assert str(DiffPoly(terms)) == tuple_str(terms)
 

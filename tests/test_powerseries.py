@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 from math import factorial
 
@@ -14,7 +15,7 @@ from _oracles import (
     poly_compose_trunc,
     rational_coeffs,
 )
-from affgrav import DiffPoly, QR2Scalar, Series, bell
+from affgrav import DiffPoly, QR2Scalar, Series, bell, build_pipeline
 
 k = DiffPoly.kappa
 
@@ -281,6 +282,40 @@ class TestMulGuard:
     def test_valuation_extends_reach(self):
         a = const_series([0, 0, 1, 1])
         assert rational_coeffs(a.mul(a, order=5)) == [0, 0, 0, 0, 1, 2]
+
+
+class TestExactEntries:
+    """Series arithmetic takes a Series, and entries are checked by
+    identity, never through DiffPoly equality."""
+
+    @pytest.mark.parametrize("other", [0.5, 1, DiffPoly.kappa(0)], ids=repr)
+    @pytest.mark.parametrize(
+        "op",
+        [operator.add, operator.sub, Series.mul, lambda s, x: x + s, lambda s, x: x - s],
+        ids=["add", "sub", "mul", "radd", "rsub"],
+    )
+    def test_non_series_operand_raises_type_error(self, op, other):
+        with pytest.raises(TypeError):
+            op(Series([0, 1]), other)
+
+    def test_construction_never_compares_entries(self, monkeypatch):
+        coeffs = build_pipeline(16).h.coeffs
+        compared = []
+        real_eq = DiffPoly.__eq__
+
+        def spy(self, other):
+            compared.append((self, other))
+            return real_eq(self, other)
+
+        monkeypatch.setattr(DiffPoly, "__eq__", spy)
+        Series(coeffs)
+        bell(6, 2, GENERIC)
+        assert not compared
+
+    @pytest.mark.parametrize("bad", [None, 0.5])
+    def test_refused_coefficient(self, bad):
+        with pytest.raises(TypeError, match="series coefficients must be DiffPoly"):
+            Series([0, bad, k(0)])
 
 
 @st.composite
