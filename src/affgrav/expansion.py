@@ -18,7 +18,9 @@ h_k = sqrt2^k H_k.  ``build_pipeline`` computes U, V, H with the same
 ``Series`` operations it publishes and applies sqrt2 once, when it
 assembles the ``Pipeline``, which keeps the order-(N + 1) component
 series f_full and g_full it took them from: the verifier checks Lemma 4
-on those, so a run derives f and g once.
+on those, so a run derives f and g once.  The power table U, U^2, ...
+of the inversion starts from G = 2g, of which U is the square root, so
+U*U is never formed.
 
 The identity checks judge what they are handed: ``lemma4_check`` the
 component series f and g, and ``wronskian_series``, ``h_leading_law``,
@@ -131,13 +133,15 @@ def build_pipeline(order: int = DEFAULT_ORDER) -> Pipeline:
     The square root, inversion and composition run on the rational
     series U, V, H of the module docstring.  V and H come from one
     triangular solve against the power table of U: V(U(s)) = s and
-    H(U(s)) = f(s).
+    H(U(s)) = f(s).  The table starts from G = 2g, which U = sqrt(G)
+    squares to through order N + 1.
     """
     if order < MIN_ORDER:
         raise ValueError(f"pipeline needs order >= {MIN_ORDER}")
     f_full, g_full = component_series(build_frame(order + 1))
-    big_u = g_full.scale(2).sqrt()
-    big_v, big_h = big_u.compositional_inverse(f_full)
+    big_g = g_full.scale(2)
+    big_u = big_g.sqrt()
+    big_v, big_h = big_u.compositional_inverse(f_full, square=big_g)
     sqrt2 = QR2Scalar.sqrt2()
     h = big_h.dilate(sqrt2)
     return Pipeline(

@@ -199,26 +199,33 @@ class Series:
         The default output order is min of the operand orders.  A higher
         order may be requested when the operands' valuations guarantee
         that no unknown coefficient beyond either truncation could
-        contribute.  A non-series operand raises TypeError; ``scale``
-        multiplies by a scalar.
+        contribute; a zero series of order n counts as valuation n + 1,
+        since its coefficients past n are unknown.  Coefficients below
+        the sum of the valuations are zero without a kernel call, and
+        coefficient k sums only the pairs whose factors both lie at or
+        above their series' valuation.  A non-series operand raises
+        TypeError; ``scale`` multiplies by a scalar.
         """
         if not isinstance(other, Series):
             raise TypeError(f"a series multiplies a Series, not {type(other).__name__}")
-        if order is None:
-            order = min(self.order, other.order)
-        va, vb = self.valuation(), other.valuation()
-        if va is not None and vb is not None:
-            exact_to = min(self.order + vb, other.order + va)
-            if order > exact_to:
-                raise ValueError(
-                    f"product not exact beyond order {exact_to}, requested {order}"
-                )
         a, b, na, nb = self._coeffs, other._coeffs, self.order, other.order
+        if order is None:
+            order = min(na, nb)
+        va, vb = self.valuation(), other.valuation()
+        va = na + 1 if va is None else va
+        vb = nb + 1 if vb is None else vb
+        exact_to = min(na + vb, nb + va)
+        if order > exact_to:
+            raise ValueError(f"product not exact beyond order {exact_to}, requested {order}")
+        low = min(va + vb, order + 1)
         return Series(
-            DiffPoly.sum_of_products(
-                (a[i], b[k - i]) for i in range(max(0, k - nb), min(k, na) + 1)
-            )
-            for k in range(order + 1)
+            [DiffPoly.zero()] * low
+            + [
+                DiffPoly.sum_of_products(
+                    (a[i], b[k - i]) for i in range(max(va, k - nb), min(k - vb, na) + 1)
+                )
+                for k in range(low, order + 1)
+            ]
         )
 
     def s_derivative(self) -> Series:
@@ -237,7 +244,9 @@ class Series:
 
     # -- inversion and composition ----------------------------------------------
 
-    def compositional_inverse(self, *outer: Series) -> tuple[Series, ...]:
+    def compositional_inverse(
+        self, *outer: Series, square: Series | None = None
+    ) -> tuple[Series, ...]:
         """(b, F_1(b), ..., F_m(b)) through this series' order, where b is
         the compositional inverse: b(self(s)) = self(b(t)) = t.
 
@@ -247,6 +256,12 @@ class Series:
         constant term passes through as W[0] = F[0].  Requires zero
         constant term, a nonzero constant linear coefficient, and outer
         series of at least this order.
+
+        ``square``, when given, is the caller's a*a and starts the table
+        in place of ``self.mul(self)``; it must agree with a*a through
+        this series' order, which the caller guarantees (``sqrt`` does
+        for its input).  A square of lower order, or whose coefficients
+        0, 1 and 2 are not 0, 0 and a1^2, raises ValueError.
         """
         if self[0]:
             raise ValueError(f"nonzero constant term {self[0]}")
@@ -261,8 +276,15 @@ class Series:
         for f in outer:
             if f.order < n:
                 raise ValueError(f"outer series of order {f.order} is shorter than {n}")
-        powers = [None, self]
-        for _ in range(2, n):
+        if square is None:
+            square = self.mul(self)
+        elif square.order < n:
+            raise ValueError(f"square of order {square.order} is shorter than {n}")
+        elif square.coeffs[:3] != (0, 0, a1 * a1)[: square.order + 1]:
+            got = ", ".join(map(str, square.coeffs[:3]))
+            raise ValueError(f"square starts {got}, not 0, 0, {a1 * a1}")
+        powers = [None, self, square]
+        for _ in range(3, n):
             powers.append(powers[-1].mul(self))
         targets = (Series.identity(n), *outer)
         solved = [[f[0]] for f in targets]

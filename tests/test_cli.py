@@ -38,18 +38,6 @@ def runner():
     return CliRunner()
 
 
-@pytest.fixture()
-def cold_caches():
-    """Empty pipeline caches before the test, as in a fresh process, and
-    after it, so a frame built under a patch does not outlive the test."""
-    caches = (expansion.build_frame, expansion.build_pipeline)
-    for fn in caches:
-        fn.cache_clear()
-    yield
-    for fn in caches:
-        fn.cache_clear()
-
-
 class TestExpand:
     def test_json_quartic_coefficient(self, runner):
         result = runner.invoke(main, ["expand", "--order", "8", "--format", "json"])

@@ -354,6 +354,58 @@ class TestPipelineValidation:
         assert is_alternating(pipe.h, 3, 1)
 
 
+class TestPipelineWork:
+    """The power table of U starts from G = 2g, and products skip the pairs
+    that the operands' valuations make zero."""
+
+    @pytest.mark.parametrize("order", [6, 14, 26])
+    def test_no_series_is_squared(self, monkeypatch, cold_caches, order):
+        true_mul = Series.mul
+        squared = []
+
+        def spy(self, other, order=None):
+            if other is self:
+                squared.append(self.order)
+            return true_mul(self, other, order)
+
+        monkeypatch.setattr(Series, "mul", spy)
+        build_pipeline(order)
+        assert squared == []
+
+    def test_products_form_no_pair_below_a_valuation(self, monkeypatch, cold_caches):
+        # g_3 = 0 puts zeros inside U and its powers (U_2 = 0); those pairs
+        # still reach the kernel, which drops them.  What no product may pass
+        # is a coefficient under its operand's valuation, or no pair at all
+        # for a coefficient under the sum of the valuations.
+        true_mul, true_kernel = Series.mul, DiffPoly.sum_of_products
+        below = []  # per open product: ids of coefficients under a valuation
+        seen, products = [], []
+
+        def kernel(pairs):
+            pairs = list(pairs)
+            if below:
+                seen.extend(c for pair in pairs for c in pair if id(c) in below[-1])
+                if not pairs:
+                    seen.append("no pair")
+            return true_kernel(pairs)
+
+        def mul(self, other, order=None):
+            under = [c for s in (self, other) for c in s.coeffs[: s.valuation()]]
+            assert not any(under)
+            products.append(len(under))
+            below.append({id(c) for c in under})
+            try:
+                return true_mul(self, other, order)
+            finally:
+                below.pop()
+
+        monkeypatch.setattr(Series, "mul", mul)
+        monkeypatch.setattr(DiffPoly, "sum_of_products", staticmethod(kernel))
+        build_pipeline(16)
+        assert products and all(products)
+        assert seen == []
+
+
 def _weight(exponents) -> int:
     """Weight of a monomial when k_i has weight i + 2."""
     return sum(e * (order + 2) for order, e in exponents)

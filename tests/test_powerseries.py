@@ -1,4 +1,5 @@
 import operator
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -13,6 +14,7 @@ from _oracles import (
     invert_by_substitution,
     is_alternating,
     poly_compose_trunc,
+    poly_mul_trunc,
     rational_coeffs,
 )
 from affgrav import DiffPoly, QR2Scalar, Series, bell, build_pipeline
@@ -231,6 +233,51 @@ class TestCompositionalInverse:
             s.compositional_inverse()
 
 
+def seeded_quadratic(order, lead, seed):
+    """A series G of the given order that starts 0, 0, lead, with seeded
+    rational entries c + c' * k(j) after that."""
+    rng = random.Random(seed)
+    tail = [
+        DiffPoly.constant(F(rng.randint(-4, 4), rng.randint(1, 3)))
+        + F(rng.randint(-4, 4), rng.randint(1, 3)) * k(rng.randint(0, 3))
+        for _ in range(3, order + 1)
+    ]
+    return Series([0, 0, lead, *tail])
+
+
+class TestGivenSquare:
+    """``compositional_inverse(square=...)`` starts the power table from the
+    caller's a*a and solves exactly as when it forms a*a itself."""
+
+    @pytest.mark.parametrize("lead", [F(9, 4), 2], ids=["rational", "sqrt2"])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_given_square_matches_computed(self, n, lead):
+        # sqrt of G is rational for a square lead and in sqrt2 * Q for 2
+        big_g = seeded_quadratic(n + 1, lead, seed=n)
+        u = big_g.sqrt()
+        f = seeded_quadratic(n + 1, 1, seed=100 + n) + Series.identity(n)
+        want = u.compositional_inverse(f)
+        assert u.compositional_inverse(f, square=u.mul(u)) == want
+        # the pipeline's case: the order-(n + 1) series sqrt took the root of
+        assert u.compositional_inverse(f, square=big_g) == want
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda big_g: big_g.truncate(7),
+            lambda big_g: big_g.scale(F(1, 2)),
+            lambda big_g: big_g + Series.identity(9),
+            lambda big_g: big_g + const_series([1], order=9),
+        ],
+        ids=["short", "g-where-2g-is-meant", "linear-term", "constant-term"],
+    )
+    def test_refused_square(self, make):
+        pipe = build_pipeline(8)
+        big_g = pipe.g_full.scale(2)
+        with pytest.raises(ValueError, match="square"):
+            big_g.sqrt().compositional_inverse(pipe.f_full, square=make(big_g))
+
+
 class TestSqrt:
     def test_plain_square(self):
         root = const_series([0, 0, 1, 0, 0]).sqrt()
@@ -282,6 +329,32 @@ class TestMulGuard:
     def test_valuation_extends_reach(self):
         a = const_series([0, 0, 1, 1])
         assert rational_coeffs(a.mul(a, order=5)) == [0, 0, 0, 0, 1, 2]
+
+    def test_zero_operand_is_exact_only_through_its_order(self):
+        # the zero series of order 2 counts as valuation 3: its coefficients
+        # past order 2 are unknown
+        with pytest.raises(ValueError, match="not exact beyond order 3"):
+            Series.zero(2).mul(Series.identity(3), order=50)
+        assert Series.zero(2).mul(Series.zero(3), order=6) == Series.zero(6)
+
+    @pytest.mark.parametrize("va", range(4))
+    @pytest.mark.parametrize("vb", range(4))
+    def test_matches_truncated_product_oracle(self, va, vb):
+        rng = random.Random(10 * va + vb)
+        for na in range(va, va + 5):
+            for nb in range(vb, vb + 5):
+                a = [F(0)] * va + [F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))]
+                a += [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(na - va)]
+                b = [F(0)] * vb + [F(rng.choice([-2, 1, 3]), rng.randint(1, 4))]
+                b += [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nb - vb)]
+                sa, sb = const_series(a), const_series(b)
+                exact_to = min(na + vb, nb + va)
+                for order in range(exact_to + 1):
+                    assert rational_coeffs(sa.mul(sb, order=order)) == poly_mul_trunc(
+                        a, b, order
+                    ), (a, b, order)
+                with pytest.raises(ValueError, match="not exact beyond"):
+                    sa.mul(sb, order=exact_to + 1)
 
 
 class TestExactEntries:
