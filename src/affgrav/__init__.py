@@ -26,7 +26,6 @@ _EXPORTS = {
         "AffGravError",
         "BracketingError",
         "DegenerateCurveError",
-        "MissingAssignmentError",
         "VerificationError",
     ),
     "expansion": (
@@ -50,6 +49,7 @@ _EXPORTS = {
         "NumCurve",
         "ParametricCurveSpec",
         "affine_curvature",
+        "build_curve",
         "corollary_sweep",
         "default_deltas",
         "fit_flatness",

@@ -199,6 +199,8 @@ def parse_fixture(text: str):
     from .numcurve import KappaCurveSpec, ParametricCurveSpec
 
     name, _, argtext = text.partition(":")
+    if name != "kappa-poly" and name not in _CONICS:
+        raise ValueError(f"unknown fixture {text!r}")
     try:  # an empty item, as in ellipse:2,,1, is no number either
         args = [float(v) for v in argtext.split(",")] if argtext else []
     except ValueError:
@@ -211,38 +213,25 @@ def parse_fixture(text: str):
             raise ValueError(f"{name} takes {takes}")
         spec = ParametricCurveSpec(make_plot(np, *(args or defaults)), (-1.0, 1.0))
         return spec, lambda p: 0.0
-    if name == "kappa-poly":
-        if not args:
-            raise ValueError("kappa-poly needs coefficients, e.g. kappa-poly:0,1")
-        if not all(math.isfinite(i * c) for i, c in enumerate(args)):
-            raise ValueError(f"fixture {text!r} has a curvature derivative that is not finite")
-        coeffs = list(args)
+    if not args:
+        raise ValueError("kappa-poly needs coefficients, e.g. kappa-poly:0,1")
+    if not all(math.isfinite(i * c) for i, c in enumerate(args)):
+        raise ValueError(f"fixture {text!r} has a curvature derivative that is not finite")
+    coeffs = list(args)
 
-        def kappa(s):  # a float or, elementwise, a float array
-            total = 0.0
-            for c in reversed(coeffs):
-                total = total * s + c
-            return total
+    def kappa(s):  # a float or, elementwise, a float array
+        total = 0.0
+        for c in reversed(coeffs):
+            total = total * s + c
+        return total
 
-        def kappa_prime(p: float) -> float:
-            total = 0.0
-            for i in range(len(coeffs) - 1, 0, -1):
-                total = total * p + i * coeffs[i]
-            return total
+    def kappa_prime(p: float) -> float:
+        total = 0.0
+        for i in range(len(coeffs) - 1, 0, -1):
+            total = total * p + i * coeffs[i]
+        return total
 
-        return KappaCurveSpec(kappa, half_width=1.0), kappa_prime
-    raise ValueError(f"unknown fixture {text!r}")
-
-
-def build_fixture_curve(cfg: Config) -> tuple[NumCurve, object]:
-    from . import numcurve
-
-    spec, kprime = parse_fixture(cfg.fixture)
-    if isinstance(spec, numcurve.KappaCurveSpec):
-        curve = numcurve.integrate_from_kappa(spec, step=cfg.step)
-    else:
-        curve = numcurve.reparametrize_affine(spec, step=cfg.step)
-    return curve, kprime
+    return KappaCurveSpec(kappa, half_width=1.0), kappa_prime
 
 
 # -- verification suites -----------------------------------------------------------
@@ -478,7 +467,10 @@ def cmd_gravity(ctx: click.Context, **params) -> None:
     cfg = Config(**params)
     try:
         cfg.validate()
-        curve, kappa_prime = build_fixture_curve(cfg)
+        from . import numcurve  # after validate: refused input never loads numpy
+
+        spec, kappa_prime = parse_fixture(cfg.fixture)
+        curve = numcurve.build_curve(spec, step=cfg.step)
         cfg.validate(curve)
         if cfg.sweep > 0:
             _gravity_sweep(cfg, curve)

@@ -50,7 +50,6 @@ from math import gcd, lcm
 from operator import or_
 from typing import Iterable, Mapping
 
-from .errors import MissingAssignmentError
 from .scalar import QR2Scalar, _coeff_text, _exact, _scalar
 
 __all__ = ["DiffMonomial", "DiffPoly", "GradedClass"]
@@ -387,20 +386,6 @@ class DiffPoly:
         )
 
     # -- evaluation ----------------------------------------------------------
-
-    def substitute(self, assign: Mapping[int, float]) -> float:
-        """Numeric value with the given derivative-order assignments."""
-        terms = [(_unpack(_fields(key)), n) for key, n in self._terms.items()]
-        missing = sorted({order for exps, _ in terms for order, _ in exps if order not in assign})
-        if missing:
-            raise MissingAssignmentError(missing)
-        total = 0.0
-        for exps, n in terms:
-            val = self._value(n).to_float()
-            for order, e in exps:
-                val *= float(assign[order]) ** e
-            total += val
-        return total
 
     def substitute_partial(self, assign: Mapping[int, object]) -> DiffPoly:
         """Exactly substitute scalars for a subset of the derivative orders."""

@@ -7,14 +7,6 @@ class AffGravError(Exception):
     """Base class for errors raised by this package."""
 
 
-class MissingAssignmentError(AffGravError):
-    """Numeric substitution did not cover every derivative order used."""
-
-    def __init__(self, orders: list[int]):
-        self.orders = orders
-        super().__init__(f"no value assigned for derivative orders {orders}")
-
-
 class DegenerateCurveError(AffGravError):
     """A parametric curve failed the non-degeneracy test det[c_u, c_uu] > 0."""
 

@@ -2,9 +2,10 @@
 
 Curves enter either as a prescribed curvature function (integrated with
 classical RK4 through ``c''' = -kappa c'``) or as a parametric plot that
-gets reparametrized to affine arclength.  Both produce a uniform grid of
-points together with first and second derivative frames, normalized so
-the base point sits at the origin with frame (e1, e2).
+gets reparametrized to affine arclength; ``build_curve`` takes either.
+Both produce a uniform grid of points together with first and second
+derivative frames, normalized so the base point sits at the origin with
+frame (e1, e2).
 
 On top of that sit the desk-scale experiments: locating the two chord
 intersections at a given height by bisection, collecting the chord
@@ -61,6 +62,7 @@ __all__ = [
     "FlatnessResult",
     "integrate_from_kappa",
     "reparametrize_affine",
+    "build_curve",
     "renormalize",
     "affine_curvature",
     "gravity_samples",
@@ -354,9 +356,9 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     derivatives of the plot.  The node nearest the middle of the
     parameter interval becomes the normalized base point.
 
-    A plot too large to difference overflows quietly: a non-finite
-    arclength fails the grid-size check, and the caller refuses
-    non-finite points or frames (``Config.validate`` does).
+    A plot whose det[c_u, c_uu] overflows is refused as too large; an
+    arclength too long for the step fails the grid-size check, and the
+    caller refuses non-finite points or frames (``Config.validate`` does).
     """
     u0, u1 = spec.domain
     if not u1 > u0:
@@ -366,6 +368,8 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     top = float(np.abs(det).max())
     if top < np.finfo(float).tiny:  # too small to tell from degeneracy
         raise ValueError(f"plot too small: max |det[c_u, c_uu]| = {top:.4g} underflows")
+    if not np.isfinite(top):
+        raise ValueError(f"plot too large: max |det[c_u, c_uu]| = {top:.4g} overflows")
     bad = np.nonzero(det <= 0)[0]
     if bad.size:
         j = int(bad[0])
@@ -396,6 +400,14 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
 
     raw = NumCurve(grid=grid, points=pts, d1=d1, d2=d2, step=step)
     return renormalize(raw, 0.0)
+
+
+def build_curve(spec: KappaCurveSpec | ParametricCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
+    """The normalized curve of either spec: RK4 from a curvature, affine
+    reparametrization of a plot."""
+    if isinstance(spec, KappaCurveSpec):
+        return integrate_from_kappa(spec, step=step)
+    return reparametrize_affine(spec, step=step)
 
 
 def _affine_map(curve: NumCurve, p: float) -> tuple[int, np.ndarray, np.ndarray]:

@@ -218,6 +218,14 @@ def tuple_kill_odd_derivatives(terms: dict) -> dict:
     return {exps: c for exps, c in terms.items() if all(order % 2 == 0 for order, _ in exps)}
 
 
+def jet_value(poly: DiffPoly, assign) -> float:
+    """Float value of ``poly`` at a jet (order -> value): every value is
+    substituted as the exact Fraction it holds, and only the result is
+    rounded.  An order used by ``poly`` but not assigned raises."""
+    exact = {order: Fraction(v) for order, v in assign.items()}
+    return poly.substitute_partial(exact).constant_value().to_float()
+
+
 def monomial_key(exps) -> tuple:
     """Graded-lex sort key of an exponent map: total degree first, then
     the map itself, compared pair by pair."""

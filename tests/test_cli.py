@@ -363,6 +363,7 @@ class TestGravity:
             (["--sweep", "1"], "--sweep takes 0 (single point) or at least 2"),
             (["--fixture", "ellipse:0.1,0.1", "--sweep", "3"], "base point -0.5 is not inside"),
             (["--fixture", "kappa-poly:1", "--step", "0.4", "--sweep", "3"], "base point -0.5"),
+            (["--fixture", "foo:x"], "unknown fixture 'foo:x'"),
             (["--fixture", "kappa-poly:nan"], "fixture arguments must be finite"),
             (["--fixture", "kappa-poly:1,,2"], "must be numbers, got 'kappa-poly:1,,2'"),
             (["--fixture", "ellipse:2,,1"], "must be numbers, got 'ellipse:2,,1'"),
@@ -375,9 +376,10 @@ class TestGravity:
             (["--fixture", "kappa-poly:1e308,1e308"], "gives a curve that is not finite"),
             (["--fixture", "kappa-poly:0,1", "--step", "1e-9"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e300,1"], "exceeds MAX_GRID_NODES"),
-            (["--fixture", "ellipse:1e308,1e308"], "a grid of nan nodes exceeds MAX_GRID_NODES"),
+            (["--fixture", "ellipse:1e308,1e308"], "max |det[c_u, c_uu]| = nan overflows"),
             (["--fixture", "ellipse:1e12,1"], "exceeds MAX_GRID_NODES"),
-            (["--fixture", "ellipse:1e200,1e200"], "a grid of nan nodes exceeds MAX_GRID_NODES"),
+            (["--fixture", "ellipse:1e200,1e200"], "plot too large: max |det[c_u, c_uu]| = inf"),
+            (["--fixture", "ellipse:1e160,1e160"], "plot too large"),
             (["--fixture", "ellipse:1e-160,1e160"], "gives a curve that is not finite"),
             (["--delta-count", f"{MAX_DELTA_COUNT + 1}"], f"at most {MAX_DELTA_COUNT}"),
             (["--fixture", "circle", "--sweep", f"{MAX_SWEEP + 1}"], f"at most {MAX_SWEEP}"),

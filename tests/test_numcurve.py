@@ -12,6 +12,7 @@ from affgrav import (
     ParametricCurveSpec,
     VerificationError,
     affine_curvature,
+    build_curve,
     build_pipeline,
     corollary_sweep,
     default_deltas,
@@ -27,13 +28,6 @@ from affgrav import (
 from affgrav.cli import _CONICS, parse_fixture
 from affgrav.defaults import STRAIGHT_TOL_FLOOR
 from affgrav.numcurve import _cumulative_simpson, _interp_table, _lagrange, _windows
-
-
-def taylor_eval(series, assign, s):
-    total = 0.0
-    for k in range(series.order, -1, -1):
-        total = total * s + series[k].substitute(assign)
-    return total
 
 
 def poly_kappa_assign(coeffs, order=10):
@@ -74,8 +68,9 @@ class TestIntegration:
         pipe = build_pipeline(10)
         assign = poly_kappa_assign([0.0, 1.0])
         i = cur.index_of(0.1)
-        assert cur.points[i, 0] == pytest.approx(taylor_eval(pipe.f, assign, 0.1), abs=1e-11)
-        assert cur.points[i, 1] == pytest.approx(taylor_eval(pipe.g, assign, 0.1), abs=1e-11)
+        for axis, series in enumerate((pipe.f, pipe.g)):
+            taylor = sum(oracle.jet_value(c, assign) * 0.1**k for k, c in enumerate(series))
+            assert cur.points[i, axis] == pytest.approx(taylor, abs=1e-11)
 
     def test_wronskian_drift_budget(self):
         for coeffs in ([0.0, 1.0], [1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 1.0]):
@@ -213,7 +208,7 @@ class TestGravitySampling:
         for delta in (1e-3, 1e-2, 1e-1):
             (sample,) = gravity_samples(cur, [delta])
             symbolic = sum(
-                pipe.gravity_x[k].substitute(assign) * delta ** (k / 2)
+                oracle.jet_value(pipe.gravity_x[k], assign) * delta ** (k / 2)
                 for k in range(0, pipe.order + 1, 2)
             )
             assert sample.midpoint_x == pytest.approx(symbolic, rel=0.05)
@@ -309,9 +304,7 @@ class TestCorollarySweep:
         # at vanishing heights max_dev stops at the residual slope of g at
         # the base node; a sweep tolerance at the floor is never one that
         # a conic could have met
-        spec, _ = parse_fixture(fixture)
-        build = integrate_from_kappa if isinstance(spec, KappaCurveSpec) else reparametrize_affine
-        curve = build(spec)
+        curve = build_curve(parse_fixture(fixture)[0])
         deltas = default_deltas(1e-15)
         devs = [
             straightness_test(gravity_samples(renormalize(curve, p), deltas))[0]
@@ -361,8 +354,8 @@ def curve_pair(request):
     """The library's curve for a CLI fixture and the scalar oracle's."""
     spec, _ = parse_fixture(request.param)
     if isinstance(spec, KappaCurveSpec):
-        return integrate_from_kappa(spec), oracle.integrate_from_kappa(spec)
-    return reparametrize_affine(spec), oracle.reparametrize_affine(spec)
+        return build_curve(spec), oracle.integrate_from_kappa(spec)
+    return build_curve(spec), oracle.reparametrize_affine(spec)
 
 
 def _outcome(fn, *args):

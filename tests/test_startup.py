@@ -1,7 +1,8 @@
 """Each half of the package loads only where a command uses it: in a
-fresh interpreter, importing the CLI and running ``--help``, ``expand``
-or ``verify`` leave numpy out of ``sys.modules``, and importing the CLI,
-``--help`` and ``gravity`` leave the exact layer out of it."""
+fresh interpreter, importing the CLI and running ``--help``, ``expand``,
+``verify`` or a ``gravity`` run whose options are refused leave numpy out
+of ``sys.modules``, and importing the CLI, ``--help`` and ``gravity``
+leave the exact layer out of it."""
 
 import json
 import os
@@ -50,8 +51,10 @@ def command(*args: str) -> str:
         command("gravity", "--help"),
         command("expand", "--order", "6"),
         command("verify", "--order", "6"),
+        "try:\n    " + command("gravity", "--point", "nan") + "\nexcept SystemExit as exc:\n"
+        "    assert exc.code == 2",
     ],
-    ids=["import", "help", "gravity-help", "expand", "verify"],
+    ids=["import", "help", "gravity-help", "expand", "verify", "gravity-refused"],
 )
 def test_symbolic_start_does_not_import_numpy(statement):
     modules = modules_after(statement)
