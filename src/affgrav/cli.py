@@ -28,6 +28,7 @@ from .defaults import (
     DEFAULT_STEP,
     DEFAULT_TOL_FLAT,
     MAX_ORDER,
+    MIN_FIT_SAMPLES,
     MIN_ORDER,
     STRAIGHT_TOL_FLOOR,
     TOL_STRAIGHT_FACTOR,
@@ -114,8 +115,10 @@ class Config:
             raise ValueError("--sweep takes 0 (single point) or at least 2 base points")
         if self.sweep > MAX_SWEEP:
             raise ValueError(f"--sweep must be at most {MAX_SWEEP}")
-        if self.sweep == 0 and self.delta_count < 6:
-            raise ValueError("a single-point flatness fit needs --delta-count >= 6")
+        if self.sweep == 0 and self.delta_count < MIN_FIT_SAMPLES:
+            raise ValueError(
+                f"a single-point flatness fit needs --delta-count >= {MIN_FIT_SAMPLES}"
+            )
         if self.tol_flat <= 0:
             raise ValueError("tol-flat must be positive")
         if self.tol_straight is not None and self.tol_straight <= 0:

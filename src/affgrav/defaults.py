@@ -21,6 +21,8 @@ DEFAULT_TOL_FLAT = 1e-3
 DEFAULT_DELTA0 = 1e-3
 DEFAULT_DELTA_RATIO = 1.6
 DEFAULT_DELTA_COUNT = 8
+# Fewest chord heights a single-point flatness fit takes.
+MIN_FIT_SAMPLES = 6
 # The default straightness tolerance is this factor times the largest height.
 TOL_STRAIGHT_FACTOR = 1e-6
 # Roundoff floor of max_dev: no straightness tolerance below it can be met.

@@ -19,14 +19,15 @@ curvature function takes an array the same way.  RK4 evaluates -kappa
 at every stage abscissa of every step in one call per direction and
 then steps through those values in one sequential loop of float
 arithmetic, since each step starts from the state the last one left.
-Interpolation takes every abscissa in one call, row by row against one
-table per row.  The chord roots of every base point, height and side
-are bisected together in one lockstep pass.  A lane's midpoints never
-leave its grid cell, so its four interpolation nodes are gathered once
-and each iteration only evaluates the cubic.  Each array kernel performs
-the same floating-point operations in the same order as its one-value
-form, so results are bit-identical to it; ``tests/_oracles.py`` keeps
-those forms and the tests compare against them with ``==``.
+Interpolation takes every abscissa in one call.  The chord roots of
+every base point, height and side are bisected together in one lockstep
+pass.  A lane's midpoints never leave its grid cell, so it reads g and
+f only through that cell's four-node window, gathered once without a
+table search; each iteration only evaluates the cubic.  Each array
+kernel performs the same floating-point operations in the same order as
+its one-value form, so results are bit-identical to it;
+``tests/_oracles.py`` keeps those forms and the tests compare against
+them with ``==``.
 
 Derivatives of a parametric plot come from ``_STENCILS``, one table of
 central finite-difference stencils read by ``_fd``, which evaluates all
@@ -50,6 +51,7 @@ from .defaults import (
     DEFAULT_DELTA_RATIO,
     DEFAULT_STEP,
     DEFAULT_TOL_FLAT,
+    MIN_FIT_SAMPLES,
     TOL_STRAIGHT_FACTOR,
 )
 from .errors import BracketingError, DegenerateCurveError, VerificationError
@@ -297,7 +299,7 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
 # For each of the four window nodes j, the other three in ascending order.
 _OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-# Abscissae per interpolation block; bounds the (rows, block, 4, 3) temporaries.
+# Abscissae per table interpolation and lanes per sweep chunk; bounds the (..., 4, 3) temporaries.
 _BLOCK = 256
 # Entries per stacked (points, nodes) table of a sweep; bounds how many
 # base points are solved at once.
@@ -305,29 +307,24 @@ _SWEEP_TABLE = 2**16
 
 
 def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation of sorted tables at each abscissa.
-
-    ``xs`` and ``ys`` hold one table per row and ``x`` the abscissae of
-    each row; a single table (1-D) interpolates a 1-D ``x``.  Each
-    abscissa uses the four nodes of its own row around it, clamped to
-    the table ends.  The basis products and the sum run in node order,
-    so a value equals the one-abscissa evaluation bit for bit.
-    """
-    if xs.shape[-1] < 4:
-        raise ValueError("cubic interpolation needs a table of at least 4 nodes")
+    """Cubic Lagrange interpolation of one sorted table at each abscissa
+    of a 1-D ``x``, ``_BLOCK`` abscissae at a time.  Each uses the four
+    nodes around it, clamped to the table ends; the basis products and
+    the sum run in node order, so a value equals the one-abscissa
+    evaluation bit for bit."""
     x = np.asarray(x, dtype=float)
-    if xs.ndim == 1:
-        return _interp_table(xs[None], ys[None], x[None])[0]
-    if x.shape[1] > _BLOCK:
-        blocks = [x[:, i : i + _BLOCK] for i in range(0, x.shape[1], _BLOCK)]
-        return np.concatenate([_interp_table(xs, ys, b) for b in blocks], axis=1)
-    found = np.stack([np.searchsorted(table, row) for table, row in zip(xs, x)])
-    return _lagrange(*_windows(xs, ys, found), x)
+    if len(x) > _BLOCK:
+        blocks = range(0, len(x), _BLOCK)
+        return np.concatenate([_interp_table(xs, ys, x[i : i + _BLOCK]) for i in blocks])
+    return _lagrange(*_windows(xs[None], ys[None], np.searchsorted(xs, x)[None]), x[None])[0]
 
 
 def _windows(xs: np.ndarray, ys: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, ...]:
     """Nodes, values and Lagrange denominators of the four-node window of
-    each abscissa, given its ``searchsorted`` index in its row's table."""
+    each abscissa in its row's table, the nodes found - 2 to found + 1
+    clamped to the table ends (``found`` as ``searchsorted`` gives it)."""
+    if xs.shape[1] < 4:
+        raise ValueError("cubic interpolation needs a table of at least 4 nodes")
     start = np.minimum(np.maximum(found - 2, 0), xs.shape[1] - 4)
     row = np.arange(len(xs))[:, None, None]
     window = start[..., None] + np.arange(4)
@@ -475,8 +472,9 @@ def _chord_roots(
     g >= delta, then bisects the cubic interpolant of its row's g over
     that grid cell to bracket collapse.  All lanes bisect in lockstep; a
     lane stops on an exact zero, on a midpoint that no longer moves, or
-    on a collapsed bracket.  Returns the (rows, lanes) roots and a mask
-    of the lanes that found none.
+    on a collapsed bracket.  Returns the (rows, lanes) roots, a mask of
+    the lanes that found none (a NaN residual included) and each lane's
+    cell j, with grid[j] <= root <= grid[j + 1].
     """
     outer = np.empty((len(gs), 2 * len(deltas)), dtype=np.intp)
     for r, (g, center) in enumerate(zip(gs, centers)):
@@ -489,27 +487,23 @@ def _chord_roots(
     outer = np.where(failed, center, outer)
     inner = np.where(failed, center, inner)
 
+    # A lane reads g only through the window of its cell [grid[j],
+    # grid[j + 1]], j = min(inner, outer).  At a window node every other
+    # basis numerator is 0 and the node's own is the same float product as
+    # its denominator, so the window gives the node's g exactly: the ends
+    # are read off the table.  That needs finite values and nonzero
+    # denominators; these are at least 2 step^3, 0 only for a step below
+    # ~1e-108, a curve the command line refuses as not finite.
     row = np.arange(len(gs))[:, None]
     lo, hi = grids[row, inner], grids[row, outer]
-    f_ends = _interp_table(grids, gs, np.concatenate([lo, hi], axis=1)) - np.tile(delta, 2)
-    flo, fhi = np.split(f_ends, 2, axis=1)
+    flo, fhi = gs[row, inner] - delta, gs[row, outer] - delta
     at_lo = ~failed & (flo == 0.0)
     at_hi = ~failed & ~at_lo & (fhi == 0.0)
     neg_lo = flo < 0  # the sign of g - delta at lo never changes while bisecting
     failed |= ~at_lo & ~at_hi & (neg_lo == (fhi < 0))
     bisect = ~(failed | at_lo | at_hi)
-    # Every midpoint stays in its lane's cell [grid[j], grid[j + 1]],
-    # j = min(inner, outer).  Strictly above grid[j], searchsorted picks
-    # the same four nodes, so each lane's window is gathered once; an
-    # iteration with a midpoint on grid[j] itself interpolates afresh.
     cell = np.minimum(inner, outer)
     window = _windows(grids, gs, cell + 1)
-    cell_lo = grids[row, cell]
-
-    def g_at(x: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        if (lanes & (x == cell_lo)).any():
-            return _interp_table(grids, gs, x)
-        return _lagrange(*window, x)
 
     # bisect to bracket collapse; this lands far inside the |g - delta|
     # tolerance and keeps the root itself accurate to machine precision
@@ -518,7 +512,7 @@ def _chord_roots(
     for _ in range(200):
         if not active.any():
             break
-        fm = g_at(mid, active) - delta
+        fm = _lagrange(*window, mid) - delta
         moving = active & (fm != 0.0)
         to_lo = moving & ((fm < 0) == neg_lo)
         lo = np.where(to_lo, mid, lo)
@@ -528,10 +522,10 @@ def _chord_roots(
         collapsed = (nxt == mid) | (width <= 1e-17 * np.maximum(1.0, np.abs(mid)))
         active = moving & ~collapsed
         mid = np.where(active, nxt, mid)
-    residual = np.abs(g_at(mid, bisect) - delta)
-    failed |= bisect & (residual > ROOT_TOL)
+    residual = np.abs(_lagrange(*window, mid) - delta)
+    failed |= bisect & ~(residual <= ROOT_TOL)  # a NaN residual fails too
     roots = np.where(at_lo, lo, np.where(at_hi, hi, mid))
-    return roots, failed
+    return roots, failed, cell
 
 
 def _samples_per_row(
@@ -552,8 +546,8 @@ def _samples_per_row(
     deltas = np.asarray(deltas, dtype=float)
     nonpositive = np.flatnonzero(deltas <= 0)
     heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
-    roots, failed = _chord_roots(grids, gs, centers, heights)
-    f_at = _interp_table(grids, fs, roots)
+    roots, failed, cell = _chord_roots(grids, gs, centers, heights)
+    f_at = _lagrange(*_windows(grids, fs, cell + 1), roots)
     midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
     for lanes, r, m in zip(failed, roots, midpoint_x):
         if lanes.any():
@@ -632,8 +626,8 @@ def fit_flatness(
     underlying expansion, predicted as -kappa'(p)/10; a mismatch beyond
     max(1e-3, 5%) raises VerificationError.
     """
-    if len(samples) < 6:
-        raise ValueError("flatness fit needs at least 6 samples")
+    if len(samples) < MIN_FIT_SAMPLES:
+        raise ValueError(f"flatness fit needs at least {MIN_FIT_SAMPLES} samples")
     deltas = np.array([s.delta for s in samples])
     xs = np.array([s.midpoint_x for s in samples])
     design = np.column_stack([deltas, deltas**2, deltas**3])

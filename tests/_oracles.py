@@ -451,7 +451,7 @@ def chord_root(curve: NumCurve, direction: int, delta: float) -> float:
         if nxt == mid or abs(hi - lo) <= 1e-17 * max(1.0, abs(mid)):
             break
         mid = nxt
-    if abs(gval(mid) - delta) > ROOT_TOL:
+    if not abs(gval(mid) - delta) <= ROOT_TOL:  # a NaN residual fails too
         raise BracketingError(delta, side)
     return float(mid)
 

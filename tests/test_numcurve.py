@@ -9,6 +9,7 @@ from affgrav import (
     BracketingError,
     DegenerateCurveError,
     KappaCurveSpec,
+    NumCurve,
     ParametricCurveSpec,
     VerificationError,
     affine_curvature,
@@ -217,9 +218,31 @@ class TestGravitySampling:
         with pytest.raises(BracketingError):
             gravity_samples(parabola_curve, [10.0])
 
+    @pytest.mark.parametrize("offset", [1, -2])
+    def test_nan_in_the_cell_window_fails_the_root(self, offset):
+        # A NaN node in the window of the root's cell makes the residual
+        # NaN; it must fail the root check, not return the cell's lower
+        # node.  At offset -2 the bracket ends, read off the table, stay
+        # finite.
+        local = renormalize(integrate_from_kappa(KappaCurveSpec(lambda s: 0.0 * s)), 0.0)
+        c = local.center_index()
+        first = c + 1 + int(np.argmax(local.points[c + 1 :, 1] >= 1e-3))
+        points = local.points.copy()
+        points[first + offset, 1] = np.nan
+        bad = NumCurve(grid=local.grid, points=points, d1=local.d1, d2=local.d2, step=local.step)
+        for sample in (gravity_samples, oracle.gravity_samples):
+            with pytest.raises(BracketingError, match="right side"):
+                sample(bad, [1e-3])
+
     def test_rejects_nonpositive_height(self, parabola_curve):
         with pytest.raises(ValueError):
             gravity_samples(parabola_curve, [0.0])
+
+    def test_rejects_a_grid_below_four_nodes(self):
+        # no cell of a 3-node grid has a four-node window
+        tiny = integrate_from_kappa(KappaCurveSpec(lambda s: 0.0 * s), step=1.0)
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            gravity_samples(tiny, [0.1])
 
 
 class TestFlatness:
@@ -489,44 +512,48 @@ class TestScalarOracles:
         assert np.array_equal(got, [oracle.interp_table(xs, ys, float(x)) for x in probes])
 
     def test_cell_window_matches_interp_table_inside_cells(self):
-        # the bisection gathers the window of cell j as searchsorted would
-        # find it for an abscissa in (xs[j], xs[j + 1]]
+        # the chord solve gathers the window of cell j as searchsorted
+        # finds it for an abscissa in (xs[j], xs[j + 1]]; at the lower node
+        # xs[j] searchsorted picks the window one node lower, and both
+        # windows give ys[j] exactly
         rng = np.random.default_rng(11)
         xs = np.cumsum(rng.uniform(0.5, 1.5, 40))
         ys = np.sin(xs)
         cells = np.concatenate([[0, len(xs) - 2], rng.integers(0, len(xs) - 1, 398)])
         probes = xs[cells] + rng.uniform(0.0, 1.0, len(cells)) * (xs[cells + 1] - xs[cells])
         probes[::4] = xs[cells[::4] + 1]  # the upper node
-        probes = np.where(probes > xs[cells], probes, xs[cells + 1])
+        probes[1::4] = xs[cells[1::4]]  # the lower node
         got = _lagrange(*_windows(xs[None], ys[None], cells[None] + 1), probes[None])[0]
         assert np.array_equal(got, _interp_table(xs, ys, probes))
 
     def test_midpoint_on_a_cell_lower_node_matches_oracle(self, monkeypatch):
         # A height a few ulps above g at a right-hand grid node puts the
         # root just above that node, the lower end of its cell, and some
-        # bisection midpoints land on the node itself.  There searchsorted
-        # picks the window one node lower, so the bisection falls back to
-        # _interp_table for that iteration.  Both windows hold the node and,
-        # unless a Lagrange denominator underflows, give g there exactly, so
-        # the call count, not the values, shows which path ran.
+        # bisection midpoints land on the node itself.  The chord solve
+        # evaluates them in the cell's window, where the node is the
+        # second; the oracle's searchsorted picks the window one node
+        # lower.  Both windows give g there exactly, so the samples agree,
+        # and the spy shows that the case is reached.
         local = renormalize(integrate_from_kappa(parse_fixture("kappa-poly:1,0,1")[0]), 0.0)
         c = local.center_index()
-        at_nodes = _interp_table(local.grid, local.points[:, 1], local.grid[c + 30 : c + 110])
         deltas = []
-        for d in at_nodes.tolist():
+        for d in local.points[c + 30 : c + 110, 1].tolist():
             for _ in range(5):
                 d = math.nextafter(d, math.inf)
                 deltas.append(d)
-        original, calls = _interp_table, []
-        monkeypatch.setattr(numcurve, "_BLOCK", 10**6)  # one call per interpolation
-        monkeypatch.setattr(numcurve, "_interp_table", lambda *a: calls.append(1) or original(*a))
+        original, on_lower = _lagrange, []
+
+        def spy(nodes, values, den, x):
+            on_lower.append(bool((x == nodes[..., 1]).any()))
+            return original(nodes, values, den, x)
+
+        monkeypatch.setattr(numcurve, "_lagrange", spy)
         got = gravity_samples(local, deltas)
-        # bracket ends and chord midpoints, then at least one fallback
-        assert len(calls) > 2
+        assert any(on_lower)
         assert got == oracle.gravity_samples(local, deltas)
-        calls.clear()
+        on_lower.clear()
         gravity_samples(local, default_deltas())
-        assert len(calls) == 2  # no midpoint on a lower node: no fallback
+        assert not any(on_lower)  # no midpoint on a lower node
 
     def test_cumulative_simpson_matches_loop(self):
         y = np.cos(np.linspace(-1.0, 1.0, 101)) ** 3
