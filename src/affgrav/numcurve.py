@@ -23,9 +23,14 @@ Interpolation takes every abscissa in one call.  The chord roots of
 every base point, height and side are bisected together in one lockstep
 pass.  A lane's midpoints never leave its grid cell, so it reads g and
 f only through that cell's four-node window, gathered once without a
-table search; each iteration only evaluates the cubic.  Each array
-kernel performs the same floating-point operations in the same order as
-its one-value form, so results are bit-identical to it;
+table search.  The window is stored node-major: for each of its four
+nodes the other three, the value and the Lagrange denominator, along
+leading axes.  Every cubic evaluation, the table interpolation of the
+reparametrization included, is then two reductions over those axes: a
+product over each node's others for the basis numerator and a sum over
+the nodes, both in node order.  Each array kernel performs the same
+floating-point operations in the same order as its one-value form, so
+results are bit-identical to it;
 ``tests/_oracles.py`` keeps those forms and the tests compare against
 them with ``==``.
 
@@ -147,7 +152,9 @@ class NumCurve:
         return int(np.argmin(np.abs(self.grid)))
 
     def index_of(self, s: float) -> int:
-        j = int(round((s - self.grid[0]) / self.step))
+        # the range test first: far off the grid the index overflows, at NaN it is undefined
+        inside = self.grid[0] - self.step <= s <= self.grid[-1] + self.step
+        j = int(round((s - self.grid[0]) / self.step)) if inside else -1
         if not 0 <= j < len(self.grid):
             raise ValueError(f"s={s} outside grid [{self.grid[0]}, {self.grid[-1]}]")
         return j
@@ -299,7 +306,7 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
 # For each of the four window nodes j, the other three in ascending order.
 _OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-# Abscissae per table interpolation and lanes per sweep chunk; bounds the (..., 4, 3) temporaries.
+# Abscissae per table interpolation and lanes per sweep chunk; bounds the (4, 3, ...) temporaries.
 _BLOCK = 256
 # Entries per stacked (points, nodes) table of a sweep; bounds how many
 # base points are solved at once.
@@ -309,37 +316,40 @@ _SWEEP_TABLE = 2**16
 def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Cubic Lagrange interpolation of one sorted table at each abscissa
     of a 1-D ``x``, ``_BLOCK`` abscissae at a time.  Each uses the four
-    nodes around it, clamped to the table ends; the basis products and
-    the sum run in node order, so a value equals the one-abscissa
-    evaluation bit for bit."""
+    nodes around it, clamped to the table ends, through ``_lagrange``, so
+    a value equals the one-abscissa evaluation bit for bit."""
     x = np.asarray(x, dtype=float)
     if len(x) > _BLOCK:
         blocks = range(0, len(x), _BLOCK)
         return np.concatenate([_interp_table(xs, ys, x[i : i + _BLOCK]) for i in blocks])
-    return _lagrange(*_windows(xs[None], ys[None], np.searchsorted(xs, x)[None]), x[None])[0]
+    return _lagrange(_windows(xs[None], ys[None], np.searchsorted(xs, x)[None]), x[None])[0]
 
 
 def _windows(xs: np.ndarray, ys: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Nodes, values and Lagrange denominators of the four-node window of
-    each abscissa in its row's table, the nodes found - 2 to found + 1
-    clamped to the table ends (``found`` as ``searchsorted`` gives it)."""
+    """The four-node window of each abscissa in its row's table, the
+    nodes found - 2 to found + 1 clamped to the table ends (``found`` as
+    ``searchsorted`` gives it), stored node-major: for each node j the
+    other three nodes, shape (4, 3, *found.shape), and the values and
+    Lagrange denominators, shape (4, *found.shape).  Each denominator is
+    one product over the node's others, in node order."""
     if xs.shape[1] < 4:
         raise ValueError("cubic interpolation needs a table of at least 4 nodes")
     start = np.minimum(np.maximum(found - 2, 0), xs.shape[1] - 4)
-    row = np.arange(len(xs))[:, None, None]
-    window = start[..., None] + np.arange(4)
+    row = np.arange(len(xs))[:, None]
+    window = start + np.arange(4)[:, None, None]
     nodes = xs[row, window]
-    dn = nodes[..., :, None] - nodes[..., _OTHERS]
-    return nodes, ys[row, window], dn[..., 0] * dn[..., 1] * dn[..., 2]
+    others = nodes[_OTHERS]
+    return others, ys[row, window], np.multiply.reduce(nodes[:, None] - others, axis=1)
 
 
-def _lagrange(nodes: np.ndarray, values: np.ndarray, den: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange value at each abscissa from its window (``_windows``),
-    basis products and sum in node order."""
-    dx = (x[..., None] - nodes)[..., _OTHERS]
-    num = dx[..., 0] * dx[..., 1] * dx[..., 2]
-    terms = values * (num / den)
-    return 0.0 + terms[..., 0] + terms[..., 1] + terms[..., 2] + terms[..., 3]
+def _lagrange(window: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange value at each abscissa from its window (``_windows``):
+    two reductions over the node-major axes, each basis numerator a
+    product over the node's others and the sum over the nodes, both in
+    node order, the sum starting from 0.0."""
+    others, values, den = window
+    num = np.multiply.reduce(x - others, axis=1)
+    return np.add.reduce(values * (num / den), axis=0, initial=0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -439,9 +449,10 @@ def renormalize(curve: NumCurve, p: float) -> NumCurve:
 def affine_curvature(curve: NumCurve, s: float) -> float:
     """det[c'', c'''] with c''' by central differences; error O(step^2)."""
     n = len(curve.grid)
-    i = int(np.floor((s - curve.grid[0]) / curve.step))
-    i = min(i, n - 2)
-    if i - 1 < 0 or i + 2 > n - 1:
+    # the range test first: far off the grid the index overflows, at NaN it is undefined
+    inside = curve.grid[0] <= s <= curve.grid[-1]
+    i = int(np.floor((s - curve.grid[0]) / curve.step)) if inside else 0
+    if not 1 <= i <= n - 3:
         raise ValueError(f"s={s} too close to the grid boundary")
 
     def node_kappa(j: int) -> float:
@@ -506,23 +517,26 @@ def _chord_roots(
     window = _windows(grids, gs, cell + 1)
 
     # bisect to bracket collapse; this lands far inside the |g - delta|
-    # tolerance and keeps the root itself accurate to machine precision
+    # tolerance and keeps the root itself accurate to machine precision.
+    # A lane stops once its midpoint no longer moves or its bracket is at
+    # most 1e-17 max(1, |mid|) wide.  The old midpoint is a bracket end, so
+    # for |mid| > 1 a bracket of nonzero width spans at least the float
+    # spacing at mid, 2^-54 |mid| or more: the constant 1e-17 decides the
+    # same.  lo, hi and mid stay finite, so > negates <=.
     mid = 0.5 * (lo + hi)
-    active = bisect
+    active = bisect.copy()
     for _ in range(200):
         if not active.any():
             break
-        fm = _lagrange(*window, mid) - delta
-        moving = active & (fm != 0.0)
-        to_lo = moving & ((fm < 0) == neg_lo)
-        lo = np.where(to_lo, mid, lo)
-        hi = np.where(moving & ~to_lo, mid, hi)
+        fm = _lagrange(window, mid) - delta
+        active &= fm != 0.0
+        to_lo = active & ((fm < 0) == neg_lo)
+        np.copyto(lo, mid, where=to_lo)
+        np.copyto(hi, mid, where=active ^ to_lo)
         nxt = 0.5 * (lo + hi)
-        width = np.abs(hi - lo)
-        collapsed = (nxt == mid) | (width <= 1e-17 * np.maximum(1.0, np.abs(mid)))
-        active = moving & ~collapsed
-        mid = np.where(active, nxt, mid)
-    residual = np.abs(_lagrange(*window, mid) - delta)
+        active &= (nxt != mid) & (np.abs(hi - lo) > 1e-17)
+        np.copyto(mid, nxt, where=active)
+    residual = np.abs(_lagrange(window, mid) - delta)
     failed |= bisect & ~(residual <= ROOT_TOL)  # a NaN residual fails too
     roots = np.where(at_lo, lo, np.where(at_hi, hi, mid))
     return roots, failed, cell
@@ -547,7 +561,7 @@ def _samples_per_row(
     nonpositive = np.flatnonzero(deltas <= 0)
     heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
     roots, failed, cell = _chord_roots(grids, gs, centers, heights)
-    f_at = _lagrange(*_windows(grids, fs, cell + 1), roots)
+    f_at = _lagrange(_windows(grids, fs, cell + 1), roots)
     midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
     for lanes, r, m in zip(failed, roots, midpoint_x):
         if lanes.any():

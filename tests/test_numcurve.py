@@ -175,6 +175,19 @@ class TestAffineCurvature:
         with pytest.raises(ValueError):
             affine_curvature(parabola_curve, parabola_curve.grid[-1])
 
+    @pytest.mark.parametrize("s", [1e308, -math.inf, math.inf, math.nan])
+    def test_far_off_grid_is_refused_before_rounding(self, parabola_curve, s):
+        # a ValueError, not an OverflowError after an overflow warning or
+        # a NaN-to-integer error; in a sweep it surfaces at that point
+        with pytest.raises(ValueError, match="outside grid"):
+            renormalize(parabola_curve, s)
+        with pytest.raises(ValueError, match="too close to the grid boundary"):
+            affine_curvature(parabola_curve, s)
+        rows = []
+        with pytest.raises(ValueError, match="outside grid"):
+            corollary_sweep(parabola_curve, [0.0, s, 0.1], rows=rows)
+        assert [p for p, _, _ in rows] == [0.0]
+
 
 class TestGravitySampling:
     def test_parabola_midpoints_vanish(self, parabola_curve):
@@ -435,6 +448,15 @@ class TestScalarOracles:
         deltas = default_deltas()
         assert gravity_samples(local, deltas) == oracle.gravity_samples(local, deltas)
 
+    def test_roots_far_from_the_base_point_match_oracle(self):
+        # roots out to s = 40, where the oracle's collapse tolerance
+        # 1e-17 max(1, |mid|) is 40 times the chord solve's 1e-17
+        local = integrate_from_kappa(KappaCurveSpec(lambda s: 0.0, half_width=40.0), 1e-2)
+        deltas = [0.6, 2.0, 50.0, 450.0, 799.0]
+        got = gravity_samples(local, deltas)
+        assert min(s.s_plus for s in got) > 1.0 and max(s.s_plus for s in got) > 39.0
+        assert got == oracle.gravity_samples(local, deltas)
+
     @pytest.mark.parametrize("p", ORACLE_POINTS)
     @pytest.mark.parametrize(
         "deltas",
@@ -511,6 +533,46 @@ class TestScalarOracles:
         got = _interp_table(xs, ys, probes)
         assert np.array_equal(got, [oracle.interp_table(xs, ys, float(x)) for x in probes])
 
+    def test_lagrange_reduces_in_node_order(self):
+        # At x = 0.5 on the nodes 0, 1, 2, 3 the basis values are 5/16,
+        # 15/16, -5/16 and 1/16 exactly, so these values make the terms
+        # 1e16, 0.9375, -1e16 and 1: summed in node order they give 1.0,
+        # pairwise or backwards 0.0
+        xs, ys, x = np.arange(4.0), np.array([3.2e16, 1.0, 3.2e16, 16.0]), 0.5
+        terms = [1e16, 0.9375, -1e16, 1.0]
+        assert (terms[0] + terms[1]) + (terms[2] + terms[3]) != 1.0
+        assert ((terms[3] + terms[2]) + terms[1]) + terms[0] != 1.0
+        want = oracle.lagrange4(xs, ys, x)
+        assert want == 1.0
+        window = _windows(xs[None], ys[None], np.array([[1]]))
+        assert window[0].shape == (4, 3, 1, 1)
+        assert _lagrange(window, np.array([[x]])) == want
+        assert _interp_table(xs, ys, np.array([x])) == want
+        # the same window as every lane of a (2, 3) block
+        window = _windows(np.tile(xs, (2, 1)), np.tile(ys, (2, 1)), np.ones((2, 3), dtype=int))
+        assert (_lagrange(window, np.full((2, 3), x)) == want).all()
+
+        # the basis numerators: on these windows a product over the other
+        # nodes taken backwards changes some values
+        def backwards(nodes, values, at):
+            total = 0.0
+            for j in range(4):
+                num, den = 1.0, 1.0
+                for m in (3, 2, 1, 0):
+                    if m != j:
+                        num *= at - nodes[m]
+                        den *= nodes[j] - nodes[m]
+                total += values[j] * (num / den)
+            return total
+
+        rng = np.random.default_rng(3)
+        nodes = np.sort(rng.uniform(-1.0, 1.0, (200, 4)), axis=1)
+        values, probes = rng.uniform(-1.0, 1.0, (200, 4)), rng.uniform(-1.0, 1.0, 200)
+        got = _lagrange(_windows(nodes, values, np.ones((200, 1), dtype=int)), probes[:, None])
+        want = [oracle.lagrange4(*args) for args in zip(nodes, values, probes.tolist())]
+        assert got[:, 0].tolist() == want
+        assert want != [backwards(*args) for args in zip(nodes, values, probes.tolist())]
+
     def test_cell_window_matches_interp_table_inside_cells(self):
         # the chord solve gathers the window of cell j as searchsorted
         # finds it for an abscissa in (xs[j], xs[j + 1]]; at the lower node
@@ -523,7 +585,7 @@ class TestScalarOracles:
         probes = xs[cells] + rng.uniform(0.0, 1.0, len(cells)) * (xs[cells + 1] - xs[cells])
         probes[::4] = xs[cells[::4] + 1]  # the upper node
         probes[1::4] = xs[cells[1::4]]  # the lower node
-        got = _lagrange(*_windows(xs[None], ys[None], cells[None] + 1), probes[None])[0]
+        got = _lagrange(_windows(xs[None], ys[None], cells[None] + 1), probes[None])[0]
         assert np.array_equal(got, _interp_table(xs, ys, probes))
 
     def test_midpoint_on_a_cell_lower_node_matches_oracle(self, monkeypatch):
@@ -543,9 +605,9 @@ class TestScalarOracles:
                 deltas.append(d)
         original, on_lower = _lagrange, []
 
-        def spy(nodes, values, den, x):
-            on_lower.append(bool((x == nodes[..., 1]).any()))
-            return original(nodes, values, den, x)
+        def spy(window, x):
+            on_lower.append(bool((x == window[0][0, 0]).any()))  # node 1, the first other of node 0
+            return original(window, x)
 
         monkeypatch.setattr(numcurve, "_lagrange", spy)
         got = gravity_samples(local, deltas)
