@@ -195,12 +195,9 @@ def parse_fixture(text: str):
 
     Supported: parabola, circle, ellipse[:a,b], hyperbola,
     kappa-poly:c0,c1,...  The second return value maps a base point to
-    the analytic derivative of the affine curvature there.
+    the analytic derivative of the affine curvature there.  numpy and
+    ``numcurve`` load only once the text has passed its checks.
     """
-    import numpy as np
-
-    from .numcurve import KappaCurveSpec, ParametricCurveSpec
-
     name, _, argtext = text.partition(":")
     if name != "kappa-poly" and name not in _CONICS:
         raise ValueError(f"unknown fixture {text!r}")
@@ -214,12 +211,17 @@ def parse_fixture(text: str):
         make_plot, defaults, takes = _CONICS[name]
         if args and (len(args) != len(defaults) or min(args) <= 0):
             raise ValueError(f"{name} takes {takes}")
+    elif not args:
+        raise ValueError("kappa-poly needs coefficients, e.g. kappa-poly:0,1")
+    elif not all(math.isfinite(i * c) for i, c in enumerate(args)):
+        raise ValueError(f"fixture {text!r} has a curvature derivative that is not finite")
+    import numpy as np
+
+    from .numcurve import KappaCurveSpec, ParametricCurveSpec
+
+    if name in _CONICS:
         spec = ParametricCurveSpec(make_plot(np, *(args or defaults)), (-1.0, 1.0))
         return spec, lambda p: 0.0
-    if not args:
-        raise ValueError("kappa-poly needs coefficients, e.g. kappa-poly:0,1")
-    if not all(math.isfinite(i * c) for i, c in enumerate(args)):
-        raise ValueError(f"fixture {text!r} has a curvature derivative that is not finite")
     coeffs = list(args)
 
     def kappa(s):  # a float or, elementwise, a float array
@@ -470,9 +472,9 @@ def cmd_gravity(ctx: click.Context, **params) -> None:
     cfg = Config(**params)
     try:
         cfg.validate()
-        from . import numcurve  # after validate: refused input never loads numpy
-
         spec, kappa_prime = parse_fixture(cfg.fixture)
+        from . import numcurve  # after the checks: refused input never loads numpy
+
         curve = numcurve.build_curve(spec, step=cfg.step)
         cfg.validate(curve)
         if cfg.sweep > 0:
@@ -493,8 +495,7 @@ def cmd_gravity(ctx: click.Context, **params) -> None:
 def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
     from . import numcurve
 
-    local = numcurve.renormalize(curve, cfg.point)
-    samples = numcurve.gravity_samples(local, cfg.deltas())
+    samples = numcurve.gravity_samples(curve, cfg.point, cfg.deltas())
     kp = float(kappa_prime(cfg.point))
     flat = numcurve.fit_flatness(samples, kp, tol_flat=cfg.tol_flat)
     max_dev, straight = numcurve.straightness_test(samples, cfg.tol_straight)

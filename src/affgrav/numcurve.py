@@ -19,13 +19,14 @@ curvature function takes an array the same way.  RK4 evaluates -kappa
 at every stage abscissa of every step in one call per direction and
 then steps through those values in one sequential loop of float
 arithmetic, since each step starts from the state the last one left.
-Interpolation takes every abscissa in one call.  The chord roots of
-every base point, height and side are bisected together in one lockstep
-pass.  A lane's midpoints never leave its grid cell, so it reads g and
-f only through that cell's four-node window, gathered once without a
-table search.  The window is stored node-major: for each of its four
-nodes the other three, the value and the Lagrange denominator, along
-leading axes.  Every cubic evaluation, the table interpolation of the
+Interpolation takes every abscissa in one call.  A single base point
+and a sweep share one sampling pass, which bisects the chord roots of
+every base point, height and side together in lockstep.  A lane's
+midpoints never leave its grid cell, so it reads g and f only through
+that cell's four-node window, gathered once for both without a table
+search.  The window is stored node-major: for each of its four nodes
+the other three and the Lagrange denominator, along leading axes.
+Every cubic evaluation, the table interpolation of the
 reparametrization included, is then two reductions over those axes: a
 product over each node's others for the basis numerator and a sum over
 the nodes, both in node order.  Each array kernel performs the same
@@ -147,9 +148,6 @@ class NumCurve:
 
     def __len__(self) -> int:
         return len(self.grid)
-
-    def center_index(self) -> int:
-        return int(np.argmin(np.abs(self.grid)))
 
     def index_of(self, s: float) -> int:
         # the range test first: far off the grid the index overflows, at NaN it is undefined
@@ -322,16 +320,17 @@ def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
     if len(x) > _BLOCK:
         blocks = range(0, len(x), _BLOCK)
         return np.concatenate([_interp_table(xs, ys, x[i : i + _BLOCK]) for i in blocks])
-    return _lagrange(_windows(xs[None], ys[None], np.searchsorted(xs, x)[None]), x[None])[0]
+    return _lagrange(*_windows(xs[None], np.searchsorted(xs, x)[None], ys[None]), x[None])[0]
 
 
-def _windows(xs: np.ndarray, ys: np.ndarray, found: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four-node window of each abscissa in its row's table, the
-    nodes found - 2 to found + 1 clamped to the table ends (``found`` as
-    ``searchsorted`` gives it), stored node-major: for each node j the
-    other three nodes, shape (4, 3, *found.shape), and the values and
-    Lagrange denominators, shape (4, *found.shape).  Each denominator is
-    one product over the node's others, in node order."""
+def _windows(xs: np.ndarray, found: np.ndarray, *tables: np.ndarray) -> tuple:
+    """The four-node window of each abscissa in its row's grid, the nodes
+    found - 2 to found + 1 clamped to the grid ends (``found`` as
+    ``searchsorted`` gives it), gathered once for all ``tables`` on that
+    grid.  Returns the window (others, den), node-major: for each node j
+    the other three nodes, shape (4, 3, *found.shape), and the Lagrange
+    denominator, one product over them in node order; then each table's
+    values at the nodes, shape (4, *found.shape)."""
     if xs.shape[1] < 4:
         raise ValueError("cubic interpolation needs a table of at least 4 nodes")
     start = np.minimum(np.maximum(found - 2, 0), xs.shape[1] - 4)
@@ -339,15 +338,16 @@ def _windows(xs: np.ndarray, ys: np.ndarray, found: np.ndarray) -> tuple[np.ndar
     window = start + np.arange(4)[:, None, None]
     nodes = xs[row, window]
     others = nodes[_OTHERS]
-    return others, ys[row, window], np.multiply.reduce(nodes[:, None] - others, axis=1)
+    den = np.multiply.reduce(nodes[:, None] - others, axis=1)
+    return (others, den), *(ys[row, window] for ys in tables)
 
 
-def _lagrange(window: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange value at each abscissa from its window (``_windows``):
-    two reductions over the node-major axes, each basis numerator a
-    product over the node's others and the sum over the nodes, both in
-    node order, the sum starting from 0.0."""
-    others, values, den = window
+def _lagrange(window: tuple, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cubic Lagrange value at each abscissa from its window and one
+    table's ``values`` there (``_windows``): two reductions over the
+    node-major axes, each basis numerator a product over the node's
+    others and the sum over the nodes, both in node order from 0.0."""
+    others, den = window
     num = np.multiply.reduce(x - others, axis=1)
     return np.add.reduce(values * (num / den), axis=0, initial=0.0)
 
@@ -472,20 +472,20 @@ def _first_reach(g_out: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def _chord_roots(
-    grids: np.ndarray, gs: np.ndarray, centers: Sequence[int], deltas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of g(s) = delta right and left of each base point, all base
-    points, heights and sides in one pass.
+    grids: np.ndarray, gs: np.ndarray, fs: np.ndarray, centers: Sequence[int], deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of g(s) = delta right and left of each base point and f at
+    them, for all base points, heights and sides in one pass.
 
-    Row r holds the grid and g of a curve normalized at its base node
+    Row r holds the grid, g and f of a curve normalized at its base node
     ``centers[r]``; its lanes are ordered (right, left) per height.  Each
     lane walks outward from the base node to the first node with
-    g >= delta, then bisects the cubic interpolant of its row's g over
-    that grid cell to bracket collapse.  All lanes bisect in lockstep; a
-    lane stops on an exact zero, on a midpoint that no longer moves, or
-    on a collapsed bracket.  Returns the (rows, lanes) roots, a mask of
-    the lanes that found none (a NaN residual included) and each lane's
-    cell j, with grid[j] <= root <= grid[j + 1].
+    g >= delta, then bisects the cubic interpolant of g over that grid
+    cell to bracket collapse, reading g and then f through the cell's
+    one window.  All lanes bisect in lockstep; a lane stops on an exact
+    zero, on a midpoint that no longer moves, or on a collapsed bracket.
+    Returns the (rows, lanes) roots, a mask of the lanes that found none
+    (a NaN residual included) and f at each root.
     """
     outer = np.empty((len(gs), 2 * len(deltas)), dtype=np.intp)
     for r, (g, center) in enumerate(zip(gs, centers)):
@@ -514,7 +514,7 @@ def _chord_roots(
     failed |= ~at_lo & ~at_hi & (neg_lo == (fhi < 0))
     bisect = ~(failed | at_lo | at_hi)
     cell = np.minimum(inner, outer)
-    window = _windows(grids, gs, cell + 1)
+    window, g_values, f_values = _windows(grids, cell + 1, gs, fs)
 
     # bisect to bracket collapse; this lands far inside the |g - delta|
     # tolerance and keeps the root itself accurate to machine precision.
@@ -528,7 +528,7 @@ def _chord_roots(
     for _ in range(200):
         if not active.any():
             break
-        fm = _lagrange(window, mid) - delta
+        fm = _lagrange(window, g_values, mid) - delta
         active &= fm != 0.0
         to_lo = active & ((fm < 0) == neg_lo)
         np.copyto(lo, mid, where=to_lo)
@@ -536,10 +536,10 @@ def _chord_roots(
         nxt = 0.5 * (lo + hi)
         active &= (nxt != mid) & (np.abs(hi - lo) > 1e-17)
         np.copyto(mid, nxt, where=active)
-    residual = np.abs(_lagrange(window, mid) - delta)
+    residual = np.abs(_lagrange(window, g_values, mid) - delta)
     failed |= bisect & ~(residual <= ROOT_TOL)  # a NaN residual fails too
     roots = np.where(at_lo, lo, np.where(at_hi, hi, mid))
-    return roots, failed, cell
+    return roots, failed, _lagrange(window, f_values, roots)
 
 
 def _samples_per_row(
@@ -553,15 +553,13 @@ def _samples_per_row(
 
     Row r holds the grid, the vertical component g and the horizontal
     component f of a curve normalized at its base node ``centers[r]``;
-    all rows are solved in one pass.  Each row raises where
-    ``gravity_samples`` on its curve alone would, and only once the
-    samples of the rows before it have been taken.
+    all rows share one ``_chord_roots`` pass, one window per lane; a row
+    raises its first error, in height order, after earlier rows yield.
     """
     deltas = np.asarray(deltas, dtype=float)
     nonpositive = np.flatnonzero(deltas <= 0)
     heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
-    roots, failed, cell = _chord_roots(grids, gs, centers, heights)
-    f_at = _lagrange(_windows(grids, fs, cell + 1), roots)
+    roots, failed, f_at = _chord_roots(grids, gs, fs, centers, heights)
     midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
     for lanes, r, m in zip(failed, roots, midpoint_x):
         if lanes.any():
@@ -577,26 +575,25 @@ def _samples_per_row(
         ]
 
 
-def gravity_samples(curve: NumCurve, deltas: Sequence[float]) -> list[GravitySample]:
-    """Chord-midpoint samples at the given heights.
+def gravity_samples(curve: NumCurve, p: float, deltas: Sequence[float]) -> list[GravitySample]:
+    """Chord-midpoint samples at the given heights: the sweep's pass for p.
 
-    The curve must be normalized at its base point.  Each height line is
-    intersected with the sampled curve on both sides of the base point;
-    roots are located by bisection on the cubic interpolant of the
-    vertical component, midpoints from the cubic interpolant of the
-    horizontal component.  All heights and both sides are solved in one
-    batched pass.  Errors follow height order, right side before left: a
-    height <= 0 raises ValueError, a missing root BracketingError.
+    The curve is renormalized at the grid node nearest p.  Each height
+    line is intersected with it on both sides of the base point; roots
+    are located by bisection on the cubic interpolant of the vertical
+    component, midpoints from the cubic interpolant of the horizontal
+    component.  A p off the grid raises ValueError; then errors follow
+    height order, right side before left: a missing root raises
+    BracketingError, a height <= 0 ValueError.
     """
-    rows = (curve.grid[None], curve.points[None, :, 1], curve.points[None, :, 0])
-    return next(_samples_per_row(*rows, [curve.center_index()], deltas))
+    return next(_sweep_samples(curve, [p], deltas))
 
 
 def _sweep_samples(
     curve: NumCurve, base_points: Sequence[float], deltas: Sequence[float]
 ) -> Iterator[list[GravitySample]]:
-    """``gravity_samples`` of the curve renormalized at each base point,
-    in order.
+    """The chord-midpoint samples of the curve renormalized at each base
+    point, in order.
 
     Only the grid and the points of each renormalized curve are mapped;
     the chord roots read nothing else.  Base points are solved a chunk at

@@ -417,7 +417,7 @@ def chord_root(curve: NumCurve, direction: int, delta: float) -> float:
     """Walk outward to the first node with g >= delta, then bisect the
     cubic interpolant of g to bracket collapse."""
     g = curve.points[:, 1]
-    i = curve.center_index()
+    i = curve.index_of(0.0)
     side = "right" if direction > 0 else "left"
     while True:
         j = i + direction

@@ -39,7 +39,6 @@ from affgrav import (
     h_leading_law,
     integrate_from_kappa,
     lemma4_check,
-    renormalize,
     reparametrize_affine,
     straightness_test,
     theorem1_criterion,
@@ -245,17 +244,17 @@ def test_criterion_6_numeric_flatness():
     deltas = default_deltas()
 
     linear = integrate_from_kappa(KappaCurveSpec(lambda s: s, half_width=1.0))
-    res = fit_flatness(gravity_samples(linear, deltas), kappa_prime_p=1.0)
+    res = fit_flatness(gravity_samples(linear, 0.0, deltas), kappa_prime_p=1.0)
     assert res.fit_coeffs[1] == pytest.approx(-0.100, abs=0.005)
 
     cubic = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s**3, half_width=1.0))
-    cubic_samples = gravity_samples(cubic, deltas)
+    cubic_samples = gravity_samples(cubic, 0.0, deltas)
     res = fit_flatness(cubic_samples, kappa_prime_p=0.0)
     assert abs(res.fit_coeffs[1]) <= 1e-3
     assert res.is_flat
     _, straight = straightness_test(cubic_samples)
     assert not straight
-    (probe,) = gravity_samples(cubic, [0.01])
+    (probe,) = gravity_samples(cubic, 0.0, [0.01])
     assert probe.midpoint_x / 0.01**3 == pytest.approx(-6 / 210, rel=0.20)
 
     elapsed = time.perf_counter() - t0
@@ -285,15 +284,13 @@ def test_criterion_7_numeric_corollary():
         curve = reparametrize_affine(spec)
         assert corollary_sweep(curve, base_points, deltas), name
         for p in base_points:
-            local = renormalize(curve, p)
-            dev, _ = straightness_test(gravity_samples(local, deltas))
+            dev, _ = straightness_test(gravity_samples(curve, p, deltas))
             assert dev <= tol, (name, p, dev)
 
     bump = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s * s, half_width=1.0))
     assert not corollary_sweep(bump, base_points, deltas)
     for p in base_points:
-        local = renormalize(bump, p)
-        _, ok = straightness_test(gravity_samples(local, deltas))
+        _, ok = straightness_test(gravity_samples(bump, p, deltas))
         assert ok == (abs(p) < 1e-12), p
 
     elapsed = time.perf_counter() - t0

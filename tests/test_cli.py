@@ -406,7 +406,7 @@ class TestGravity:
     )
     def test_non_finite_curve_is_refused_before_any_warning(self, runner, recwarn, fixture):
         # RK4 overflows on these (the last already in kappa itself); the
-        # curve is refused before renormalize would invert its non-finite
+        # curve is refused before the sampler would invert its non-finite
         # frame
         result = runner.invoke(main, ["gravity", "--fixture", fixture])
         assert result.exit_code == 2

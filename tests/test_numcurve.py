@@ -156,7 +156,7 @@ class TestReparametrization:
             reparametrize_affine(spec)
 
     def test_normalized_frame_at_base_point(self, circle_param):
-        i = circle_param.center_index()
+        i = circle_param.index_of(0.0)
         assert np.allclose(circle_param.points[i], [0.0, 0.0], atol=1e-14)
         assert np.allclose(circle_param.d1[i], [1.0, 0.0], atol=1e-12)
         assert np.allclose(circle_param.d2[i], [0.0, 1.0], atol=1e-12)
@@ -191,7 +191,7 @@ class TestAffineCurvature:
 
 class TestGravitySampling:
     def test_parabola_midpoints_vanish(self, parabola_curve):
-        samples = gravity_samples(parabola_curve, default_deltas())
+        samples = gravity_samples(parabola_curve, 0.0, default_deltas())
         for s in samples:
             assert s.s_minus == pytest.approx(-math.sqrt(2 * s.delta), abs=1e-9)
             assert s.s_plus == pytest.approx(math.sqrt(2 * s.delta), abs=1e-9)
@@ -200,18 +200,18 @@ class TestGravitySampling:
 
     def test_roots_sit_on_chord(self, circle_param):
         g = circle_param.points[:, 1]
-        for s in gravity_samples(circle_param, [0.01, 0.05]):
+        for s in gravity_samples(circle_param, 0.0, [0.01, 0.05]):
             for root in (s.s_minus, s.s_plus):
                 i = circle_param.index_of(round(root / circle_param.step) * circle_param.step)
                 assert g[i] == pytest.approx(s.delta, abs=2 * circle_param.step)
 
     def test_circle_chord_midpoints_on_diameter(self, circle_param):
-        (sample,) = gravity_samples(circle_param, [0.1])
+        (sample,) = gravity_samples(circle_param, 0.0, [0.1])
         assert abs(sample.midpoint_x) <= 1e-9
 
     def test_linear_curvature_matches_series_prediction(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: s, half_width=1.0))
-        (sample,) = gravity_samples(cur, [0.01])
+        (sample,) = gravity_samples(cur, 0.0, [0.01])
         # quartic coefficient of the expansion dominates: x ~ -delta^2/10
         assert sample.midpoint_x == pytest.approx(-1e-5, rel=0.2)
 
@@ -220,7 +220,7 @@ class TestGravitySampling:
         assign = poly_kappa_assign([1.0, 0.0, 0.0, 1.0])
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s**3, half_width=1.0))
         for delta in (1e-3, 1e-2, 1e-1):
-            (sample,) = gravity_samples(cur, [delta])
+            (sample,) = gravity_samples(cur, 0.0, [delta])
             symbolic = sum(
                 oracle.jet_value(pipe.gravity_x[k], assign) * delta ** (k / 2)
                 for k in range(0, pipe.order + 1, 2)
@@ -229,7 +229,7 @@ class TestGravitySampling:
 
     def test_bracketing_failure(self, parabola_curve):
         with pytest.raises(BracketingError):
-            gravity_samples(parabola_curve, [10.0])
+            gravity_samples(parabola_curve, 0.0, [10.0])
 
     @pytest.mark.parametrize("offset", [1, -2])
     def test_nan_in_the_cell_window_fails_the_root(self, offset):
@@ -238,52 +238,53 @@ class TestGravitySampling:
         # node.  At offset -2 the bracket ends, read off the table, stay
         # finite.
         local = renormalize(integrate_from_kappa(KappaCurveSpec(lambda s: 0.0 * s)), 0.0)
-        c = local.center_index()
+        c = local.index_of(0.0)
         first = c + 1 + int(np.argmax(local.points[c + 1 :, 1] >= 1e-3))
         points = local.points.copy()
         points[first + offset, 1] = np.nan
         bad = NumCurve(grid=local.grid, points=points, d1=local.d1, d2=local.d2, step=local.step)
-        for sample in (gravity_samples, oracle.gravity_samples):
-            with pytest.raises(BracketingError, match="right side"):
-                sample(bad, [1e-3])
+        with pytest.raises(BracketingError, match="right side"):
+            gravity_samples(bad, 0.0, [1e-3])
+        with pytest.raises(BracketingError, match="right side"):
+            oracle.gravity_samples(bad, [1e-3])
 
     def test_rejects_nonpositive_height(self, parabola_curve):
         with pytest.raises(ValueError):
-            gravity_samples(parabola_curve, [0.0])
+            gravity_samples(parabola_curve, 0.0, [0.0])
 
     def test_rejects_a_grid_below_four_nodes(self):
         # no cell of a 3-node grid has a four-node window
         tiny = integrate_from_kappa(KappaCurveSpec(lambda s: 0.0 * s), step=1.0)
         with pytest.raises(ValueError, match="at least 4 nodes"):
-            gravity_samples(tiny, [0.1])
+            gravity_samples(tiny, 0.0, [0.1])
 
 
 class TestFlatness:
     def test_linear_curvature(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: s, half_width=1.0))
-        res = fit_flatness(gravity_samples(cur, default_deltas()), kappa_prime_p=1.0)
+        res = fit_flatness(gravity_samples(cur, 0.0, default_deltas()), kappa_prime_p=1.0)
         assert res.fit_coeffs[1] == pytest.approx(-0.1, abs=0.005)
         assert res.predicted_b == -0.1
         assert not res.is_flat
 
     def test_cubic_curvature_is_flat(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s**3, half_width=1.0))
-        res = fit_flatness(gravity_samples(cur, default_deltas()), kappa_prime_p=0.0)
+        res = fit_flatness(gravity_samples(cur, 0.0, default_deltas()), kappa_prime_p=0.0)
         assert abs(res.fit_coeffs[1]) <= 1e-3
         assert res.is_flat
 
     def test_constant_curvature(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1.0, half_width=1.0))
-        res = fit_flatness(gravity_samples(cur, default_deltas()), kappa_prime_p=0.0)
+        res = fit_flatness(gravity_samples(cur, 0.0, default_deltas()), kappa_prime_p=0.0)
         assert res.is_flat
 
     def test_prediction_mismatch_raises(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: s, half_width=1.0))
         with pytest.raises(VerificationError):
-            fit_flatness(gravity_samples(cur, default_deltas()), kappa_prime_p=-1.0)
+            fit_flatness(gravity_samples(cur, 0.0, default_deltas()), kappa_prime_p=-1.0)
 
     def test_needs_enough_samples(self, parabola_curve):
-        samples = gravity_samples(parabola_curve, default_deltas(count=4))
+        samples = gravity_samples(parabola_curve, 0.0, default_deltas(count=4))
         with pytest.raises(ValueError):
             fit_flatness(samples, kappa_prime_p=0.0)
 
@@ -291,21 +292,20 @@ class TestFlatness:
 class TestStraightness:
     def test_even_curvature_straight_at_center(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s * s, half_width=1.0))
-        dev, ok = straightness_test(gravity_samples(cur, default_deltas()))
+        dev, ok = straightness_test(gravity_samples(cur, 0.0, default_deltas()))
         assert ok and dev < 1e-8
 
     def test_cubic_curvature_not_straight(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s**3, half_width=1.0))
-        samples = gravity_samples(cur, default_deltas())
+        samples = gravity_samples(cur, 0.0, default_deltas())
         dev, ok = straightness_test(samples)
         assert not ok
-        (probe,) = gravity_samples(cur, [0.01])
+        (probe,) = gravity_samples(cur, 0.0, [0.01])
         assert probe.midpoint_x / 0.01**3 == pytest.approx(-6 / 210, rel=0.2)
 
     def test_even_curvature_not_straight_off_center(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s * s, half_width=1.0))
-        local = renormalize(cur, 0.25)
-        dev, ok = straightness_test(gravity_samples(local, default_deltas()))
+        dev, ok = straightness_test(gravity_samples(cur, 0.25, default_deltas()))
         assert not ok
 
 
@@ -328,8 +328,7 @@ class TestCorollarySweep:
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s * s, half_width=1.0))
         deltas = default_deltas()
         for p in self.BASE_POINTS:
-            local = renormalize(cur, p)
-            _, ok = straightness_test(gravity_samples(local, deltas))
+            _, ok = straightness_test(gravity_samples(cur, p, deltas))
             assert ok == (abs(p) < 1e-9)
 
     @pytest.mark.parametrize(
@@ -343,7 +342,7 @@ class TestCorollarySweep:
         curve = build_curve(parse_fixture(fixture)[0])
         deltas = default_deltas(1e-15)
         devs = [
-            straightness_test(gravity_samples(renormalize(curve, p), deltas))[0]
+            straightness_test(gravity_samples(curve, p, deltas))[0]
             for p in self.BASE_POINTS
         ]
         assert max(devs) >= STRAIGHT_TOL_FLOOR
@@ -374,8 +373,8 @@ class TestAffineInvariance:
         cur1 = reparametrize_affine(ParametricCurveSpec(mapped, (-1.0, 1.0)))
         for s in (-0.3, 0.0, 0.4):
             assert abs(affine_curvature(cur0, s) - affine_curvature(cur1, s)) <= 1e-6
-        d0 = straightness_test(gravity_samples(cur0, default_deltas()))
-        d1 = straightness_test(gravity_samples(cur1, default_deltas()))
+        d0 = straightness_test(gravity_samples(cur0, 0.0, default_deltas()))
+        d1 = straightness_test(gravity_samples(cur1, 0.0, default_deltas()))
         assert d0[1] == d1[1] is True
 
 
@@ -444,18 +443,19 @@ class TestScalarOracles:
     @pytest.mark.parametrize("p", ORACLE_POINTS)
     def test_gravity_samples_match_oracle(self, curve_pair, p):
         built, _ = curve_pair
-        local = renormalize(built, p)
         deltas = default_deltas()
-        assert gravity_samples(local, deltas) == oracle.gravity_samples(local, deltas)
+        assert gravity_samples(built, p, deltas) == oracle.gravity_samples(
+            renormalize(built, p), deltas
+        )
 
     def test_roots_far_from_the_base_point_match_oracle(self):
         # roots out to s = 40, where the oracle's collapse tolerance
         # 1e-17 max(1, |mid|) is 40 times the chord solve's 1e-17
         local = integrate_from_kappa(KappaCurveSpec(lambda s: 0.0, half_width=40.0), 1e-2)
         deltas = [0.6, 2.0, 50.0, 450.0, 799.0]
-        got = gravity_samples(local, deltas)
+        got = gravity_samples(local, 0.0, deltas)
         assert min(s.s_plus for s in got) > 1.0 and max(s.s_plus for s in got) > 39.0
-        assert got == oracle.gravity_samples(local, deltas)
+        assert got == oracle.gravity_samples(renormalize(local, 0.0), deltas)
 
     @pytest.mark.parametrize("p", ORACLE_POINTS)
     @pytest.mark.parametrize(
@@ -468,18 +468,17 @@ class TestScalarOracles:
         ],
     )
     def test_out_of_reach_heights_raise_like_oracle(self, curve_pair, p, deltas):
-        local = renormalize(curve_pair[0], p)
-        got = _outcome(gravity_samples, local, deltas)
-        assert got == _outcome(oracle.gravity_samples, local, deltas)
+        got = _outcome(gravity_samples, curve_pair[0], p, deltas)
+        assert got == _outcome(oracle.gravity_samples, renormalize(curve_pair[0], p), deltas)
 
     @pytest.mark.parametrize(
         "deltas",
         [[0.0], [0.01, -1.0, 0.02], [0.01, 10.0, 0.0], [0.01, 0.0, 10.0], [10.0, -1.0]],
     )
     def test_nonpositive_height_raises_at_its_position(self, parabola_curve, deltas):
-        got = _outcome(gravity_samples, parabola_curve, deltas)
+        got = _outcome(gravity_samples, parabola_curve, 0.0, deltas)
         assert got[0] != "ok"
-        assert got == _outcome(oracle.gravity_samples, parabola_curve, deltas)
+        assert got == _outcome(oracle.gravity_samples, renormalize(parabola_curve, 0.0), deltas)
 
     @pytest.mark.parametrize("count", [2, 3, 8])
     def test_sweep_matches_oracle(self, curve_pair, count):
@@ -544,13 +543,14 @@ class TestScalarOracles:
         assert ((terms[3] + terms[2]) + terms[1]) + terms[0] != 1.0
         want = oracle.lagrange4(xs, ys, x)
         assert want == 1.0
-        window = _windows(xs[None], ys[None], np.array([[1]]))
+        window, values = _windows(xs[None], np.array([[1]]), ys[None])
         assert window[0].shape == (4, 3, 1, 1)
-        assert _lagrange(window, np.array([[x]])) == want
+        assert _lagrange(window, values, np.array([[x]])) == want
         assert _interp_table(xs, ys, np.array([x])) == want
         # the same window as every lane of a (2, 3) block
-        window = _windows(np.tile(xs, (2, 1)), np.tile(ys, (2, 1)), np.ones((2, 3), dtype=int))
-        assert (_lagrange(window, np.full((2, 3), x)) == want).all()
+        lanes = np.ones((2, 3), dtype=int)
+        window, values = _windows(np.tile(xs, (2, 1)), lanes, np.tile(ys, (2, 1)))
+        assert (_lagrange(window, values, np.full((2, 3), x)) == want).all()
 
         # the basis numerators: on these windows a product over the other
         # nodes taken backwards changes some values
@@ -568,7 +568,7 @@ class TestScalarOracles:
         rng = np.random.default_rng(3)
         nodes = np.sort(rng.uniform(-1.0, 1.0, (200, 4)), axis=1)
         values, probes = rng.uniform(-1.0, 1.0, (200, 4)), rng.uniform(-1.0, 1.0, 200)
-        got = _lagrange(_windows(nodes, values, np.ones((200, 1), dtype=int)), probes[:, None])
+        got = _lagrange(*_windows(nodes, np.ones((200, 1), dtype=int), values), probes[:, None])
         want = [oracle.lagrange4(*args) for args in zip(nodes, values, probes.tolist())]
         assert got[:, 0].tolist() == want
         assert want != [backwards(*args) for args in zip(nodes, values, probes.tolist())]
@@ -585,7 +585,7 @@ class TestScalarOracles:
         probes = xs[cells] + rng.uniform(0.0, 1.0, len(cells)) * (xs[cells + 1] - xs[cells])
         probes[::4] = xs[cells[::4] + 1]  # the upper node
         probes[1::4] = xs[cells[1::4]]  # the lower node
-        got = _lagrange(_windows(xs[None], ys[None], cells[None] + 1), probes[None])[0]
+        got = _lagrange(*_windows(xs[None], cells[None] + 1, ys[None]), probes[None])[0]
         assert np.array_equal(got, _interp_table(xs, ys, probes))
 
     def test_midpoint_on_a_cell_lower_node_matches_oracle(self, monkeypatch):
@@ -596,8 +596,9 @@ class TestScalarOracles:
         # second; the oracle's searchsorted picks the window one node
         # lower.  Both windows give g there exactly, so the samples agree,
         # and the spy shows that the case is reached.
-        local = renormalize(integrate_from_kappa(parse_fixture("kappa-poly:1,0,1")[0]), 0.0)
-        c = local.center_index()
+        curve = integrate_from_kappa(parse_fixture("kappa-poly:1,0,1")[0])
+        local = renormalize(curve, 0.0)
+        c = local.index_of(0.0)
         deltas = []
         for d in local.points[c + 30 : c + 110, 1].tolist():
             for _ in range(5):
@@ -605,17 +606,41 @@ class TestScalarOracles:
                 deltas.append(d)
         original, on_lower = _lagrange, []
 
-        def spy(window, x):
+        def spy(window, values, x):
             on_lower.append(bool((x == window[0][0, 0]).any()))  # node 1, the first other of node 0
-            return original(window, x)
+            return original(window, values, x)
 
         monkeypatch.setattr(numcurve, "_lagrange", spy)
-        got = gravity_samples(local, deltas)
+        got = gravity_samples(curve, 0.0, deltas)
         assert any(on_lower)
         assert got == oracle.gravity_samples(local, deltas)
         on_lower.clear()
-        gravity_samples(local, default_deltas())
+        gravity_samples(curve, 0.0, default_deltas())
         assert not any(on_lower)  # no midpoint on a lower node
+
+    def test_each_pass_gathers_one_window_for_g_and_f(self, parabola_curve, monkeypatch):
+        # one _windows call per _samples_per_row pass, carrying g and f:
+        # for a single point and for each chunk of a sweep
+        gathers, passes = [], []
+        windows, per_row = numcurve._windows, numcurve._samples_per_row
+
+        def windows_spy(xs, found, *tables):
+            gathers.append(len(tables))
+            return windows(xs, found, *tables)
+
+        def per_row_spy(*args):
+            passes.append(len(args[0]))
+            return per_row(*args)
+
+        monkeypatch.setattr(numcurve, "_windows", windows_spy)
+        monkeypatch.setattr(numcurve, "_samples_per_row", per_row_spy)
+        gravity_samples(parabola_curve, 0.1, default_deltas())
+        assert (passes, gathers) == ([1], [2])
+        passes.clear()
+        gathers.clear()
+        monkeypatch.setattr(numcurve, "_SWEEP_TABLE", 3 * len(parabola_curve))
+        assert corollary_sweep(parabola_curve, _sweep_points(8), default_deltas())
+        assert (passes, gathers) == ([3, 3, 2], [2, 2, 2])
 
     def test_cumulative_simpson_matches_loop(self):
         y = np.cos(np.linspace(-1.0, 1.0, 101)) ** 3

@@ -1,8 +1,8 @@
 """Each half of the package loads only where a command uses it: in a
 fresh interpreter, importing the CLI and running ``--help``, ``expand``,
-``verify`` or a ``gravity`` run whose options are refused leave numpy out
-of ``sys.modules``, and importing the CLI, ``--help`` and ``gravity``
-leave the exact layer out of it."""
+``verify`` or a ``gravity`` run whose options or fixture are refused
+leave numpy out of ``sys.modules``, and importing the CLI, ``--help``
+and ``gravity`` leave the exact layer out of it."""
 
 import json
 import os
@@ -19,6 +19,10 @@ REPORT = (
     "import atexit, json, sys\n"
     "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
 )
+
+
+# fixture texts that gravity refuses before it builds a curve
+REFUSED_FIXTURES = ["foo:x", "ellipse:2", "kappa-poly:", "kappa-poly:1,,2"]
 
 
 def modules_after(statement: str) -> set[str]:
@@ -43,6 +47,12 @@ def command(*args: str) -> str:
     )
 
 
+def refused(*args: str) -> str:
+    """The statement that runs a gravity command and expects exit code 2."""
+    run = command("gravity", *args)
+    return f"try:\n    {run}\nexcept SystemExit as exc:\n    assert exc.code == 2"
+
+
 @pytest.mark.parametrize(
     "statement",
     [
@@ -51,10 +61,12 @@ def command(*args: str) -> str:
         command("gravity", "--help"),
         command("expand", "--order", "6"),
         command("verify", "--order", "6"),
-        "try:\n    " + command("gravity", "--point", "nan") + "\nexcept SystemExit as exc:\n"
-        "    assert exc.code == 2",
+        refused("--point", "nan"),
+        *(refused("--fixture", f) for f in REFUSED_FIXTURES),
     ],
-    ids=["import", "help", "gravity-help", "expand", "verify", "gravity-refused"],
+    ids=[
+        "import", "help", "gravity-help", "expand", "verify", "gravity-refused", *REFUSED_FIXTURES
+    ],
 )
 def test_symbolic_start_does_not_import_numpy(statement):
     modules = modules_after(statement)
