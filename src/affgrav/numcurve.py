@@ -17,8 +17,11 @@ array of parameters of any shape and returns x and y arrays of that
 shape, so the plot is called once per point set, not once per point; a
 curvature function takes an array the same way.  RK4 evaluates -kappa
 at every stage abscissa of every step in one call per direction and
-then steps through those values in one sequential loop of float
-arithmetic, since each step starts from the state the last one left.
+then steps the frame (c', c'') through those values in one sequential
+loop of float arithmetic, since each step starts from the frame the
+last one left.  The positions c never feed back into the frame; one
+array pass recomputes their increments from the same stage values and
+sums them afterwards, in the loop's order, by one accumulate.
 Interpolation takes every abscissa in one call.  A single base point
 and a sweep share one sampling pass, which bisects the chord roots of
 every base point, height and side together in lockstep.  A lane's
@@ -46,7 +49,6 @@ base points at once as ``_SWEEP_TABLE`` entries allow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -205,18 +207,22 @@ def _check_grid_size(nodes: float) -> None:
 # -- integration from curvature ---------------------------------------------
 
 
-def _rk4_steps(neg_kappa: np.ndarray, h: float, state: tuple) -> Iterator[tuple[float, ...]]:
-    """The state after each RK4 step of size h from ``state``.
+def _frame_steps(neg_kappa: np.ndarray, h: float, frame: tuple) -> Iterator[float]:
+    """The frame after each RK4 step of size h from ``frame``, flat.
 
-    A state is c, c', c'' as (px, py, ax, ay, bx, by); column i of the
-    (3, steps) table ``neg_kappa`` holds -kappa at the step's stage
-    abscissae s, s + h/2 and s + h.  Each step starts from the state the
-    last one left, so the steps run as one loop of float arithmetic.
+    A frame is c', c'' as (ax, ay, bx, by); column i of the (3, steps)
+    table ``neg_kappa`` holds -kappa at the step's stage abscissae s,
+    s + h/2 and s + h.  Each step starts from the frame the last one
+    left, so the steps run as one loop of float arithmetic.  The
+    position c never feeds back into the frame; ``_positions`` sums it
+    afterwards.  Each component is yielded on its own, which costs less
+    than building a tuple per step.
     """
     h2, h6 = h / 2, h / 6
-    px, py, ax, ay, bx, by = state
+    ax, ay, bx, by = frame
     for k1, k23, k4 in zip(*map(memoryview, neg_kappa)):
-        # the four RK4 stages of (c, c', c'')' = (c', c'', -kappa c'); (cx, cy) is c'''
+        # the four RK4 stages of (c', c'')' = (c'', -kappa c'); (cx, cy) is
+        # c''', and x + x is the float 2 * x
         cx1, cy1 = k1 * ax, k1 * ay
         ax2, ay2 = ax + h2 * bx, ay + h2 * by
         bx2, by2 = bx + h2 * cx1, by + h2 * cy1
@@ -224,18 +230,42 @@ def _rk4_steps(neg_kappa: np.ndarray, h: float, state: tuple) -> Iterator[tuple[
         ax3, ay3 = ax + h2 * bx2, ay + h2 * by2
         bx3, by3 = bx + h2 * cx2, by + h2 * cy2
         cx3, cy3 = k23 * ax3, k23 * ay3
-        ax4, ay4 = ax + h * bx3, ay + h * by3
         bx4, by4 = bx + h * cx3, by + h * cy3
-        cx4, cy4 = k4 * ax4, k4 * ay4
-        px += h6 * (ax + 2 * ax2 + 2 * ax3 + ax4)
-        py += h6 * (ay + 2 * ay2 + 2 * ay3 + ay4)
-        ax, ay, bx, by = (
-            ax + h6 * (bx + 2 * bx2 + 2 * bx3 + bx4),
-            ay + h6 * (by + 2 * by2 + 2 * by3 + by4),
-            bx + h6 * (cx1 + 2 * cx2 + 2 * cx3 + cx4),
-            by + h6 * (cy1 + 2 * cy2 + 2 * cy3 + cy4),
+        cx4, cy4 = k4 * (ax + h * bx3), k4 * (ay + h * by3)
+        ax, ay = (
+            ax + h6 * (bx + (bx2 + bx2) + (bx3 + bx3) + bx4),
+            ay + h6 * (by + (by2 + by2) + (by3 + by3) + by4),
         )
-        yield px, py, ax, ay, bx, by
+        bx, by = (
+            bx + h6 * (cx1 + (cx2 + cx2) + (cx3 + cx3) + cx4),
+            by + h6 * (cy1 + (cy2 + cy2) + (cy3 + cy3) + cy4),
+        )
+        yield ax
+        yield ay
+        yield bx
+        yield by
+
+
+def _positions(frames: np.ndarray, neg_kappa: np.ndarray, h: float) -> np.ndarray:
+    """The positions c, from c = 0, along the frames of ``_frame_steps``.
+
+    ``frames[i]`` is the frame before step i and ``neg_kappa`` the same
+    (3, steps) table.  The increment of c is recomputed from the loop's
+    stage values, one rounded array operation for each float operation
+    there, and summed in step order by one sequential accumulate, so
+    each of the (steps + 1, 2) positions is the loop's ``c += increment``
+    bit for bit.
+    """
+    # components first, so that each array operation runs along the steps
+    a, b = frames.T.copy().reshape(2, 2, -1)
+    k1, k23 = neg_kappa[0], neg_kappa[1]
+    h2, h6 = h / 2, h / 6
+    a2 = a + h2 * b
+    a3 = a + h2 * (b + h2 * (k1 * a))
+    a4 = a + h * (b + h2 * (k23 * a2))
+    points = np.zeros((2, len(frames) + 1))
+    points[:, 1:] = h6 * (a + (a2 + a2) + (a3 + a3) + a4)
+    return np.add.accumulate(points, axis=1, out=points).T
 
 
 def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
@@ -244,9 +274,11 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
     The state (c, c', c'') starts at ((0,0), e1, e2) and is integrated in
     both directions over [-half_width, half_width] of the spec with fixed
     step.  kappa is called once per direction, on the stage abscissae of
-    all steps; a curvature that overflows there gives a non-finite curve
-    without a warning, for the caller to refuse (``Config.validate``
-    does).
+    all steps.  The sequential loop carries only the frame (c', c''); the
+    positions of each direction are summed after it, in the loop's
+    order, by one accumulate.  A curvature that overflows gives a
+    non-finite curve without a warning, for the caller to refuse
+    (``Config.validate`` does).
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -255,22 +287,23 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
     n = int(n)
     if n < 1:
         raise ValueError("domain narrower than one step")
-    start = (0.0, 0.0, 1.0, 0.0, 0.0, 1.0)
-    halves = []
-    for sign in (1, -1):
-        h = sign * step
-        s = (sign * np.arange(n)) * step
-        neg_kappa = np.empty((3, n))
-        with np.errstate(over="ignore", invalid="ignore"):
+    start = (1.0, 0.0, 0.0, 1.0)
+    frames = np.empty((2 * n + 1, 4))
+    points = np.empty((2 * n + 1, 2))
+    frames[n] = start
+    neg_kappa = np.empty((3, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # each direction's nodes from s = 0 outwards
+        for sign, nodes in ((1, slice(n, None)), (-1, slice(n, None, -1))):
+            h = sign * step
+            s = (sign * np.arange(n)) * step
             neg_kappa[...] = -spec.kappa(np.stack([s, s + h / 2, s + h]))
-        steps = chain.from_iterable(_rk4_steps(neg_kappa, h, start))
-        halves.append(np.fromiter(steps, float, count=6 * n).reshape(n, 6))
-    states = np.concatenate([halves[1][::-1], [start], halves[0]])
+            steps = _frame_steps(neg_kappa, h, start)
+            frames[nodes][1:] = np.fromiter(steps, float, count=4 * n).reshape(n, 4)
+            points[nodes] = _positions(frames[nodes][:-1], neg_kappa, h)
 
     grid = np.arange(-n, n + 1) * step
-    return NumCurve(
-        grid=grid, points=states[:, 0:2], d1=states[:, 2:4], d2=states[:, 4:6], step=step
-    )
+    return NumCurve(grid=grid, points=points, d1=frames[:, :2], d2=frames[:, 2:], step=step)
 
 
 # -- reparametrization of parametric curves -------------------------------------

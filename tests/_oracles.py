@@ -16,6 +16,9 @@ scalar, one-value-at-a-time forms of the conic plots, the curve
 builders, the chord-root search and the base-point sweep: the array code
 in ``numcurve`` and the array plots of ``cli`` must reproduce them bit
 for bit.
+``near_conic_x`` is a closed form instead: the first-order gravity
+curve of a linear curvature, which the RK4 path must match within a
+stated relative bound.
 """
 
 from __future__ import annotations
@@ -499,3 +502,27 @@ def corollary_sweep(curve, base_points, deltas=None, tol_straight=None, rows=Non
             f"straight everywhere={all_straight} but curvature spread={spread:.3g}",
         )
     return all_straight
+
+
+# -- closed forms ----------------------------------------------------------------
+
+
+def near_conic_x(delta: float, k0: float, eps: float) -> float:
+    """The midpoint abscissa at height delta of the gravity curve at s = 0
+    of kappa(s) = k0 + eps s, to first order in eps.
+
+    Summing the eps terms c_j k0^(j-2) eps of every h_2j, with
+    c_j = -(3/4) j!/(2j+1)!!, gives -(3/4) eps k0^-2 [F(k0 delta/2) - 1 -
+    k0 delta/3], where F(y) = arcsin(sqrt y)/sqrt(y(1-y)) for y > 0 and
+    arsinh(sqrt z)/sqrt(z(1+z)) with z = -y for y < 0; at k0 = 0 the
+    sum is -eps delta^2/10.
+    """
+    if k0 == 0:
+        return -eps * delta * delta / 10
+    y = k0 * delta / 2
+    if y > 0:
+        f = math.asin(math.sqrt(y)) / math.sqrt(y * (1 - y))
+    else:
+        z = -y
+        f = math.asinh(math.sqrt(z)) / math.sqrt(z * (1 + z))
+    return -0.75 * eps / (k0 * k0) * (f - 1 - k0 * delta / 3)

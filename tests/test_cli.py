@@ -18,6 +18,9 @@ GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
 # ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --point 0 --format csv``,
 # printed before RK4 took its curvature values from one array per stage
 GRAVITY_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_point0.csv"
+# ``gravity --fixture kappa-poly:0,1 --point 0 --format csv``, printed
+# while the RK4 loop still carried the positions
+GRAVITY_LINEAR_GOLDEN = Path(__file__).parent / "data" / "gravity_linear_point0.csv"
 # sha256 of ``expand --order N --format json`` without its final newline,
 # the exact rendering the pipeline produced before its rational rewrite
 # (orders 16 and 22) and before its packed monomial keys (order 26).
@@ -310,6 +313,13 @@ class TestGravity:
         assert result.exit_code == 0
         assert result.stdout_bytes == GRAVITY_GOLDEN.read_bytes()
 
+    def test_linear_point_golden_file(self, runner):
+        # the benchmark's linear-curvature command, bits from RK4 and the chord kernels alone
+        args = ["--fixture", "kappa-poly:0,1", "--point", "0", "--format", "csv"]
+        result = runner.invoke(main, ["gravity", *args])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == GRAVITY_LINEAR_GOLDEN.read_bytes()
+
     def test_csv_is_deterministic(self, runner):
         args = ["gravity", "--fixture", "circle", "--format", "csv"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
@@ -402,12 +412,19 @@ class TestGravity:
         assert last.startswith("Error: ") and message in last
 
     @pytest.mark.parametrize(
-        "fixture", ["kappa-poly:1e300", "kappa-poly:1e200,1", "kappa-poly:1e308,1e308"]
+        "fixture",
+        [
+            "kappa-poly:1e300",
+            "kappa-poly:1e200,1",
+            "kappa-poly:1e308,1e308",
+            # finite kappa, overflowing frame and positions
+            "kappa-poly:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1e300",
+        ],
     )
     def test_non_finite_curve_is_refused_before_any_warning(self, runner, recwarn, fixture):
-        # RK4 overflows on these (the last already in kappa itself); the
-        # curve is refused before the sampler would invert its non-finite
-        # frame
+        # RK4 overflows on these (kappa-poly:1e308,1e308 already in kappa
+        # itself); the curve is refused before the sampler would invert
+        # its non-finite frame
         result = runner.invoke(main, ["gravity", "--fixture", fixture])
         assert result.exit_code == 2
         assert not recwarn.list

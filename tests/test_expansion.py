@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -233,6 +233,19 @@ class TestHLeadingLaw:
         assert wronskian_series(pipe)[0] == 1
         assert theorem1_criterion(pipe) == F(-1, 10) * k(1)
         assert theorem2_symbolic(pipe)
+
+
+class TestNearConicLaw:
+    def test_linear_curvature_coefficients(self):
+        # for kappa = k0 + eps s, h_2j = c_j k0^(j-2) eps + O(eps^3) with
+        # c_j = -(3/4) j!/(2j+1)!!; the sum over j is the closed form
+        # of _oracles.near_conic_x
+        h = build_pipeline(MAX_ORDER).h
+        for j in range(2, MAX_ORDER // 2 + 1):
+            double_factorial = prod(range(1, 2 * j + 2, 2))
+            exponents = {0: j - 2, 1: 1} if j > 2 else {1: 1}
+            want = QR2Scalar(F(-3, 4) * factorial(j) / double_factorial)
+            assert h[2 * j].coefficient_of(exponents) == want, j
 
 
 def _lemma4(pipe):

@@ -227,6 +227,18 @@ class TestGravitySampling:
             )
             assert sample.midpoint_x == pytest.approx(symbolic, rel=0.05)
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    @pytest.mark.parametrize("k0", [-2.5, -1.0, 0.0, 1.0, 3.0])
+    def test_near_conic_midpoints_match_closed_form(self, k0, eps):
+        # kappa = k0 + eps s is a conic perturbed to first order; the
+        # residual, ~1e-7 relative at both eps, is the numeric floor of RK4
+        # and the chord solve, far above the closed form's own relative
+        # error, O(eps^2 delta^3)
+        curve = build_curve(parse_fixture(f"kappa-poly:{k0},{eps}")[0])
+        for s in gravity_samples(curve, 0.0, default_deltas()):
+            want = oracle.near_conic_x(s.delta, k0, eps)
+            assert abs(s.midpoint_x / want - 1) <= 1e-6, s
+
     def test_bracketing_failure(self, parabola_curve):
         with pytest.raises(BracketingError):
             gravity_samples(parabola_curve, 0.0, [10.0])
@@ -429,8 +441,14 @@ class TestScalarOracles:
 
     @pytest.mark.parametrize(
         "kappa",
-        [lambda s: 0.0, lambda s: 1.0, parse_fixture("kappa-poly:0.5,0.2,-0.3")[0].kappa],
-        ids=["zero", "one", "poly"],
+        [
+            lambda s: 0.0,
+            lambda s: 1.0,
+            parse_fixture("kappa-poly:0.5,0.2,-0.3")[0].kappa,
+            parse_fixture("kappa-poly:0,1")[0].kappa,
+            parse_fixture("kappa-poly:-3,2,5,-1")[0].kappa,
+        ],
+        ids=["zero", "one", "poly", "linear", "sign-change"],
     )
     @pytest.mark.parametrize("step,half_width", [(3e-3, 1.0), (7e-4, 1.0), (1e-3, 0.5)])
     def test_rk4_matches_oracle_at_other_steps(self, kappa, step, half_width):
