@@ -163,20 +163,15 @@ class Config:
 
 # -- fixtures -------------------------------------------------------------------
 
-# Conics plotted on u in [-1, 1]: name -> (plot maker, its default
-# arguments, what it takes).  A conic has constant affine curvature.  A
-# plot maker takes numpy, then the arguments, and returns an array plot
-# (``numcurve.ParametricCurveSpec``).
-_CONICS = {
-    "parabola": (lambda np: lambda u: (u, u * u / 2), (), "no arguments"),
-    "circle": (lambda np: lambda u: (np.cos(u), np.sin(u)), (), "no arguments"),
-    "ellipse": (
-        lambda np, a, b: lambda u: (a * np.cos(u), b * np.sin(u)),
-        (2.0, 1.0),
-        "two positive semi-axes, e.g. ellipse:2,1",
-    ),
-    "hyperbola": (lambda np: lambda u: _libm_hyperbola(np, u), (), "no arguments"),
-}
+def _ellipse_jet(np, a, b):
+    """The jet of (a cos u, b sin u): one cosine and one sine per
+    abscissa, the derivatives sign flips and products of them."""
+
+    def jet(u):
+        c, s = np.cos(u), np.sin(u)
+        return (a * c, b * s), (-a * s, b * c), (-a * c, -b * s), (a * s, -b * c)
+
+    return jet
 
 
 def _libm_hyperbola(np, u):
@@ -188,6 +183,33 @@ def _libm_hyperbola(np, u):
         chain(map(math.cosh, flat), map(math.sinh, flat)), float, count=2 * len(flat)
     ).reshape(2, *u.shape)
     return both[0], -both[1]
+
+
+def _hyperbola_jet(np):
+    """The jet of (cosh u, -sinh u): its derivatives repeat with period
+    two, each a sign flip of the point's pair."""
+
+    def jet(u):
+        x, y = _libm_hyperbola(np, u)
+        return (x, y), (-y, -x), (x, y), (-y, -x)
+
+    return jet
+
+
+# Conics plotted on u in [-1, 1]: name -> (jet maker, its default
+# arguments, what it takes).  A conic has constant affine curvature.  A
+# jet maker takes numpy, then the arguments, and returns the plot's
+# exact jet (``numcurve.ParametricCurveSpec``).
+_CONICS = {
+    "parabola": (
+        lambda np: lambda u: ((u, u * u / 2), (1.0, u), (0.0, 1.0), (0.0, 0.0)),
+        (),
+        "no arguments",
+    ),
+    "circle": (lambda np: _ellipse_jet(np, 1.0, 1.0), (), "no arguments"),
+    "ellipse": (_ellipse_jet, (2.0, 1.0), "two positive semi-axes, e.g. ellipse:2,1"),
+    "hyperbola": (_hyperbola_jet, (), "no arguments"),
+}
 
 
 def parse_fixture(text: str):
@@ -208,7 +230,7 @@ def parse_fixture(text: str):
     if not all(math.isfinite(a) for a in args):
         raise ValueError(f"fixture arguments must be finite, got {text!r}")
     if name in _CONICS:
-        make_plot, defaults, takes = _CONICS[name]
+        make_jet, defaults, takes = _CONICS[name]
         if args and (len(args) != len(defaults) or min(args) <= 0):
             raise ValueError(f"{name} takes {takes}")
     elif not args:
@@ -220,7 +242,7 @@ def parse_fixture(text: str):
     from .numcurve import KappaCurveSpec, ParametricCurveSpec
 
     if name in _CONICS:
-        spec = ParametricCurveSpec(make_plot(np, *(args or defaults)), (-1.0, 1.0))
+        spec = ParametricCurveSpec(make_jet(np, *(args or defaults)), (-1.0, 1.0))
         return spec, lambda p: 0.0
     coeffs = list(args)
 

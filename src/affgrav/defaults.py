@@ -31,6 +31,6 @@ TOL_STRAIGHT_FACTOR = 1e-6
 # -c, so every midpoint abscissa tends to -c however small the heights.
 # The residual slope c of a renormalized curve is rounding noise of
 # unit-scale nodes and frames; over the built-in fixtures it holds
-# max_dev at 37 (kappa-poly:1) to 740 (hyperbola) ulps of 1.  Below 32
+# max_dev at 38 (kappa-poly:1) to 669 (hyperbola) ulps of 1.  Below 32
 # ulps of 1 no curve reads straight.
 STRAIGHT_TOL_FLOOR = 32 * sys.float_info.epsilon

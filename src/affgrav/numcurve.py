@@ -12,10 +12,10 @@ intersections at a given height by bisection, collecting the chord
 midpoints, and estimating flatness and straightness of the resulting
 midpoint curve.
 
-The numeric kernels work on whole arrays.  A parametric plot takes an
-array of parameters of any shape and returns x and y arrays of that
-shape, so the plot is called once per point set, not once per point; a
-curvature function takes an array the same way.  RK4 evaluates -kappa
+The numeric kernels work on whole arrays.  A parametric plot's jet
+takes an array of parameters of any shape and returns its (x, y) pairs
+as arrays of that shape, so it is called once per point set, not once
+per point; a curvature function takes an array the same way.  RK4 evaluates -kappa
 at every stage abscissa of every step in one call per direction and
 then steps the frame (c', c'') through those values in one sequential
 loop of float arithmetic, since each step starts from the frame the
@@ -38,12 +38,12 @@ results are bit-identical to it;
 ``tests/_oracles.py`` keeps those forms and the tests compare against
 them with ``==``.
 
-Derivatives of a parametric plot come from ``_STENCILS``, one table of
-central finite-difference stencils read by ``_fd``, which evaluates all
-offsets of a stencil in one plot call.  Values already known at the
-nodes serve as the zero-offset term.  No grid holds more than
-``MAX_GRID_NODES`` nodes, and a sweep stacks the tables of only as many
-base points at once as ``_SWEEP_TABLE`` entries allow.
+A parametric plot comes with its exact derivatives: its jet returns
+the point and the first three derivatives together, and
+reparametrization calls it twice, once on the parameter table and once
+on the grid.  No grid holds more than ``MAX_GRID_NODES`` nodes, and a
+sweep stacks the tables of only as many base points at once as
+``_SWEEP_TABLE`` entries allow.
 """
 
 from __future__ import annotations
@@ -93,18 +93,6 @@ MAX_GRID_NODES = 10**6
 # parameter-table nodes of reparametrize_affine; odd, for composite Simpson
 TABLE_NODES = 4001
 
-# O(du^4) central stencils, derivative order -> (du, offsets, weights,
-# denominator): the derivative is sum(w * c(u + k du)) / denominator,
-# summed in offset order.  Steps are kept wide: the white part of the
-# roundoff error, eps/du^n from the callable's rounded output, feeds
-# node-to-node jitter of the stored frames that the curvature estimator
-# later divides by the grid step; truncation stays far below it here.
-_STENCILS = {
-    1: (2e-3, (-2, -1, 1, 2), (1, -8, 8, -1), 12 * 2e-3),
-    2: (1e-2, (-2, -1, 0, 1, 2), (-1, 16, -30, 16, -1), 12 * (1e-2 * 1e-2)),
-    3: (1.2e-2, (-3, -2, -1, 1, 2, 3), (1, -8, 13, -13, 8, -1), 8 * (1.2e-2 * 1.2e-2 * 1.2e-2)),
-}
-
 
 @dataclass(frozen=True)
 class KappaCurveSpec:
@@ -124,12 +112,14 @@ class KappaCurveSpec:
 class ParametricCurveSpec:
     """Curve given as a parametric plot on a parameter interval.
 
-    ``xy`` takes a float array of any shape (a float works too) and
-    returns the (x, y) arrays of that shape.  Must be non-degenerate:
-    det[c_u, c_uu] > 0 throughout the domain.
+    ``jet`` takes a float array of any shape (a float works too) and
+    returns the four (x, y) pairs c, c_u, c_uu and c_uuu, each entry an
+    array of that shape; a float entry, a constant, broadcasts.  It is
+    evaluated elementwise.  Must be non-degenerate: det[c_u, c_uu] > 0
+    throughout the domain.
     """
 
-    xy: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    jet: Callable[[np.ndarray], tuple[tuple[np.ndarray, np.ndarray], ...]]
     domain: tuple[float, float]
 
 
@@ -309,20 +299,14 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
 # -- reparametrization of parametric curves -------------------------------------
 
 
-def _fd(fn, us: np.ndarray, order: int, at_us: np.ndarray | None = None) -> np.ndarray:
-    """Derivative of the given order of fn at each u, by its ``_STENCILS``
-    row; ``at_us`` is fn at us when the caller already has it.  All
-    offsets the stencil needs are evaluated in one call on a stacked
-    (offsets, len(us)) abscissa array."""
-    du, offsets, weights, denominator = _STENCILS[order]
-    needed = [k for k in offsets if k or at_us is None]
-    xs, ys = fn(np.stack([us + k * du if k else us for k in needed]))
-    rows = zip(xs, ys)
-    tx = ty = None
-    for k, w in zip(offsets, weights):
-        x, y = at_us.T if at_us is not None and not k else next(rows)
-        tx, ty = (w * x, w * y) if tx is None else (tx + w * x, ty + w * y)
-    return np.stack([tx, ty], axis=-1) / denominator
+def _jet_pairs(jet, us: np.ndarray) -> np.ndarray:
+    """The jet's pairs c, c_u, c_uu, c_uuu at each u of a 1-D ``us``, as
+    one (4, len(us), 2) array, from one call."""
+    out = np.empty((4, len(us), 2))
+    for pair, (x, y) in zip(out, jet(us)):
+        pair[:, 0] = x
+        pair[:, 1] = y
+    return out
 
 
 def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -392,9 +376,11 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     The arclength element is det[c_u, c_uu]^(1/3); its integral is
     accumulated with composite Simpson over ``TABLE_NODES`` parameter
     nodes, inverted monotonically, and the curve resampled on a uniform
-    grid.  Frames come from the chain rule on finite-difference
-    derivatives of the plot.  The node nearest the middle of the
-    parameter interval becomes the normalized base point.
+    grid.  Frames come from the chain rule on the plot's exact
+    derivatives.  The jet is called twice: on the parameter table for
+    det[c_u, c_uu], and on the grid for the points and frames.  The node
+    nearest the middle of the parameter interval becomes the normalized
+    base point.
 
     A plot whose det[c_u, c_uu] overflows is refused as too large; an
     arclength too long for the step fails the grid-size check, and the
@@ -404,7 +390,8 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     if not u1 > u0:
         raise ValueError("empty parameter domain")
     us = np.linspace(u0, u1, TABLE_NODES)
-    det = _cross(_fd(spec.xy, us, 1), _fd(spec.xy, us, 2))
+    _, c1, c2, _ = _jet_pairs(spec.jet, us)
+    det = _cross(c1, c2)
     top = float(np.abs(det).max())
     if top < np.finfo(float).tiny:  # too small to tell from degeneracy
         raise ValueError(f"plot too small: max |det[c_u, c_uu]| = {top:.4g} underflows")
@@ -429,10 +416,7 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     u_of_s = _interp_table(sigma, us, grid)
     u_of_s[n_neg] = us[iref]  # base node is a table node; keep it exact
 
-    pts = np.stack(spec.xy(u_of_s), axis=-1)
-    c1 = _fd(spec.xy, u_of_s, 1)
-    c2 = _fd(spec.xy, u_of_s, 2, at_us=pts)
-    c3 = _fd(spec.xy, u_of_s, 3)
+    pts, c1, c2, c3 = _jet_pairs(spec.jet, u_of_s)
     z = _cross(c1, c2)
     zp = _cross(c1, c3)
     d1 = c1 * (z ** (-1.0 / 3.0))[:, None]

@@ -12,9 +12,9 @@ its nonzero ``QR2Scalar`` coefficient.  The grading helpers
 (``odd_degree``, ``kill_odd_derivatives``, ``is_alternating``) and the
 product-built ``random_poly_in_class`` read polynomials only through
 their public methods.  The numeric oracles are the
-scalar, one-value-at-a-time forms of the conic plots, the curve
+scalar, one-value-at-a-time forms of the conic jets, the curve
 builders, the chord-root search and the base-point sweep: the array code
-in ``numcurve`` and the array plots of ``cli`` must reproduce them bit
+in ``numcurve`` and the array jets of ``cli`` must reproduce them bit
 for bit.
 ``near_conic_x`` is a closed form instead: the first-order gravity
 curve of a linear curvature, which the RK4 path must match within a
@@ -352,22 +352,37 @@ def integrate_from_kappa(spec, step: float = 1e-3) -> NumCurve:
     return NumCurve(grid=grid, points=arr[:, 0], d1=arr[:, 1], d2=arr[:, 2], step=step)
 
 
+def _ellipse_jet(a, b):
+    def jet(u):
+        c, s = math.cos(u), math.sin(u)
+        return (a * c, b * s), (-a * s, b * c), (-a * c, -b * s), (a * s, -b * c)
+
+    return jet
+
+
+def _hyperbola_jet(u):
+    x, y = math.cosh(u), -math.sinh(u)
+    return (x, y), (-y, -x), (x, y), (-y, -x)
+
+
 # The conic fixtures of ``cli._CONICS`` at their default arguments, as
-# scalar plots on the math module.
-CONIC_PLOTS = {
-    "parabola": lambda u: (u, u * u / 2),
-    "circle": lambda u: (math.cos(u), math.sin(u)),
-    "ellipse": lambda u: (2.0 * math.cos(u), 1.0 * math.sin(u)),
-    "hyperbola": lambda u: (math.cosh(u), -math.sinh(u)),
+# scalar jets on the math module: the pairs c, c_u, c_uu, c_uuu.
+CONIC_JETS = {
+    "parabola": lambda u: ((u, u * u / 2), (1.0, u), (0.0, 1.0), (0.0, 0.0)),
+    "circle": _ellipse_jet(1.0, 1.0),
+    "ellipse": _ellipse_jet(2.0, 1.0),
+    "hyperbola": _hyperbola_jet,
 }
 
 
-def _xy(fn, us) -> np.ndarray:
-    out = np.empty((len(us), 2))
+def _xy(jet, us) -> np.ndarray:
+    """The jet's four pairs at each u, one scalar call per u, as a
+    (4, len(us), 2) array."""
+    out = np.empty((4, len(us), 2))
     for i, u in enumerate(us):
-        x, y = fn(float(u))
-        out[i, 0] = x
-        out[i, 1] = y
+        for k, (x, y) in enumerate(jet(float(u))):
+            out[k, i, 0] = x
+            out[k, i, 1] = y
     return out
 
 
@@ -375,31 +390,16 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _fd1(fn, us, du=2e-3):
-    m2, m1 = _xy(fn, us - 2 * du), _xy(fn, us - du)
-    p1, p2 = _xy(fn, us + du), _xy(fn, us + 2 * du)
-    return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * du)
-
-
-def _fd2(fn, us, du=1e-2):
-    c0 = _xy(fn, us)
-    m2, m1 = _xy(fn, us - 2 * du), _xy(fn, us - du)
-    p1, p2 = _xy(fn, us + du), _xy(fn, us + 2 * du)
-    return (-m2 + 16 * m1 - 30 * c0 + 16 * p1 - p2) / (12 * (du * du))
-
-
-def _fd3(fn, us, du=1.2e-2):
-    m3, m2, m1 = _xy(fn, us - 3 * du), _xy(fn, us - 2 * du), _xy(fn, us - du)
-    p1, p2, p3 = _xy(fn, us + du), _xy(fn, us + 2 * du), _xy(fn, us + 3 * du)
-    return (m3 - 8 * m2 + 13 * m1 - 13 * p1 + 8 * p2 - p3) / (8 * (du * du * du))
-
-
-def reparametrize_affine(spec, samples: int = 4001, step: float = 1e-3) -> NumCurve:
-    """Affine-arclength resampling with per-node interpolation and the
-    loop Simpson sum; for non-degenerate plots only."""
-    u0, u1 = spec.domain
+def reparametrize_affine(
+    jet, domain=(-1.0, 1.0), samples: int = 4001, step: float = 1e-3
+) -> NumCurve:
+    """Affine-arclength resampling of a scalar jet with per-node
+    interpolation and the loop Simpson sum; for non-degenerate plots
+    only."""
+    u0, u1 = domain
     us = np.linspace(u0, u1, samples)
-    det = _cross(_fd1(spec.xy, us), _fd2(spec.xy, us))
+    _, c1, c2, _ = _xy(jet, us)
+    det = _cross(c1, c2)
     sigma = cumulative_simpson(det ** (1.0 / 3.0), float(us[1] - us[0]))
     iref = int(np.argmin(np.abs(us - (u0 + u1) / 2)))
     sigma -= sigma[iref]
@@ -408,8 +408,7 @@ def reparametrize_affine(spec, samples: int = 4001, step: float = 1e-3) -> NumCu
     grid = np.arange(-n_neg, n_pos + 1) * step
     u_of_s = np.array([interp_table(sigma, us, s) for s in grid])
     u_of_s[n_neg] = us[iref]
-    pts = _xy(spec.xy, u_of_s)
-    c1, c2, c3 = _fd1(spec.xy, u_of_s), _fd2(spec.xy, u_of_s), _fd3(spec.xy, u_of_s)
+    pts, c1, c2, c3 = _xy(jet, u_of_s)
     z, zp = _cross(c1, c2), _cross(c1, c3)
     d1 = c1 * (z ** (-1.0 / 3.0))[:, None]
     d2 = c2 * (z ** (-2.0 / 3.0))[:, None] - c1 * (zp / 3.0 * z ** (-5.0 / 3.0))[:, None]

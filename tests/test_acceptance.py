@@ -26,7 +26,6 @@ from _oracles import (
 from affgrav import (
     DiffPoly,
     KappaCurveSpec,
-    ParametricCurveSpec,
     QR2Scalar,
     Series,
     bell,
@@ -45,6 +44,7 @@ from affgrav import (
     theorem2_symbolic,
     wronskian_drift,
 )
+from affgrav.cli import parse_fixture
 from affgrav.expansion import component_series
 
 k = DiffPoly.kappa
@@ -270,16 +270,8 @@ def test_criterion_7_numeric_corollary():
     deltas = default_deltas()
     tol = 1e-6 * max(deltas)
 
-    fixtures = {
-        "parabola": ParametricCurveSpec(lambda u: (u, u * u / 2), (-1.0, 1.0)),
-        "circle": ParametricCurveSpec(lambda u: (np.cos(u), np.sin(u)), (-1.0, 1.0)),
-        "ellipse(2,1)": ParametricCurveSpec(
-            lambda u: (2 * np.cos(u), np.sin(u)), (-1.0, 1.0)
-        ),
-        "hyperbola": ParametricCurveSpec(
-            lambda u: (np.cosh(u), -np.sinh(u)), (-1.0, 1.0)
-        ),
-    }
+    names = ("parabola", "circle", "ellipse:2,1", "hyperbola")
+    fixtures = {name: parse_fixture(name)[0] for name in names}
     for name, spec in fixtures.items():
         curve = reparametrize_affine(spec)
         assert corollary_sweep(curve, base_points, deltas), name

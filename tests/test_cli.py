@@ -293,6 +293,18 @@ class TestGravity:
         assert data["straight_everywhere"] is True
         assert len(data["points"]) == 8
 
+    @pytest.mark.parametrize("a", [1e-160, 1e-3, 1e3])
+    def test_equi_affine_ellipse_reads_as_the_circle(self, runner, a):
+        # ellipse:a,1/a is the circle under a map of det 1; its exact jet
+        # keeps the frames finite however far apart the semi-axes are
+        fixture = f"ellipse:{a!r},{1 / a!r}"
+        result = runner.invoke(
+            main, ["gravity", "--fixture", fixture, "--sweep", "8", "--format", "json"]
+        )
+        assert result.exit_code == 0, result.output
+        data = json.loads(result.output)
+        assert data["straight_everywhere"] is True
+
     def test_csv_output_shape(self, runner):
         result = runner.invoke(
             main, ["gravity", "--fixture", "parabola", "--format", "csv"]
@@ -386,11 +398,10 @@ class TestGravity:
             (["--fixture", "kappa-poly:1e308,1e308"], "gives a curve that is not finite"),
             (["--fixture", "kappa-poly:0,1", "--step", "1e-9"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e300,1"], "exceeds MAX_GRID_NODES"),
-            (["--fixture", "ellipse:1e308,1e308"], "max |det[c_u, c_uu]| = nan overflows"),
+            (["--fixture", "ellipse:1e308,1e308"], "plot too large: max |det[c_u, c_uu]| = inf overflows"),
             (["--fixture", "ellipse:1e12,1"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e200,1e200"], "plot too large: max |det[c_u, c_uu]| = inf"),
             (["--fixture", "ellipse:1e160,1e160"], "plot too large"),
-            (["--fixture", "ellipse:1e-160,1e160"], "gives a curve that is not finite"),
             (["--delta-count", f"{MAX_DELTA_COUNT + 1}"], f"at most {MAX_DELTA_COUNT}"),
             (["--fixture", "circle", "--sweep", f"{MAX_SWEEP + 1}"], f"at most {MAX_SWEEP}"),
             (["--delta-ratio", "1e300"], "the largest height"),
@@ -457,8 +468,8 @@ class TestFixtureParsing:
         for text in ("ellipse", "ellipse:"):
             spec, _ = parse_fixture(text)
             assert isinstance(spec, ParametricCurveSpec)
-            x, y = spec.xy(0.0)
-            assert (x, y) == (2.0, 0.0)
+            point, tangent, _, _ = spec.jet(0.0)
+            assert point == (2.0, 0.0) and tangent == (0.0, 1.0)
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):

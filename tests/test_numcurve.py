@@ -47,8 +47,7 @@ def parabola_curve():
 
 @pytest.fixture(scope="module")
 def circle_param():
-    spec = ParametricCurveSpec(lambda u: (np.cos(u), np.sin(u)), (-1.0, 1.0))
-    return reparametrize_affine(spec)
+    return reparametrize_affine(parse_fixture("circle")[0])
 
 
 class TestIntegration:
@@ -93,65 +92,63 @@ class TestReparametrization:
         assert affine_curvature(circle_param, 0.3) == pytest.approx(1.0, abs=1e-6)
 
     def test_parabola_identity_reparametrization(self):
-        spec = ParametricCurveSpec(lambda u: (u, u * u / 2), (-1.0, 1.0))
-        cur = reparametrize_affine(spec)
+        cur = reparametrize_affine(parse_fixture("parabola")[0])
         expect = np.column_stack([cur.grid, cur.grid**2 / 2])
         assert np.max(np.abs(cur.points - expect)) < 1e-10
 
     def test_ellipse_constant_curvature(self):
-        spec = ParametricCurveSpec(lambda u: (2 * np.cos(u), np.sin(u)), (-1.0, 1.0))
-        cur = reparametrize_affine(spec)
+        cur = reparametrize_affine(parse_fixture("ellipse:2,1")[0])
         expect = 2.0 ** (-2.0 / 3.0)
         for s in (-0.4, 0.0, 0.5):
             assert affine_curvature(cur, s) == pytest.approx(expect, abs=1e-6)
 
     def test_hyperbola_negative_curvature(self):
-        spec = ParametricCurveSpec(lambda u: (np.cosh(u), -np.sinh(u)), (-1.0, 1.0))
-        cur = reparametrize_affine(spec)
+        cur = reparametrize_affine(parse_fixture("hyperbola")[0])
         assert affine_curvature(cur, 0.0) == pytest.approx(-1.0, abs=1e-6)
 
     def test_plot_is_evaluated_once_per_point(self):
-        # 4 + 5 stencil points per table node; per grid node the point
-        # itself and 4 + 4 + 6 stencil points, the second derivative
-        # reusing the point
+        # one jet call on the parameter table, one on the grid
         spec, _ = parse_fixture("ellipse:2,1")
         calls = points = 0
 
-        def counting_xy(u):
+        def counting_jet(u):
             nonlocal calls, points
             calls += 1
             points += np.size(u)
-            return spec.xy(u)
+            return spec.jet(u)
 
-        cur = reparametrize_affine(ParametricCurveSpec(counting_xy, spec.domain))
-        assert points == 9 * 4001 + 15 * len(cur)
-        # one call per stencil and one for the points: 2 on the table, 4 on the grid
-        assert calls <= 6
+        cur = reparametrize_affine(ParametricCurveSpec(counting_jet, spec.domain))
+        assert (calls, points) == (2, 4001 + len(cur))
 
     @pytest.mark.parametrize("name", sorted(_CONICS))
     def test_array_plot_equals_scalar_math_plot(self, name):
-        # on every abscissa array reparametrize_affine hands the plot: the
-        # stencils on the parameter table and the point and stencils on the grid
+        # all four pairs, on every abscissa array reparametrize_affine hands
+        # the jet: the parameter table and the grid
         spec, _ = parse_fixture(name)
         seen = []
 
-        def recording_xy(u):
+        def recording_jet(u):
             seen.append(u)
-            return spec.xy(u)
+            return spec.jet(u)
 
-        reparametrize_affine(ParametricCurveSpec(recording_xy, spec.domain))
-        scalar = oracle.CONIC_PLOTS[name]
+        reparametrize_affine(ParametricCurveSpec(recording_jet, spec.domain))
+        scalar = oracle.CONIC_JETS[name]
         for u in seen:
-            x, y = spec.xy(u)
             ref = np.array([scalar(v) for v in u.ravel().tolist()])
-            assert x.shape == y.shape == u.shape
-            assert np.array_equal(x.ravel(), ref[:, 0]) and np.array_equal(y.ravel(), ref[:, 1])
+            for k, pair in enumerate(spec.jet(u)):
+                x, y = (np.broadcast_to(v, u.shape) for v in pair)
+                assert np.array_equal(x.ravel(), ref[:, k, 0]), k
+                assert np.array_equal(y.ravel(), ref[:, k, 1]), k
 
     def test_every_conic_has_a_scalar_oracle(self):
-        assert set(oracle.CONIC_PLOTS) == set(_CONICS)
+        assert set(oracle.CONIC_JETS) == set(_CONICS)
 
     def test_degenerate_orientation_rejected(self):
-        spec = ParametricCurveSpec(lambda u: (np.cosh(u), np.sinh(u)), (-1.0, 1.0))
+        # the hyperbola fixture mirrored, (cosh u, sinh u): det[c_u, c_uu] = -1
+        hyperbola = parse_fixture("hyperbola")[0]
+        spec = ParametricCurveSpec(
+            lambda u: tuple((x, -y) for x, y in hyperbola.jet(u)), hyperbola.domain
+        )
         with pytest.raises(DegenerateCurveError):
             reparametrize_affine(spec)
 
@@ -325,12 +322,23 @@ class TestCorollarySweep:
     BASE_POINTS = [float(p) for p in np.linspace(-0.5, 0.5, 8)]
 
     def test_ellipse(self):
-        spec = ParametricCurveSpec(lambda u: (2 * np.cos(u), np.sin(u)), (-1.0, 1.0))
+        spec, _ = parse_fixture("ellipse:2,1")
         assert corollary_sweep(reparametrize_affine(spec), self.BASE_POINTS)
 
     def test_hyperbola(self):
-        spec = ParametricCurveSpec(lambda u: (np.cosh(u), -np.sinh(u)), (-1.0, 1.0))
+        spec, _ = parse_fixture("hyperbola")
         assert corollary_sweep(reparametrize_affine(spec), self.BASE_POINTS)
+
+    @pytest.mark.parametrize("name", sorted(_CONICS))
+    def test_conic_sweep_is_straight_to_roundoff(self, name):
+        # with exact plot derivatives a conic's midpoints and curvature
+        # hold to roundoff, not to finite-difference error
+        curve = build_curve(parse_fixture(name)[0])
+        rows = []
+        assert corollary_sweep(curve, self.BASE_POINTS, rows=rows)
+        assert max(dev for _, dev, _ in rows) <= 1e-14
+        kappas = [affine_curvature(curve, p) for p in self.BASE_POINTS]
+        assert max(kappas) - min(kappas) <= 1e-12
 
     def test_even_curvature_fails_sweep(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s * s, half_width=1.0))
@@ -371,23 +379,25 @@ class TestAffineInvariance:
     def test_curvature_and_verdicts_invariant(self, mat, shift):
         assert abs(np.linalg.det(mat) - 1.0) < 1e-12
 
-        def plain(u):
-            return (2 * np.cos(u), np.sin(u))
+        plain = parse_fixture("ellipse:2,1")[0]
 
         def mapped(u):
-            x, y = plain(u)
-            return (
-                mat[0, 0] * x + mat[0, 1] * y + shift[0],
-                mat[1, 0] * x + mat[1, 1] * y + shift[1],
-            )
+            # A c + b for the point, A c^(k) for each derivative
+            (x, y), *derivs = [
+                (mat[0, 0] * x + mat[0, 1] * y, mat[1, 0] * x + mat[1, 1] * y)
+                for x, y in plain.jet(u)
+            ]
+            return ((x + shift[0], y + shift[1]), *derivs)
 
-        cur0 = reparametrize_affine(ParametricCurveSpec(plain, (-1.0, 1.0)))
-        cur1 = reparametrize_affine(ParametricCurveSpec(mapped, (-1.0, 1.0)))
+        cur0 = reparametrize_affine(plain)
+        cur1 = reparametrize_affine(ParametricCurveSpec(mapped, plain.domain))
         for s in (-0.3, 0.0, 0.4):
-            assert abs(affine_curvature(cur0, s) - affine_curvature(cur1, s)) <= 1e-6
-        d0 = straightness_test(gravity_samples(cur0, 0.0, default_deltas()))
-        d1 = straightness_test(gravity_samples(cur1, 0.0, default_deltas()))
-        assert d0[1] == d1[1] is True
+            assert abs(affine_curvature(cur0, s) - affine_curvature(cur1, s)) <= 1e-10
+        s0 = gravity_samples(cur0, 0.0, default_deltas())
+        s1 = gravity_samples(cur1, 0.0, default_deltas())
+        for a, b in zip(s0, s1):
+            assert abs(a.midpoint_x - b.midpoint_x) <= 1e-12
+        assert straightness_test(s0)[1] == straightness_test(s1)[1] is True
 
 
 ORACLE_FIXTURES = [
@@ -402,7 +412,8 @@ def curve_pair(request):
     spec, _ = parse_fixture(request.param)
     if isinstance(spec, KappaCurveSpec):
         return build_curve(spec), oracle.integrate_from_kappa(spec)
-    return build_curve(spec), oracle.reparametrize_affine(spec)
+    jet = oracle.CONIC_JETS[request.param.partition(":")[0]]
+    return build_curve(spec), oracle.reparametrize_affine(jet)
 
 
 def _outcome(fn, *args):
