@@ -141,28 +141,28 @@ def _split(c) -> tuple[int, int, int]:
     return c._q.numerator, c._q.denominator, c._bit
 
 
-def _one_bit(bits: Iterable[int]) -> int:
-    """The sqrt2 bit all the given bits share, 0 when there are none."""
-    bits = set(bits)
-    if len(bits) > 1:
-        raise ValueError("the result would mix rational and sqrt2 * Q coefficients")
-    return bits.pop() if bits else 0
+_MIXED = "the result would mix rational and sqrt2 * Q coefficients"
 
 
 def _reduced(den: int, nums: dict[int, int], bit: int, poly=None) -> DiffPoly:
     """Canonical sqrt2^bit * sum(nums[key] * monomial(key)) / den, in ``poly``
-    if given: zero terms dropped, gcd divided out, bit 0 when nothing is left."""
-    terms = {key: n for key, n in nums.items() if n}
-    if not terms:
+    if given: zero terms dropped, gcd divided out, bit 0 when nothing is left.
+
+    With no zero numerator and den 1 the form is already canonical (a gcd
+    with 1 is 1), and ``nums`` itself is stored: callers hand over a dict
+    they built for this call and do not touch it afterwards."""
+    if 0 in nums.values():
+        nums = {key: n for key, n in nums.items() if n}
+    if not nums:
         den, bit = 1, 0
-    else:
-        g = gcd(den, *terms.values())
+    elif den != 1:
+        g = gcd(den, *nums.values())
         if g != 1:
             den //= g
-            terms = {key: n // g for key, n in terms.items()}
+            nums = {key: n // g for key, n in nums.items()}
     if poly is None:
         poly = DiffPoly.__new__(DiffPoly)
-    poly._den, poly._terms, poly._bit = den, terms, bit
+    poly._den, poly._terms, poly._bit = den, nums, bit
     return poly
 
 
@@ -185,7 +185,10 @@ class DiffPoly:
         nums: dict[int, int] = {}
         for key, n, d, _ in split:
             nums[key] = nums.get(key, 0) + n * (den // d)
-        _reduced(den, nums, _one_bit(bit for _, _, _, bit in split), self)
+        bits = {bit for _, _, _, bit in split}
+        if len(bits) > 1:
+            raise ValueError(_MIXED)
+        _reduced(den, nums, bits.pop() if bits else 0, self)
 
     # -- constructors ----------------------------------------------------
 
@@ -225,16 +228,25 @@ class DiffPoly:
         one factor of its pair, e.g. ``(p.scale(w), q)``.  Two sqrt2
         factors double a product; products with different sqrt2 bits
         raise ValueError, and so does a product monomial with an exponent
-        above 127."""
+        above 127.
+
+        Pairs with a zero factor are dropped first, so the first pair kept
+        sets the bit every later pair must match.  Each pair's terms of q
+        are copied to a list once, since they are walked once per term of
+        p."""
         pairs = [(p, q) for p, q in pairs if p._terms and q._terms]
         if not pairs:
             return _reduced(1, {}, 0)
-        bit = _one_bit(p._bit ^ q._bit for p, q in pairs)
-        den = lcm(*(p._den * q._den for p, q in pairs))
+        dens = [p._den * q._den for p, q in pairs]
+        den = lcm(*dens)
+        p, q = pairs[0]
+        bit = p._bit ^ q._bit
         nums: dict[int, int] = {}
         get = nums.get
-        for p, q in pairs:
-            f = den // (p._den * q._den) << (p._bit & q._bit)
+        for (p, q), d in zip(pairs, dens):
+            if p._bit ^ q._bit != bit:
+                raise ValueError(_MIXED)
+            f = den // d << (p._bit & q._bit)
             q_items = list(q._terms.items())
             for e1, n1 in p._terms.items():
                 n1 *= f
@@ -338,11 +350,11 @@ class DiffPoly:
         return neg
 
     def __mul__(self, other) -> DiffPoly:
+        if isinstance(other, DiffPoly):
+            return DiffPoly.sum_of_products(((self, other),))
         if isinstance(other, (int, Fraction, QR2Scalar)):
             return self.scale(other)
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return DiffPoly.sum_of_products([(self, other)])
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -432,19 +444,26 @@ class GradedClass:
 
 
 def _combine(p: DiffPoly, q: DiffPoly, sign: int) -> DiffPoly:
-    """p + sign * q for sign 1 or -1, in one pass over both."""
+    """p + sign * q for sign 1 or -1, in one pass over both.  Over equal
+    denominators p's terms are copied as they are: no lcm, no rescale."""
     if not q._terms:
         return p
     if not p._terms:
         return q if sign == 1 else -q
-    bit = _one_bit((p._bit, q._bit))
-    den = lcm(p._den, q._den)
-    f1, f2 = den // p._den, sign * (den // q._den)
-    nums = {key: n * f1 for key, n in p._terms.items()}
+    if p._bit != q._bit:
+        raise ValueError(_MIXED)
+    den = p._den
+    if den == q._den:
+        f2 = sign
+        nums = p._terms.copy()
+    else:
+        den = lcm(den, q._den)
+        f1, f2 = den // p._den, sign * (den // q._den)
+        nums = {key: n * f1 for key, n in p._terms.items()}
     get = nums.get
     for key, n in q._terms.items():
         nums[key] = get(key, 0) + n * f2
-    return _reduced(den, nums, bit)
+    return _reduced(den, nums, p._bit)
 
 
 def _as_poly(x) -> DiffPoly | None:

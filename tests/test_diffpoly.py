@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from _oracles import (
@@ -230,6 +231,9 @@ class TestExactNumberType:
         assert (k(0) * s).coefficient_of({0: 1}) == s
         assert k(0) * s != k(0)
         assert k(0) * s - k(0) * s == DiffPoly.zero()  # zero has bit 0
+        # a pair dropped as zero sets no bit for the pairs after it
+        got = DiffPoly.sum_of_products([(DiffPoly.zero(), k(1)), (k(0) * s, k(1))])
+        assert got == k(0) * k(1) * s
 
     @pytest.mark.parametrize(
         "build",
@@ -244,6 +248,10 @@ class TestExactNumberType:
             lambda: k(0).scale(QR2Scalar(F(1, 2), 3)),
             lambda: k(0) * QR2Scalar(1, 1),
             lambda: DiffPoly.sum_of_products([(k(0), k(1)), (k(0) * QR2Scalar.sqrt2(), k(1))]),
+            lambda: k(0) * F(1, 2) + k(1) * QR2Scalar.sqrt2(),
+            lambda: DiffPoly.sum_of_products(
+                [(DiffPoly.zero(), k(1)), (k(0) * QR2Scalar.sqrt2(), k(1)), (k(0), k(1))]
+            ),
         ],
         ids=[
             "scalar",
@@ -256,6 +264,8 @@ class TestExactNumberType:
             "scale",
             "mul",
             "products",
+            "add-unequal-den",
+            "products-after-zero",
         ],
     )
     def test_mixed_input_is_refused(self, build):
@@ -340,6 +350,85 @@ class TestPackedKeysMatchTupleOracle:
             (DiffPoly(p).scale(w), DiffPoly(q)) for p, q, w in triples
         )
         assert got == DiffPoly(tuple_sum_of_products(pairs, weights))
+
+
+def assert_canonical(poly: DiffPoly) -> None:
+    """The stored form is the canonical one that equality compares."""
+    den, terms, bit = poly._den, poly._terms, poly._bit
+    assert den >= 1 and bit in (0, 1)
+    assert 0 not in terms.values()
+    assert gcd(den, *terms.values()) == 1
+    if not terms:
+        assert bit == 0
+
+
+rational_factors = st.one_of(
+    st.integers(-6, 6), st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+)
+scale_factors = st.one_of(
+    rational_factors, st.sampled_from([QR2Scalar.sqrt2(), QR2Scalar(0, F(-3, 4))])
+)
+
+
+class TestCanonicalForm:
+    """Every ring result is stored canonically: den >= 1, no zero
+    numerator, gcd(den, numerators) = 1, and bit 0 for zero.  Equality
+    compares stored forms, so it can miss a result left uncanonical when
+    both sides are built the same way; these tests read the storage."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 1).flatmap(lambda bit: st.tuples(tuple_polys(bit), tuple_polys(bit))),
+        scale_factors,
+        st.dictionaries(
+            st.integers(0, 4), st.builds(F, st.integers(-3, 3), st.integers(1, 3)), max_size=3
+        ),
+    )
+    def test_ring_results(self, ab, factor, assign):
+        p, q = DiffPoly(ab[0]), DiffPoly(ab[1])
+        for got in (
+            p,
+            p + q,
+            p - q,
+            p - p,
+            -p,
+            p * q,
+            p.scale(factor),
+            p.differentiate(),
+            p.substitute_partial(assign),
+        ):
+            assert_canonical(got)
+
+    @settings(max_examples=50)
+    @given(
+        st.tuples(st.integers(0, 1), st.integers(0, 1)).flatmap(
+            lambda bits: st.lists(
+                st.tuples(tuple_polys(bits[0]), tuple_polys(bits[1]), rational_factors),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    )
+    def test_sum_of_products(self, triples):
+        got = DiffPoly.sum_of_products(
+            (DiffPoly(p).scale(w), DiffPoly(q)) for p, q, w in triples
+        )
+        assert_canonical(got)
+
+    def test_integer_numerators_over_one_are_kept(self):
+        got = 2 * k(0) + 4 * k(1)
+        assert_canonical(got)
+        assert got._den == 1 and sorted(got._terms.values()) == [2, 4]
+
+    def test_equal_denominators_reduce(self):
+        got = (k(0) + k(1)) * F(1, 6) + (k(0) - k(1)) * F(1, 6)
+        assert_canonical(got)
+        assert got._den == 3 and got == F(1, 3) * k(0)
+
+    def test_difference_with_itself_is_zero(self):
+        p = (k(0) + F(1, 3) * k(1) * k(1)) * QR2Scalar.sqrt2()
+        got = p - p
+        assert (got._bit, got._den, got._terms) == (0, 1, {})
 
 
 class TestIntegerRendering:
