@@ -29,15 +29,16 @@ either once and raise ValueError; the constructor refuses an exponent
 or order it cannot store.  The expansion needs far less: the order-26
 pipeline, frame included, uses exponents up to 13 and orders up to 24.
 
-Term order.  Text and ``monomials()`` list terms graded-lexicographically:
-total degree first, then the exponent maps pair by pair.  At the lowest
-order o where two maps of one degree differ, the smaller exponent of
-``ko`` comes first, and a map without ``ko`` comes after one with it,
-since its next pair has a higher order.  Both read this off the key
-bytes: byte o of the key's little-endian ``to_bytes`` is the exponent of
-``ko``, so the degree is the byte sum, and within one degree sorting the
-bytes with 0 read as 255, above any exponent, decides at that same first
-differing byte in the same way.  The length of the bytes never decides:
+Term order.  Text and ``monomials()`` list terms graded-lexicographically,
+both from the rows one helper, ``DiffPoly._sorted_rows``, sorts: total
+degree first, then the exponent maps pair by pair.  At the lowest order
+o where two maps of one degree differ, the smaller exponent of ``ko``
+comes first, and a map without ``ko`` comes after one with it, since its
+next pair has a higher order.  Both read this off the key bytes: byte o
+of the key's little-endian ``to_bytes`` is the exponent of ``ko``, so the
+degree is the byte sum, and within one degree sorting the bytes with 0
+read as 255, above any exponent, decides at that same first differing
+byte in the same way.  The length of the bytes never decides:
 ``to_bytes`` drops trailing zeros, so a proper prefix has lower degree.
 """
 
@@ -67,14 +68,7 @@ class DiffMonomial:
     exponents: ExponentMap
 
     def __str__(self) -> str:
-        return _format_term(self.coeff, self.exponents)
-
-
-def _format_term(coeff, pairs: Iterable[tuple[int, int]]) -> str:
-    """The text of coeff times k<order>^e over the (order, e) pairs,
-    skipping zero exponents."""
-    factors = [f"k{order}" if e == 1 else f"k{order}^{e}" for order, e in pairs if e]
-    return f"({coeff})*{'*'.join(factors)}" if factors else f"({coeff})"
+        return _term_text(str(self.coeff), self.exponents)
 
 
 # Packed monomial keys; see the module docstring.
@@ -117,10 +111,18 @@ def _unpack(fields: bytes) -> ExponentMap:
 # Fields with byte 0 (a missing factor) read as 255, above any exponent.
 _ZERO_LAST = bytes([255]) + bytes(range(1, 256))
 
+# The text of one factor k<order>^e: "*k<order>" by order, then the
+# exponent's suffix, empty for e = 1 (e = 0 is never printed).
+_ORDER_TEXT = tuple(f"*k{order}" for order in range(_FIELDS))
+_EXPONENT_TEXT = ("", "") + tuple(f"^{e}" for e in range(2, _MAX_EXPONENT + 1))
 
-def _graded_lex(term: tuple[bytes, int]) -> tuple[int, bytes]:
-    fields = term[0]
-    return sum(fields), fields.translate(_ZERO_LAST)
+
+def _term_text(coeff: str, pairs: Iterable[tuple[int, int]]) -> str:
+    """The text of (coeff) times k<order>^e over the (order, e) pairs,
+    skipping zero exponents."""
+    return f"({coeff})" + "".join(
+        [_ORDER_TEXT[order] + _EXPONENT_TEXT[e] for order, e in pairs if e]
+    )
 
 
 def _check_storable(keys: Iterable[int]) -> None:
@@ -176,7 +178,9 @@ class DiffPoly:
     docstring.
     """
 
-    __slots__ = ("_den", "_terms", "_bit")
+    # _text is set by the first str() and by nothing else: ring operations
+    # build new objects, so a polynomial's text never goes stale
+    __slots__ = ("_den", "_terms", "_bit", "_text")
 
     def __init__(self, terms: Mapping[ExponentMap, object] | None = None):
         split = [(exps, *_split(c)) for exps, c in (terms or {}).items()]
@@ -261,16 +265,22 @@ class DiffPoly:
     def _value(self, n: int) -> QR2Scalar:
         return _scalar(Fraction(n, self._den), self._bit)
 
-    def _sorted_terms(self) -> list[tuple[bytes, int]]:
-        """(fields, numerator) pairs in canonical order; see ``_fields``."""
-        return sorted(
-            [(_fields(key), n) for key, n in self._terms.items()], key=_graded_lex
-        )
+    def _sorted_rows(self) -> list[tuple[int, bytes, bytes, int]]:
+        """(degree, ordered fields, fields, numerator) rows, one per term,
+        sorted as tuples into canonical order; see the module docstring.
+        Distinct keys differ in their first two entries."""
+        rows = []
+        for key, n in self._terms.items():
+            fields = _fields(key)
+            rows.append((sum(fields), fields.translate(_ZERO_LAST), fields, n))
+        rows.sort()
+        return rows
 
     def monomials(self) -> list[DiffMonomial]:
         """Terms in canonical order."""
         return [
-            DiffMonomial(self._value(n), _unpack(fields)) for fields, n in self._sorted_terms()
+            DiffMonomial(self._value(n), _unpack(fields))
+            for _, _, fields, n in self._sorted_rows()
         ]
 
     def coefficient_of(self, exponents: Mapping[int, int]) -> QR2Scalar:
@@ -313,15 +323,17 @@ class DiffPoly:
         return bool(self._terms)
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        den, bit = self._den, self._bit
-        return " + ".join(
-            [
-                _format_term(_coeff_text(n, den, bit), enumerate(fields))
-                for fields, n in self._sorted_terms()
-            ]
-        )
+        text = getattr(self, "_text", None)
+        if text is None:
+            den, bit = self._den, self._bit
+            text = " + ".join(
+                [
+                    _term_text(_coeff_text(n, den, bit), enumerate(fields))
+                    for _, _, fields, n in self._sorted_rows()
+                ]
+            ) or "0"
+            self._text = text
+        return text
 
     def __repr__(self) -> str:
         return f"DiffPoly({self})"

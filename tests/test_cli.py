@@ -27,6 +27,10 @@ GRAVITY_LINEAR_GOLDEN = Path(__file__).parent / "data" / "gravity_linear_point0.
 ORDER16_DIGEST = "f17e075173dddb2c36b8e85af9579d3a03abfb7e56fd792a63984795c1ddab45"
 ORDER22_DIGEST = "f7a5e14a49951d1423e4f0f3b5d928e296f951fdf7cfffe5b52d9791ba0410ce"
 ORDER26_DIGEST = "f0cea7e92d427f82305b55baf9e5aaa4e3831a0e9f0237917208408c77bbc311"
+# sha256 of ``expand --order N`` text output without its final newline,
+# recorded before each polynomial's text was built once and kept.
+ORDER16_TEXT_DIGEST = "9b1718e9ebf4ba5c675fabda8b0b4712df819e829b06cc64cb938dcba8e715f4"
+ORDER26_TEXT_DIGEST = "4da9e4ea47e91c93d73fc14507659089dbaf246a85d6c78dbda4271cd5db9c81"
 
 
 def _drop_last_term(poly: DiffPoly) -> DiffPoly:
@@ -71,6 +75,13 @@ class TestExpand:
             ("26", ORDER26_DIGEST),
         ):
             result = runner.invoke(main, ["expand", "--order", order, "--format", "json"])
+            assert result.exit_code == 0
+            text = result.output.removesuffix("\n")
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, order
+
+    def test_text_rendering_digest(self, runner):
+        for order, digest in (("16", ORDER16_TEXT_DIGEST), ("26", ORDER26_TEXT_DIGEST)):
+            result = runner.invoke(main, ["expand", "--order", order])
             assert result.exit_code == 0
             text = result.output.removesuffix("\n")
             assert hashlib.sha256(text.encode()).hexdigest() == digest, order

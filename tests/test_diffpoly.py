@@ -15,7 +15,7 @@ from _oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affgrav import DiffPoly, GradedClass, QR2Scalar
+from affgrav import DiffPoly, GradedClass, QR2Scalar, build_pipeline
 
 k = DiffPoly.kappa
 
@@ -199,6 +199,44 @@ class TestTextForm:
 
     def test_sqrt2_coefficient(self):
         assert str(DiffPoly.monomial(QR2Scalar(0, F(-1, 4)), {0: 1})) == "(-1/4*sqrt2)*k0"
+
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: DiffPoly.monomial(1, {127: 127}), "(1)*k127^127"),
+            (lambda: DiffPoly.monomial(-3, {0: 1, 127: 2}), "(-3)*k0*k127^2"),
+            (lambda: DiffPoly.monomial(F(5, 2), {3: 10}), "(5/2)*k3^10"),
+            (lambda: DiffPoly.constant(F(-2, 3)), "(-2/3)"),
+            (lambda: DiffPoly.constant(QR2Scalar.sqrt2()), "(sqrt2)"),
+            (lambda: DiffPoly.constant(-QR2Scalar.sqrt2()), "(-sqrt2)"),
+            (lambda: DiffPoly.monomial(QR2Scalar(0, F(-3, 4)), {0: 1}), "(-3/4*sqrt2)*k0"),
+            (
+                lambda: k(0) * k(0) + DiffPoly.monomial(-3, {3: 10}) + 7,
+                "(7) + (1)*k0^2 + (-3)*k3^10",
+            ),
+        ],
+        ids=["bounds", "k0-bound", "two-digit-exponent", "constant", "sqrt2", "-sqrt2",
+             "sqrt2-fraction", "mixed-signs"],
+    )
+    def test_text_is_stable_and_negation_flips_each_sign(self, build, text):
+        p = build()
+        assert str(p) == text
+        assert str(p) == text  # the second call reads the stored text
+        # -p is a new polynomial: its text is built afresh, not copied from p
+        flipped = " + ".join(
+            "(" + (t[2:] if t.startswith("(-") else "-" + t[1:]) for t in text.split(" + ")
+        )
+        assert str(-p) == flipped
+        assert str(p) == text
+        assert str(-(-p)) == text
+
+    def test_text_joins_the_monomials_of_every_pipeline_coefficient(self):
+        """One term formatter and one term order: a coefficient's text is
+        its monomials' texts joined, on every series ``expand`` prints."""
+        pipe = build_pipeline(16)
+        for series in (pipe.f, pipe.g, pipe.u, pipe.v, pipe.h, pipe.gravity_x):
+            for c in series.coeffs:
+                assert str(c) == (" + ".join(map(str, c.monomials())) or "0")
 
 
 class TestExactNumberType:
