@@ -38,16 +38,29 @@ results are bit-identical to it;
 ``tests/_oracles.py`` keeps those forms and the tests compare against
 them with ``==``.
 
+The numeric path calls no BLAS or LAPACK kernel.  The renormalizing
+map inverts its 2x2 frame in closed form and applies it one value at a
+time (``_affine_map``, ``_mapped``), and the flatness fit solves its
+three-column least squares by Householder QR in Python floats.  A BLAS
+matrix product picks an FMA kernel by CPU, so its bits, and every
+output downstream, would differ between machines; its first call also
+maps a work buffer of a few MB, for matrices of two or three columns.
+As a mapped value depends on its own node alone, a sweep maps g along
+each row, for the walk to the first node of each height, and maps the
+grid and f only at the four window nodes of each lane.
+
 A parametric plot comes with its exact derivatives: its jet returns
 the point and the first three derivatives together, and
 reparametrization calls it twice, once on the parameter table and once
 on the grid.  No grid holds more than ``MAX_GRID_NODES`` nodes, and a
-sweep stacks the tables of only as many base points at once as
+sweep stacks the g rows of only as many base points at once as
 ``_SWEEP_TABLE`` entries allow.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -323,7 +336,7 @@ def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 _OTHERS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 # Abscissae per table interpolation and lanes per sweep chunk; bounds the (4, 3, ...) temporaries.
 _BLOCK = 256
-# Entries per stacked (points, nodes) table of a sweep; bounds how many
+# Entries of a sweep's stacked (points, nodes) table of g; bounds how many
 # base points are solved at once.
 _SWEEP_TABLE = 2**16
 
@@ -341,22 +354,32 @@ def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _windows(xs: np.ndarray, found: np.ndarray, *tables: np.ndarray) -> tuple:
-    """The four-node window of each abscissa in its row's grid, the nodes
-    found - 2 to found + 1 clamped to the grid ends (``found`` as
-    ``searchsorted`` gives it), gathered once for all ``tables`` on that
-    grid.  Returns the window (others, den), node-major: for each node j
-    the other three nodes, shape (4, 3, *found.shape), and the Lagrange
-    denominator, one product over them in node order; then each table's
-    values at the nodes, shape (4, *found.shape)."""
-    if xs.shape[1] < 4:
-        raise ValueError("cubic interpolation needs a table of at least 4 nodes")
-    start = np.minimum(np.maximum(found - 2, 0), xs.shape[1] - 4)
+    """The four-node window of each abscissa in its row's grid
+    (``_window_nodes``), gathered once for all ``tables`` on that grid.
+    Returns the window of the row's nodes there (``_basis``), then each
+    table's values at the nodes, shape (4, *found.shape)."""
+    window = _window_nodes(found, xs.shape[1])
     row = np.arange(len(xs))[:, None]
-    window = start + np.arange(4)[:, None, None]
-    nodes = xs[row, window]
+    return _basis(xs[row, window]), *(ys[row, window] for ys in tables)
+
+
+def _window_nodes(found: np.ndarray, n: int) -> np.ndarray:
+    """The indices of the nodes found - 2 to found + 1 of each abscissa
+    of a 2-D ``found`` (as ``searchsorted`` gives it), clamped to the ends
+    of a grid of n nodes, node-major: shape (4, *found.shape)."""
+    if n < 4:
+        raise ValueError("cubic interpolation needs a table of at least 4 nodes")
+    start = np.minimum(np.maximum(found - 2, 0), n - 4)
+    return start + np.arange(4)[:, None, None]
+
+
+def _basis(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Lagrange window (others, den) of four node values along the
+    leading axis of ``nodes``: for each node j the other three, shape
+    (4, 3, ...), and the denominator, one product over them in node
+    order."""
     others = nodes[_OTHERS]
-    den = np.multiply.reduce(nodes[:, None] - others, axis=1)
-    return (others, den), *(ys[row, window] for ys in tables)
+    return others, np.multiply.reduce(nodes[:, None] - others, axis=1)
 
 
 def _lagrange(window: tuple, values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -390,8 +413,7 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     if not u1 > u0:
         raise ValueError("empty parameter domain")
     us = np.linspace(u0, u1, TABLE_NODES)
-    _, c1, c2, _ = _jet_pairs(spec.jet, us)
-    det = _cross(c1, c2)
+    det = _cross(*_jet_pairs(spec.jet, us)[1:3])  # the table's jets end here
     top = float(np.abs(det).max())
     if top < np.finfo(float).tiny:  # too small to tell from degeneracy
         raise ValueError(f"plot too small: max |det[c_u, c_uu]| = {top:.4g} underflows")
@@ -416,14 +438,19 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     u_of_s = _interp_table(sigma, us, grid)
     u_of_s[n_neg] = us[iref]  # base node is a table node; keep it exact
 
-    pts, c1, c2, c3 = _jet_pairs(spec.jet, u_of_s)
+    return renormalize(NumCurve(grid, *_affine_frames(spec.jet, u_of_s), step), 0.0)
+
+
+def _affine_frames(jet, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points of a plot at the parameters ``us`` and its affine
+    arclength frames d1, d2 there, by the chain rule on its exact
+    derivatives."""
+    pts, c1, c2, c3 = _jet_pairs(jet, us)
     z = _cross(c1, c2)
     zp = _cross(c1, c3)
     d1 = c1 * (z ** (-1.0 / 3.0))[:, None]
     d2 = c2 * (z ** (-2.0 / 3.0))[:, None] - c1 * (zp / 3.0 * z ** (-5.0 / 3.0))[:, None]
-
-    raw = NumCurve(grid=grid, points=pts, d1=d1, d2=d2, step=step)
-    return renormalize(raw, 0.0)
+    return pts, d1, d2
 
 
 def build_curve(spec: KappaCurveSpec | ParametricCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
@@ -434,14 +461,35 @@ def build_curve(spec: KappaCurveSpec | ParametricCurveSpec, step: float = DEFAUL
     return reparametrize_affine(spec, step=step)
 
 
-def _affine_map(curve: NumCurve, p: float) -> tuple[int, np.ndarray, np.ndarray]:
+def _affine_map(curve: NumCurve, p: float) -> tuple[int, tuple, tuple]:
     """The map that ``renormalize`` applies at p: the grid node j nearest
-    p, the origin c(s_j) and the transposed inverse frame inv_t, so that a
-    point x maps to (x - origin) @ inv_t and a frame vector v to v @ inv_t.
+    p, the origin c(s_j) and the two columns of the transposed inverse
+    frame, all Python floats.  For the frame c'(s_j) = (ax, ay), c''(s_j)
+    = (bx, by) of determinant det that matrix is (1/det) [[by, -ay],
+    [-bx, ax]], each entry one division by det.  A point x maps to the row
+    vector x - origin times it, a frame vector v to v times it, one
+    component per column by ``_mapped``.  A singular frame raises
+    ValueError.
     """
     j = curve.index_of(p)
-    frame = np.column_stack([curve.d1[j], curve.d2[j]])
-    return j, curve.points[j], np.linalg.inv(frame).T
+    ax, ay = curve.d1[j].tolist()
+    bx, by = curve.d2[j].tolist()
+    det = ax * by - bx * ay
+    if det == 0.0:
+        raise ValueError(f"singular frame at s={curve.grid[j]}")
+    columns = ((by / det, -bx / det), (-ay / det, ax / det))
+    return j, tuple(curve.points[j].tolist()), columns
+
+
+def _mapped(x, y, column: tuple[float, float]):
+    """One component of the mapped vectors (x, y): x * column[0] + y *
+    column[1], each value from its own x and y only."""
+    return x * column[0] + y * column[1]
+
+
+def _image(x: np.ndarray, y: np.ndarray, columns: tuple) -> np.ndarray:
+    """The (len(x), 2) images of the vectors (x, y), by ``_mapped``."""
+    return np.column_stack([_mapped(x, y, column) for column in columns])
 
 
 def renormalize(curve: NumCurve, p: float) -> NumCurve:
@@ -450,12 +498,12 @@ def renormalize(curve: NumCurve, p: float) -> NumCurve:
     The affine map sends (c(p), c'(p), c''(p)) to ((0,0), e1, e2); grid
     values shift so the base point reads s = 0.
     """
-    j, origin, inv_t = _affine_map(curve, p)
+    j, (ox, oy), columns = _affine_map(curve, p)
     return NumCurve(
         grid=curve.grid - curve.grid[j],
-        points=(curve.points - origin) @ inv_t,
-        d1=curve.d1 @ inv_t,
-        d2=curve.d2 @ inv_t,
+        points=_image(curve.points[:, 0] - ox, curve.points[:, 1] - oy, columns),
+        d1=_image(*curve.d1.T, columns),
+        d2=_image(*curve.d2.T, columns),
         step=curve.step,
     )
 
@@ -489,21 +537,26 @@ def _first_reach(g_out: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def _chord_roots(
-    grids: np.ndarray, gs: np.ndarray, fs: np.ndarray, centers: Sequence[int], deltas: np.ndarray
+    curve: NumCurve, maps: Sequence[tuple], gs: np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of g(s) = delta right and left of each base point and f at
     them, for all base points, heights and sides in one pass.
 
-    Row r holds the grid, g and f of a curve normalized at its base node
-    ``centers[r]``; its lanes are ordered (right, left) per height.  Each
-    lane walks outward from the base node to the first node with
+    Row r is the curve renormalized by ``maps[r]`` (``_affine_map``) at
+    its base node j: ``gs[r]`` holds its g, and its grid is ``curve.grid``
+    shifted by grid[j].  Its lanes are ordered (right, left) per height.
+    Each lane walks outward from the base node to the first node with
     g >= delta, then bisects the cubic interpolant of g over that grid
     cell to bracket collapse, reading g and then f through the cell's
-    one window.  All lanes bisect in lockstep; a lane stops on an exact
-    zero, on a midpoint that no longer moves, or on a collapsed bracket.
-    Returns the (rows, lanes) roots, a mask of the lanes that found none
-    (a NaN residual included) and f at each root.
+    one window.  The grid shift and f are computed at the window's nodes
+    only; as each value depends on its own node alone, they equal the
+    shifted grid and the mapped points' row there.  All lanes bisect in
+    lockstep; a lane stops on an exact zero, on a midpoint that no
+    longer moves, or on a collapsed bracket.  Returns the (rows, lanes)
+    roots, a mask of the lanes that found none (a NaN residual included)
+    and f at each root.
     """
+    centers = [j for j, _, _ in maps]
     outer = np.empty((len(gs), 2 * len(deltas)), dtype=np.intp)
     for r, (g, center) in enumerate(zip(gs, centers)):
         outer[r, 0::2] = center + 1 + _first_reach(g[center + 1 :], deltas)
@@ -523,15 +576,20 @@ def _chord_roots(
     # denominators; these are at least 2 step^3, 0 only for a step below
     # ~1e-108, a curve the command line refuses as not finite.
     row = np.arange(len(gs))[:, None]
-    lo, hi = grids[row, inner], grids[row, outer]
+    base = curve.grid[center]  # each row's s = 0
+    lo, hi = curve.grid[inner] - base, curve.grid[outer] - base
     flo, fhi = gs[row, inner] - delta, gs[row, outer] - delta
     at_lo = ~failed & (flo == 0.0)
     at_hi = ~failed & ~at_lo & (fhi == 0.0)
     neg_lo = flo < 0  # the sign of g - delta at lo never changes while bisecting
     failed |= ~at_lo & ~at_hi & (neg_lo == (fhi < 0))
     bisect = ~(failed | at_lo | at_hi)
-    cell = np.minimum(inner, outer)
-    window, g_values, f_values = _windows(grids, cell + 1, gs, fs)
+    nodes = _window_nodes(np.minimum(inner, outer) + 1, gs.shape[1])
+    window, g_values = _basis(curve.grid[nodes] - base), gs[row, nodes]
+    # each row's origin and the f column of its map, as (rows, 1) columns
+    ox, oy, tx, ty = np.array([(*origin, *columns[0]) for _, origin, columns in maps]).T[..., None]
+    at = curve.points[nodes]
+    f_values = _mapped(at[..., 0] - ox, at[..., 1] - oy, (tx, ty))
 
     # bisect to bracket collapse; this lands far inside the |g - delta|
     # tolerance and keeps the root itself accurate to machine precision.
@@ -560,23 +618,19 @@ def _chord_roots(
 
 
 def _samples_per_row(
-    grids: np.ndarray,
-    gs: np.ndarray,
-    fs: np.ndarray,
-    centers: Sequence[int],
-    deltas: Sequence[float],
+    curve: NumCurve, maps: Sequence[tuple], gs: np.ndarray, deltas: Sequence[float]
 ) -> Iterator[list[GravitySample]]:
     """The chord-midpoint samples of each row's normalized curve, in order.
 
-    Row r holds the grid, the vertical component g and the horizontal
-    component f of a curve normalized at its base node ``centers[r]``;
-    all rows share one ``_chord_roots`` pass, one window per lane; a row
-    raises its first error, in height order, after earlier rows yield.
+    Row r is the curve renormalized by ``maps[r]``, with its vertical
+    component g in ``gs[r]``; all rows share one ``_chord_roots`` pass,
+    one window per lane; a row raises its first error, in height order,
+    after earlier rows yield.
     """
     deltas = np.asarray(deltas, dtype=float)
     nonpositive = np.flatnonzero(deltas <= 0)
     heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
-    roots, failed, f_at = _chord_roots(grids, gs, fs, centers, heights)
+    roots, failed, f_at = _chord_roots(curve, maps, gs, heights)
     midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
     for lanes, r, m in zip(failed, roots, midpoint_x):
         if lanes.any():
@@ -612,35 +666,73 @@ def _sweep_samples(
     """The chord-midpoint samples of the curve renormalized at each base
     point, in order.
 
-    Only the grid and the points of each renormalized curve are mapped;
-    the chord roots read nothing else.  Base points are solved a chunk at
-    a time, each chunk in one pass.  A chunk stacks at most
-    ``_SWEEP_TABLE`` entries per table and, beyond one point, at most
-    ``_BLOCK`` lanes.  An error surfaces at the base point where a loop
-    over the points would have raised it.
+    Each base point's map is applied to g along the whole row, which the
+    walk to the first node of each height reads; the chord roots read
+    the grid and f only at their windows' nodes, which ``_chord_roots``
+    maps itself.  Base points are solved a chunk at a time, each chunk in
+    one pass.  A chunk stacks at most ``_SWEEP_TABLE`` entries of g and,
+    beyond one point, at most ``_BLOCK`` lanes.  An error surfaces at the
+    base point where a loop over the points would have raised it.
     """
     n = len(curve)
     size = max(1, min(_BLOCK // (2 * max(1, len(deltas))), _SWEEP_TABLE // n))
-    grids, gs, fs = (np.empty((min(size, len(base_points)), n)) for _ in range(3))
+    gs = np.empty((min(size, len(base_points)), n))
+    x, y = curve.points.T
     for i in range(0, len(base_points), size):
-        centers, error = [], None
+        maps, error = [], None
         for r, p in enumerate(base_points[i : i + size]):
             try:
-                j, origin, inv_t = _affine_map(curve, p)
-            except ValueError as exc:  # LinAlgError is one too
+                affine = _affine_map(curve, p)
+            except ValueError as exc:  # off the grid, or a singular frame
                 error = exc
                 break
-            points = (curve.points - origin) @ inv_t
-            grids[r], gs[r], fs[r] = curve.grid - curve.grid[j], points[:, 1], points[:, 0]
-            centers.append(j)  # the zero of the shifted uniform grid
-        done = len(centers)
-        if done:
-            yield from _samples_per_row(grids[:done], gs[:done], fs[:done], centers, deltas)
+            _, (ox, oy), (_, g_column) = affine
+            gs[r] = _mapped(x - ox, y - oy, g_column)
+            maps.append(affine)
+        if maps:
+            yield from _samples_per_row(curve, maps, gs[: len(maps)], deltas)
         if error is not None:
             raise error
 
 
 # -- verdicts ------------------------------------------------------------------
+
+
+def _least_squares(columns: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """Least-squares coefficients of ``rhs`` on ``columns`` (m >= len(columns)
+    entries each) by Householder QR in Python floats.
+
+    Each reflection is LAPACK's: for the column x below the diagonal,
+    beta = -sign(x_0) |x|, v = (1, x_1 / (x_0 - beta), ...) and tau =
+    (beta - x_0) / beta, so no entry of v exceeds 1 in size.  An all-zero x
+    needs none.  The design is rank-deficient, and the result None, when
+    some |r_kk| <= eps max(m, n) max |r_jj|, numpy's default cutoff for
+    ``lstsq``.  Each inner product is one ``math.fsum``.
+    """
+    m, n = len(rhs), len(columns)
+    a = [list(column) for column in columns]
+    b = list(rhs)
+    diag = []
+    for k in range(n):
+        x = a[k][k:]
+        norm = math.hypot(*x)
+        beta = -math.copysign(norm, x[0])
+        diag.append(beta)
+        if norm == 0.0:
+            continue
+        tau, scale = (beta - x[0]) / beta, x[0] - beta
+        v = [1.0, *(xi / scale for xi in x[1:])]
+        for w in [*a[k + 1 :], b]:
+            t = tau * math.fsum(vi * wi for vi, wi in zip(v, w[k:]))
+            w[k:] = [wi - t * vi for vi, wi in zip(v, w[k:])]
+    cutoff = sys.float_info.epsilon * max(m, n) * max(abs(r) for r in diag)
+    if not all(abs(r) > cutoff for r in diag):
+        return None
+    coef = [0.0] * n
+    for k in reversed(range(n)):
+        # column j's entry k is R[k, j] once the reflections are applied
+        coef[k] = (b[k] - math.fsum(a[j][k] * coef[j] for j in range(k + 1, n))) / diag[k]
+    return coef
 
 
 def fit_flatness(
@@ -652,15 +744,18 @@ def fit_flatness(
 
     The quadratic coefficient estimates the quartic coefficient of the
     underlying expansion, predicted as -kappa'(p)/10; a mismatch beyond
-    max(1e-3, 5%) raises VerificationError.
+    max(1e-3, 5%) raises VerificationError.  The fit is a Householder QR
+    in Python floats (``_least_squares``) and the fitted values, for the
+    residual, an elementwise sum of products, so no BLAS kernel sets
+    their bits.
     """
     if len(samples) < MIN_FIT_SAMPLES:
         raise ValueError(f"flatness fit needs at least {MIN_FIT_SAMPLES} samples")
     deltas = np.array([s.delta for s in samples])
     xs = np.array([s.midpoint_x for s in samples])
-    design = np.column_stack([deltas, deltas**2, deltas**3])
-    coef, _, rank, _ = np.linalg.lstsq(design, xs, rcond=None)
-    if rank < 3:
+    powers = (deltas, deltas**2, deltas**3)
+    coef = _least_squares([column.tolist() for column in powers], xs.tolist())
+    if coef is None:
         top = deltas.max()
         lost = [f"delta^{k}" for k in (2, 3) if top**k < np.finfo(float).tiny]
         if lost:
@@ -669,13 +764,14 @@ def fit_flatness(
                 f" at heights up to {top:.3g}; raise the heights"
             )
         raise ValueError("rank-deficient flatness fit; spread the heights wider or raise them")
-    a, b, c = (float(t) for t in coef)
+    a, b, c = coef
     predicted = -kappa_prime_p / 10.0
     if abs(b - predicted) > max(1e-3, 0.05 * abs(predicted)):
         raise VerificationError(
             "flatness.prediction", f"fitted b={b:.6g}, predicted {predicted:.6g}"
         )
-    residual = float(np.sqrt(np.mean((design @ coef - xs) ** 2)))
+    fitted = powers[0] * a + powers[1] * b + powers[2] * c
+    residual = float(np.sqrt(np.mean((fitted - xs) ** 2)))
     return FlatnessResult(
         fit_coeffs=(a, b, c),
         predicted_b=predicted,

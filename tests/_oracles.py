@@ -13,7 +13,8 @@ its nonzero ``QR2Scalar`` coefficient.  The grading helpers
 product-built ``random_poly_in_class`` read polynomials only through
 their public methods.  The numeric oracles are the
 scalar, one-value-at-a-time forms of the conic jets, the curve
-builders, the chord-root search and the base-point sweep: the array code
+builders, the renormalizing affine map with its 2x2 inverse, the
+chord-root search and the base-point sweep: the array code
 in ``numcurve`` and the array jets of ``cli`` must reproduce them bit
 for bit.
 ``near_conic_x`` is a closed form instead: the first-order gravity
@@ -43,7 +44,6 @@ from affgrav.numcurve import (
     ROOT_TOL,
     affine_curvature,
     default_deltas,
-    renormalize,
     straightness_test,
 )
 
@@ -413,6 +413,42 @@ def reparametrize_affine(
     d1 = c1 * (z ** (-1.0 / 3.0))[:, None]
     d2 = c2 * (z ** (-2.0 / 3.0))[:, None] - c1 * (zp / 3.0 * z ** (-5.0 / 3.0))[:, None]
     return renormalize(NumCurve(grid=grid, points=pts, d1=d1, d2=d2, step=step), 0.0)
+
+
+def inverse_2x2(m) -> list[list[float]]:
+    """The inverse of [[a, b], [c, d]], each entry a cofactor divided by
+    the determinant ad - bc."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+def affine_map(x: float, y: float, inv_t) -> tuple[float, float]:
+    """The row vector (x, y) times the 2x2 matrix ``inv_t``, one
+    component at a time."""
+    return x * inv_t[0][0] + y * inv_t[1][0], x * inv_t[0][1] + y * inv_t[1][1]
+
+
+def renormalize(curve: NumCurve, p: float) -> NumCurve:
+    """The curve mapped one node at a time by the transposed inverse of
+    the frame [c', c''] at the node nearest p, points shifted to put
+    that node at the origin."""
+    j = curve.index_of(p)
+    (ax, ay), (bx, by) = curve.d1[j].tolist(), curve.d2[j].tolist()
+    inv = inverse_2x2([[ax, bx], [ay, by]])
+    inv_t = [[inv[0][0], inv[1][0]], [inv[0][1], inv[1][1]]]
+    ox, oy = curve.points[j].tolist()
+
+    def image(pairs, shift_x=0.0, shift_y=0.0):
+        return np.array([affine_map(x - shift_x, y - shift_y, inv_t) for x, y in pairs.tolist()])
+
+    return NumCurve(
+        grid=np.array([s - curve.grid[j] for s in curve.grid]),
+        points=image(curve.points, ox, oy),
+        d1=image(curve.d1),
+        d2=image(curve.d2),
+        step=curve.step,
+    )
 
 
 def chord_root(curve: NumCurve, direction: int, delta: float) -> float:

@@ -6,6 +6,7 @@ import random
 from pathlib import Path
 
 import _oracles as oracle
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -15,12 +16,17 @@ from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
+_RANK_DEFICIENT = "rank-deficient flatness fit; spread the heights wider or raise them"
 # ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --point 0 --format csv``,
 # printed before RK4 took its curvature values from one array per stage
 GRAVITY_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_point0.csv"
 # ``gravity --fixture kappa-poly:0,1 --point 0 --format csv``, printed
 # while the RK4 loop still carried the positions
 GRAVITY_LINEAR_GOLDEN = Path(__file__).parent / "data" / "gravity_linear_point0.csv"
+# ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --sweep 4 --format csv``,
+# printed once the frame inverse, the map and the flatness fit took no
+# BLAS or LAPACK kernel; its base points are off 0, so those reach it
+GRAVITY_SWEEP_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_sweep.csv"
 # sha256 of ``expand --order N --format json`` without its final newline,
 # the exact rendering the pipeline produced before its rational rewrite
 # (orders 16 and 22) and before its packed monomial keys (order 26).
@@ -343,6 +349,43 @@ class TestGravity:
         assert result.exit_code == 0
         assert result.stdout_bytes == GRAVITY_LINEAR_GOLDEN.read_bytes()
 
+    def test_kappa_sweep_golden_file(self, runner):
+        args = ["--fixture", "kappa-poly:0.5,0.2,-0.3", "--sweep", "4", "--format", "csv"]
+        result = runner.invoke(main, ["gravity", *args])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == GRAVITY_SWEEP_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--fixture", "ellipse:2,1", "--sweep", "8"],
+            ["--fixture", "kappa-poly:1,0,1", "--sweep", "8"],
+            ["--fixture", "kappa-poly:0,1", "--point", "0"],
+        ],
+    )
+    def test_gravity_runs_without_numpy_linalg(self, runner, monkeypatch, args):
+        # the benchmark's three gravity commands print the same bytes
+        # with the LAPACK entry points of numpy.linalg made to raise
+        args = ["gravity", *args, "--format", "json"]
+        before = runner.invoke(main, args)
+        assert before.exit_code == 0
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in ("inv", "lstsq", "solve", "svd", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        after = runner.invoke(main, args)
+        assert after.exit_code == 0, after.exception
+        assert after.stdout_bytes == before.stdout_bytes
+
+    @pytest.mark.parametrize("ratio", ["1.001", "1.01"])
+    def test_heights_spread_enough_are_fitted(self, runner, ratio):
+        args = ["gravity", "--fixture", "kappa-poly:0,1", "--delta-ratio", ratio, "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["fit_coeffs"][1] == pytest.approx(-0.1, abs=2e-3)
+
     def test_csv_is_deterministic(self, runner):
         args = ["gravity", "--fixture", "circle", "--format", "csv"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
@@ -424,6 +467,9 @@ class TestGravity:
             (["--sweep", "3", "--tol-straight", "1e-15"], "tolerance 1e-15 is below the roundoff"),
             (["--fixture", "ellipse:1e-320,1"], "plot too small"),
             (["--fixture", "ellipse:1e-300,1e-300"], "plot too small"),
+            # the whole message of a rank-deficient fit, at two close height ratios
+            (["--delta-ratio", "1.0000001"], _RANK_DEFICIENT),
+            (["--delta-ratio", "1.00001"], _RANK_DEFICIENT),
         ],
     )
     def test_invalid_input_is_usage_error(self, runner, args, message):

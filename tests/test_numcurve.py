@@ -1,5 +1,8 @@
+import ast
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import _oracles as oracle
 from affgrav import (
     BracketingError,
     DegenerateCurveError,
+    GravitySample,
     KappaCurveSpec,
     NumCurve,
     ParametricCurveSpec,
@@ -28,7 +32,13 @@ from affgrav import (
 )
 from affgrav.cli import _CONICS, parse_fixture
 from affgrav.defaults import STRAIGHT_TOL_FLOOR
-from affgrav.numcurve import _cumulative_simpson, _interp_table, _lagrange, _windows
+from affgrav.numcurve import (
+    _cumulative_simpson,
+    _interp_table,
+    _lagrange,
+    _least_squares,
+    _windows,
+)
 
 
 def poly_kappa_assign(coeffs, order=10):
@@ -298,6 +308,53 @@ class TestFlatness:
             fit_flatness(samples, kappa_prime_p=0.0)
 
 
+class TestLeastSquares:
+    """The flatness fit's Householder QR against numpy's SVD-based
+    ``lstsq``, kept here as the oracle."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("m", [6, 8, 50])
+    def test_matches_lstsq_within_the_conditioning_bound(self, m, seed):
+        # Both solvers are backward stable, so they differ by at most a
+        # modest multiple of eps (kappa |x| + kappa^2 |r| / sigma_max),
+        # the least-squares perturbation bound; m eps is that multiple
+        rng = np.random.default_rng(seed)
+        if seed % 2:  # the fit's own design: heights in geometric progression
+            d = rng.uniform(1e-4, 1e-2) * rng.uniform(1.01, 1.6 if m < 50 else 1.08) ** np.arange(m)
+            design = np.column_stack([d, d**2, d**3])
+        else:  # columns of very different scales
+            design = rng.standard_normal((m, 3)) * 10.0 ** rng.uniform(-3, 3, 3)
+        fitted = design @ rng.standard_normal(3)
+        rhs = fitted + rng.standard_normal(m) * 10.0 ** rng.uniform(-12, -2) * np.abs(fitted).max()
+        want, _, rank, sv = np.linalg.lstsq(design, rhs, rcond=None)
+        got = _least_squares([column.tolist() for column in design.T], rhs.tolist())
+        assert rank == 3 and got is not None
+        kappa = sv[0] / sv[-1]
+        residual = np.linalg.norm(design @ want - rhs)
+        bound = m * sys.float_info.epsilon * (
+            kappa * np.linalg.norm(want) + kappa**2 * residual / sv[0]
+        )
+        assert np.linalg.norm(np.array(got) - want) <= bound
+
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_a_zero_column_is_rank_deficient(self, zero):
+        d = 1e-3 * 1.6 ** np.arange(8)
+        design = np.column_stack([d, d**2, d**3])
+        design[:, zero] = 0.0
+        assert np.linalg.matrix_rank(design) == 2
+        assert _least_squares([column.tolist() for column in design.T], d.tolist()) is None
+
+    def test_a_zero_column_refuses_the_fit(self):
+        samples = [GravitySample(d, -1.0, 1.0, d) for d in (1e-300 * 1.6**k for k in range(8))]
+        with pytest.raises(ValueError, match="delta\\^2 and delta\\^3 underflow"):
+            fit_flatness(samples, kappa_prime_p=0.0)
+
+    def test_a_consistent_design_is_solved_to_roundoff(self):
+        d = 1e-3 * 1.6 ** np.arange(8)
+        got = _least_squares([d.tolist(), (d**2).tolist(), (d**3).tolist()], (2 * d - d**3).tolist())
+        assert got == pytest.approx([2.0, 0.0, -1.0], abs=1e-9)
+
+
 class TestStraightness:
     def test_even_curvature_straight_at_center(self):
         cur = integrate_from_kappa(KappaCurveSpec(lambda s: 1 + s * s, half_width=1.0))
@@ -449,6 +506,43 @@ class TestScalarOracles:
         assert built.step == ref.step
         for name in ("grid", "points", "d1", "d2"):
             assert np.array_equal(getattr(built, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("fixture", ["kappa-poly:0.5,0.2,-0.3", "ellipse:2,1"])
+    def test_affine_map_matches_scalar_oracle(self, fixture):
+        # off p = 0 the frame is no identity, so the inverse and the map
+        # reach every value; with no BLAS kernel in the path they are
+        # the scalar map's bits
+        curve = build_curve(parse_fixture(fixture)[0])
+        points, deltas = [-0.5, 0.3], default_deltas()
+        for p in points:
+            got, want = renormalize(curve, p), oracle.renormalize(curve, p)
+            assert not np.array_equal(curve.d1[curve.index_of(p)], [1.0, 0.0])
+            for name in ("grid", "points", "d1", "d2"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        rows = list(numcurve._sweep_samples(curve, points, deltas))
+        assert rows == [oracle.gravity_samples(oracle.renormalize(curve, p), deltas) for p in points]
+        assert [gravity_samples(curve, p, deltas) for p in points] == rows
+
+    def test_affine_map_inverts_the_frame_in_closed_form(self):
+        curve = build_curve(parse_fixture("ellipse:2,1")[0])
+        j, origin, columns = numcurve._affine_map(curve, 0.3)
+        (ax, ay), (bx, by) = curve.d1[j].tolist(), curve.d2[j].tolist()
+        inv = oracle.inverse_2x2([[ax, bx], [ay, by]])
+        assert columns == ((inv[0][0], inv[0][1]), (inv[1][0], inv[1][1]))
+        assert origin == tuple(curve.points[j].tolist())
+
+    def test_singular_frame_is_refused(self, parabola_curve):
+        d2 = parabola_curve.d2.copy()
+        d2[parabola_curve.index_of(0.2)] = parabola_curve.d1[parabola_curve.index_of(0.2)]
+        flat = NumCurve(parabola_curve.grid, parabola_curve.points, parabola_curve.d1, d2, 1e-3)
+        for run in (renormalize, lambda c, p: gravity_samples(c, p, default_deltas())):
+            with pytest.raises(ValueError, match="singular frame"):
+                run(flat, 0.2)
+        # the sweep raises at that base point, after the rows before it
+        rows = []
+        with pytest.raises(ValueError, match="singular frame"):
+            corollary_sweep(flat, [0.0, 0.1, 0.2, 0.3], rows=rows)
+        assert [r[0] for r in rows] == [0.0, 0.1]
 
     @pytest.mark.parametrize(
         "kappa",
@@ -648,38 +742,54 @@ class TestScalarOracles:
         assert not any(on_lower)  # no midpoint on a lower node
 
     def test_each_pass_gathers_one_window_for_g_and_f(self, parabola_curve, monkeypatch):
-        # one _windows call per _samples_per_row pass, carrying g and f:
-        # for a single point and for each chunk of a sweep
+        # one _window_nodes call per _samples_per_row pass, whose nodes
+        # carry g and f: for a single point and for each chunk of a sweep
         gathers, passes = [], []
-        windows, per_row = numcurve._windows, numcurve._samples_per_row
+        window_nodes, per_row = numcurve._window_nodes, numcurve._samples_per_row
 
-        def windows_spy(xs, found, *tables):
-            gathers.append(len(tables))
-            return windows(xs, found, *tables)
+        def window_nodes_spy(found, n):
+            gathers.append(found.shape[0])
+            return window_nodes(found, n)
 
-        def per_row_spy(*args):
-            passes.append(len(args[0]))
-            return per_row(*args)
+        def per_row_spy(curve, maps, *args):
+            passes.append(len(maps))
+            return per_row(curve, maps, *args)
 
-        monkeypatch.setattr(numcurve, "_windows", windows_spy)
+        monkeypatch.setattr(numcurve, "_window_nodes", window_nodes_spy)
         monkeypatch.setattr(numcurve, "_samples_per_row", per_row_spy)
         gravity_samples(parabola_curve, 0.1, default_deltas())
-        assert (passes, gathers) == ([1], [2])
+        assert passes == gathers == [1]
         passes.clear()
         gathers.clear()
         monkeypatch.setattr(numcurve, "_SWEEP_TABLE", 3 * len(parabola_curve))
         assert corollary_sweep(parabola_curve, _sweep_points(8), default_deltas())
-        assert (passes, gathers) == ([3, 3, 2], [2, 2, 2])
+        assert passes == gathers == [3, 3, 2]
 
     def test_cumulative_simpson_matches_loop(self):
         y = np.cos(np.linspace(-1.0, 1.0, 101)) ** 3
         assert np.array_equal(_cumulative_simpson(y, 0.02), oracle.cumulative_simpson(y, 0.02))
 
 
+def test_numcurve_calls_no_blas_or_lapack():
+    # no matrix product and no numpy.linalg: the bits of every numeric
+    # output come from elementwise float operations alone
+    tree = ast.parse(Path(numcurve.__file__).read_text())
+    blas = {"linalg", "dot", "vdot", "matmul", "einsum", "tensordot", "inner"}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            assert not isinstance(node.op, ast.MatMult), node.lineno
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in blas, node.lineno
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names] + [getattr(node, "module", "")]
+            assert not any("linalg" in (m or "") for m in modules), node.lineno
+
+
 def test_large_sweep_memory_is_bounded():
     # 1000 base points on the 2517-node ellipse:2,1 grid.  One unchunked
-    # (points, nodes) table alone would take 20 MB; chunked, the whole
-    # sweep peaks near 1.5 MB
+    # (points, nodes) table alone would take 20 MB; chunked, with only g
+    # stacked and f mapped at the window nodes, the whole sweep peaks near
+    # 0.5 MB (0.52 MB traced, numpy 2.4 on CPython 3.11)
     curve = reparametrize_affine(parse_fixture("ellipse:2,1")[0])
     points = [float(p) for p in np.linspace(-0.5, 0.5, 1000)]
     bound = 8 * 2**20
