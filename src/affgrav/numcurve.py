@@ -16,12 +16,17 @@ The numeric kernels work on whole arrays.  A parametric plot's jet
 takes an array of parameters of any shape and returns its (x, y) pairs
 as arrays of that shape, so it is called once per point set, not once
 per point; a curvature function takes an array the same way.  RK4 evaluates -kappa
-at every stage abscissa of every step in one call per direction and
-then steps the frame (c', c'') through those values in one sequential
-loop of float arithmetic, since each step starts from the frame the
-last one left.  The positions c never feed back into the frame; one
-array pass recomputes their increments from the same stage values and
-sums them afterwards, in the loop's order, by one accumulate.
+at every stage abscissa of every step in one call per direction.  The
+system (c', c'')' = (c'', -kappa c') is linear, so one step is a 2x2
+map of the frame and a linear increment of c, whose entries depend on
+the step's three curvature values alone; one array pass forms them for
+every step (``_transfer``).  The frame then goes through those maps in
+one sequential loop of float arithmetic, since each step starts from
+the frame the last one left.  The positions c never feed back into the
+frame; their increments are one array product per step afterwards,
+summed in step order by one accumulate.  The transfer form is the
+stage form's step exactly over the rationals and differs from it in
+floats by rounding only (``tests/_oracles.py`` keeps both).
 Interpolation takes every abscissa in one call.  A single base point
 and a sweep share one sampling pass, which bisects the chord roots of
 every base point, height and side together in lockstep.  A lane's
@@ -210,65 +215,48 @@ def _check_grid_size(nodes: float) -> None:
 # -- integration from curvature ---------------------------------------------
 
 
-def _frame_steps(neg_kappa: np.ndarray, h: float, frame: tuple) -> Iterator[float]:
-    """The frame after each RK4 step of size h from ``frame``, flat.
+def _transfer(n1, n23, n4, h):
+    """The RK4 step of size h as a map of (c', c''), and c's increment.
 
-    A frame is c', c'' as (ax, ay, bx, by); column i of the (3, steps)
-    table ``neg_kappa`` holds -kappa at the step's stage abscissae s,
-    s + h/2 and s + h.  Each step starts from the frame the last one
-    left, so the steps run as one loop of float arithmetic.  The
-    position c never feeds back into the frame; ``_positions`` sums it
-    afterwards.  Each component is yielded on its own, which costs less
-    than building a tuple per step.
+    ``n1``, ``n23`` and ``n4`` are -kappa at the step's stage abscissae
+    s, s + h/2 and s + h.  One classical RK4 step of the linear system
+    (c', c'')' = (c'', -kappa c') sends a frame vector (a, b) to
+    (a + e00 a + m01 b, b + m10 a + e11 b) and moves c by p0 a + p1 b;
+    returns (e00, m01, m10, e11, p0, p1).  The map is held as M - I, so
+    its diagonal keeps the bits of its O(h^2) part instead of rounding
+    1 + O(h^2) alike on every step.  Plain elementwise arithmetic: it
+    takes floats, arrays or Fractions.
     """
-    h2, h6 = h / 2, h / 6
+    h6, q = h / 6, h * h
+    hh6 = h6 * h
+    return (
+        hh6 * (n1 + 2 * n23 + q / 4 * n1 * n23),
+        h6 * (6 + q * n23),
+        h6 * (n1 + 4 * n23 + n4 + q / 2 * n23 * (n1 + n4)),
+        hh6 * (2 * n23 + n4 * (1 + q / 4 * n23)),
+        h6 * (6 + q / 2 * (n1 + n23)),
+        hh6 * (3 + q / 4 * n23),
+    )
+
+
+def _frame_steps(maps: Sequence[np.ndarray], frame: tuple) -> Iterator[float]:
+    """The frame after each step from ``frame``, flat.
+
+    A frame is c', c'' as (ax, ay, bx, by); entry i of the four arrays
+    ``maps`` holds step i's e00, m01, m10 and e11 of ``_transfer``.
+    Each step starts from the frame the last one left, so the steps run
+    as one loop of float arithmetic, 16 operations each.  Each component
+    is yielded on its own, which costs less than building a tuple per
+    step.
+    """
     ax, ay, bx, by = frame
-    for k1, k23, k4 in zip(*map(memoryview, neg_kappa)):
-        # the four RK4 stages of (c', c'')' = (c'', -kappa c'); (cx, cy) is
-        # c''', and x + x is the float 2 * x
-        cx1, cy1 = k1 * ax, k1 * ay
-        ax2, ay2 = ax + h2 * bx, ay + h2 * by
-        bx2, by2 = bx + h2 * cx1, by + h2 * cy1
-        cx2, cy2 = k23 * ax2, k23 * ay2
-        ax3, ay3 = ax + h2 * bx2, ay + h2 * by2
-        bx3, by3 = bx + h2 * cx2, by + h2 * cy2
-        cx3, cy3 = k23 * ax3, k23 * ay3
-        bx4, by4 = bx + h * cx3, by + h * cy3
-        cx4, cy4 = k4 * (ax + h * bx3), k4 * (ay + h * by3)
-        ax, ay = (
-            ax + h6 * (bx + (bx2 + bx2) + (bx3 + bx3) + bx4),
-            ay + h6 * (by + (by2 + by2) + (by3 + by3) + by4),
-        )
-        bx, by = (
-            bx + h6 * (cx1 + (cx2 + cx2) + (cx3 + cx3) + cx4),
-            by + h6 * (cy1 + (cy2 + cy2) + (cy3 + cy3) + cy4),
-        )
+    for e00, m01, m10, e11 in zip(*map(memoryview, maps)):
+        ax, bx = ax + (e00 * ax + m01 * bx), bx + (m10 * ax + e11 * bx)
+        ay, by = ay + (e00 * ay + m01 * by), by + (m10 * ay + e11 * by)
         yield ax
         yield ay
         yield bx
         yield by
-
-
-def _positions(frames: np.ndarray, neg_kappa: np.ndarray, h: float) -> np.ndarray:
-    """The positions c, from c = 0, along the frames of ``_frame_steps``.
-
-    ``frames[i]`` is the frame before step i and ``neg_kappa`` the same
-    (3, steps) table.  The increment of c is recomputed from the loop's
-    stage values, one rounded array operation for each float operation
-    there, and summed in step order by one sequential accumulate, so
-    each of the (steps + 1, 2) positions is the loop's ``c += increment``
-    bit for bit.
-    """
-    # components first, so that each array operation runs along the steps
-    a, b = frames.T.copy().reshape(2, 2, -1)
-    k1, k23 = neg_kappa[0], neg_kappa[1]
-    h2, h6 = h / 2, h / 6
-    a2 = a + h2 * b
-    a3 = a + h2 * (b + h2 * (k1 * a))
-    a4 = a + h * (b + h2 * (k23 * a2))
-    points = np.zeros((2, len(frames) + 1))
-    points[:, 1:] = h6 * (a + (a2 + a2) + (a3 + a3) + a4)
-    return np.add.accumulate(points, axis=1, out=points).T
 
 
 def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
@@ -277,9 +265,11 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
     The state (c, c', c'') starts at ((0,0), e1, e2) and is integrated in
     both directions over [-half_width, half_width] of the spec with fixed
     step.  kappa is called once per direction, on the stage abscissae of
-    all steps.  The sequential loop carries only the frame (c', c''); the
-    positions of each direction are summed after it, in the loop's
-    order, by one accumulate.  A curvature that overflows gives a
+    all steps, and one array pass turns those values into each step's
+    transfer map (``_transfer``).  The sequential loop carries only the
+    frame (c', c'') through those maps; the positions of each direction
+    are one product per step, p0 c' + p1 c'', summed after it in step
+    order by one accumulate.  A curvature that overflows gives a
     non-finite curve without a warning, for the caller to refuse
     (``Config.validate`` does).
     """
@@ -301,9 +291,14 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
             h = sign * step
             s = (sign * np.arange(n)) * step
             neg_kappa[...] = -spec.kappa(np.stack([s, s + h / 2, s + h]))
-            steps = _frame_steps(neg_kappa, h, start)
+            *maps, p0, p1 = _transfer(*neg_kappa, h)
+            steps = _frame_steps(maps, start)
             frames[nodes][1:] = np.fromiter(steps, float, count=4 * n).reshape(n, 4)
-            points[nodes] = _positions(frames[nodes][:-1], neg_kappa, h)
+            # components first, so that each array operation runs along the steps
+            a, b = frames[nodes][:-1].T.copy().reshape(2, 2, -1)
+            increments = np.zeros((2, n + 1))
+            increments[:, 1:] = p0 * a + p1 * b
+            points[nodes] = np.add.accumulate(increments, axis=1, out=increments).T
 
     grid = np.arange(-n, n + 1) * step
     return NumCurve(grid=grid, points=points, d1=frames[:, :2], d2=frames[:, 2:], step=step)

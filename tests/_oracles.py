@@ -13,13 +13,14 @@ its nonzero ``QR2Scalar`` coefficient.  The grading helpers
 product-built ``random_poly_in_class`` read polynomials only through
 their public methods.  The numeric oracles are the
 scalar, one-value-at-a-time forms of the conic jets, the curve
-builders, the renormalizing affine map with its 2x2 inverse, the
-chord-root search and the base-point sweep: the array code
-in ``numcurve`` and the array jets of ``cli`` must reproduce them bit
-for bit.
-``near_conic_x`` is a closed form instead: the first-order gravity
-curve of a linear curvature, which the RK4 path must match within a
-stated relative bound.
+builders (RK4 as one transfer map per step), the renormalizing affine
+map with its 2x2 inverse, the chord-root search and the base-point
+sweep: the array code in ``numcurve`` and the array jets of ``cli``
+must reproduce them bit for bit.
+Two are independent references instead, matched within a stated
+bound or exactly over the rationals: ``integrate_from_kappa_stages``
+and ``rk4_stage_step``, classical stage-form RK4, and ``near_conic_x``,
+the closed-form first-order gravity curve of a linear curvature.
 """
 
 from __future__ import annotations
@@ -322,7 +323,41 @@ def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
 
 
 def integrate_from_kappa(spec, step: float = 1e-3) -> NumCurve:
-    """RK4 for c''' = -kappa c' on (3, 2) numpy state arrays."""
+    """RK4 for c''' = -kappa c' one step and one value at a time, each
+    step as its transfer map: the frame (a, b) goes to (a + e00 a + m01
+    b, b + m10 a + e11 b) and c moves by p0 a + p1 b, the entries formed
+    from -kappa at s, s + h/2 and s + h with h6 = h/6 and q = h^2."""
+    n = int(round(spec.half_width / step))
+    start = ((1.0, 0.0), (0.0, 1.0))
+    states = [None] * (2 * n + 1)
+    states[n] = ((0.0, 0.0), *start)
+    for sign in (1, -1):
+        h = sign * step
+        h6, q = h / 6, h * h
+        hh6 = h6 * h
+        c, (ax, ay), (bx, by) = [0.0, 0.0], *start
+        for i in range(n):
+            s = sign * i * step
+            n1, n23, n4 = -spec.kappa(s), -spec.kappa(s + h / 2), -spec.kappa(s + h)
+            e00 = hh6 * (n1 + 2 * n23 + q / 4 * n1 * n23)
+            m01 = h6 * (6 + q * n23)
+            m10 = h6 * (n1 + 4 * n23 + n4 + q / 2 * n23 * (n1 + n4))
+            e11 = hh6 * (2 * n23 + n4 * (1 + q / 4 * n23))
+            p0 = h6 * (6 + q / 2 * (n1 + n23))
+            p1 = hh6 * (3 + q / 4 * n23)
+            c = [c[0] + (p0 * ax + p1 * bx), c[1] + (p0 * ay + p1 * by)]
+            ax, bx = ax + (e00 * ax + m01 * bx), bx + (m10 * ax + e11 * bx)
+            ay, by = ay + (e00 * ay + m01 * by), by + (m10 * ay + e11 * by)
+            states[n + sign * (i + 1)] = (tuple(c), (ax, ay), (bx, by))
+    arr = np.array(states, dtype=float)
+    grid = np.arange(-n, n + 1) * step
+    return NumCurve(grid=grid, points=arr[:, 0], d1=arr[:, 1], d2=arr[:, 2], step=step)
+
+
+def integrate_from_kappa_stages(spec, step: float = 1e-3) -> NumCurve:
+    """Classical stage-form RK4 for c''' = -kappa c' on (3, 2) numpy
+    state arrays: the same map as ``integrate_from_kappa`` over the
+    rationals, rounded in another order."""
     n = int(round(spec.half_width / step))
     kappa = spec.kappa
 
@@ -350,6 +385,24 @@ def integrate_from_kappa(spec, step: float = 1e-3) -> NumCurve:
     arr = np.array(states)
     grid = np.arange(-n, n + 1) * step
     return NumCurve(grid=grid, points=arr[:, 0], d1=arr[:, 1], d2=arr[:, 2], step=step)
+
+
+def rk4_stage_step(n1, n23, n4, h, a, b):
+    """One classical RK4 step of (a, b)' = (b, n a) with n = n1, n23,
+    n23, n4 at its four stages, and the step's increment of the position
+    c (c' = a): returns (a, b, dc).  Plain arithmetic, for Fractions."""
+    k1a, k1b = b, n1 * a
+    a2, b2 = a + h / 2 * k1a, b + h / 2 * k1b
+    k2a, k2b = b2, n23 * a2
+    a3, b3 = a + h / 2 * k2a, b + h / 2 * k2b
+    k3a, k3b = b3, n23 * a3
+    a4, b4 = a + h * k3a, b + h * k3b
+    k4a, k4b = b4, n4 * a4
+    return (
+        a + h / 6 * (k1a + 2 * k2a + 2 * k3a + k4a),
+        b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b),
+        h / 6 * (a + 2 * a2 + 2 * a3 + a4),
+    )
 
 
 def _ellipse_jet(a, b):

@@ -17,15 +17,16 @@ from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
 _RANK_DEFICIENT = "rank-deficient flatness fit; spread the heights wider or raise them"
-# ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --point 0 --format csv``,
-# printed before RK4 took its curvature values from one array per stage
+# The three gravity golden files were printed once RK4 stepped the frame
+# by one transfer map per step; against the stage form they moved by
+# roundoff only.
+# ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --point 0 --format csv``
 GRAVITY_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_point0.csv"
-# ``gravity --fixture kappa-poly:0,1 --point 0 --format csv``, printed
-# while the RK4 loop still carried the positions
+# ``gravity --fixture kappa-poly:0,1 --point 0 --format csv``
 GRAVITY_LINEAR_GOLDEN = Path(__file__).parent / "data" / "gravity_linear_point0.csv"
-# ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --sweep 4 --format csv``,
-# printed once the frame inverse, the map and the flatness fit took no
-# BLAS or LAPACK kernel; its base points are off 0, so those reach it
+# ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --sweep 4 --format csv``;
+# its base points are off 0, so the frame inverse, the map and the
+# flatness fit (no BLAS or LAPACK kernel) reach its bits
 GRAVITY_SWEEP_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_sweep.csv"
 # sha256 of ``expand --order N --format json`` without its final newline,
 # the exact rendering the pipeline produced before its rational rewrite

@@ -1,7 +1,9 @@
 import ast
 import math
+import random
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,7 @@ from affgrav.numcurve import (
     _interp_table,
     _lagrange,
     _least_squares,
+    _transfer,
     _windows,
 )
 
@@ -87,6 +90,37 @@ class TestIntegration:
             fn = lambda s, c=coeffs: sum(ci * s**i for i, ci in enumerate(c))
             cur = integrate_from_kappa(KappaCurveSpec(fn, half_width=1.0))
             assert wronskian_drift(cur) <= 1e-8
+
+    # max |det[c', c''] - 1| of stage-form RK4 at step 1e-3, in units of
+    # float epsilon; the transfer loop must stay within twice that
+    STAGE_FORM_DRIFT_EPS = {
+        "kappa-poly:1": 7.5,
+        "kappa-poly:1,0,1": 9,
+        "kappa-poly:0,1": 12,
+        "kappa-poly:0.5,0.2,-0.3": 8,
+        "kappa-poly:-3,2,5,-1": 52,
+    }
+
+    @pytest.mark.parametrize("fixture", STAGE_FORM_DRIFT_EPS)
+    def test_wronskian_drift_stays_at_roundoff(self, fixture):
+        # a map stored as M rather than M - I rounds its 1 + O(h^2)
+        # diagonal alike on every step, and the drift grows tenfold
+        cur = integrate_from_kappa(parse_fixture(fixture)[0], step=1e-3)
+        bound = 2 * self.STAGE_FORM_DRIFT_EPS[fixture] * sys.float_info.epsilon
+        assert wronskian_drift(cur) <= bound
+
+    def test_transfer_map_is_the_stage_step_over_the_rationals(self):
+        rng = random.Random(30)
+
+        def rational(top):
+            return Fraction(rng.randint(-top, top), rng.randint(1, top))
+
+        for _ in range(200):
+            n1, n23, n4, a, b = (rational(50) for _ in range(5))
+            h = Fraction(rng.choice((-1, 1)), rng.randint(1, 2000))
+            e00, m01, m10, e11, p0, p1 = _transfer(n1, n23, n4, h)
+            step = (a + e00 * a + m01 * b, b + m10 * a + e11 * b, p0 * a + p1 * b)
+            assert step == oracle.rk4_stage_step(n1, n23, n4, h, a, b)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
@@ -461,6 +495,15 @@ ORACLE_FIXTURES = [
     "parabola", "circle", "ellipse:2,1", "hyperbola", "kappa-poly:1,0,1", "kappa-poly:0.5,0.2,-0.3"
 ]
 ORACLE_POINTS = [0.0, 0.3, -0.3]
+RK4_KAPPAS = [
+    lambda s: 0.0,
+    lambda s: 1.0,
+    parse_fixture("kappa-poly:0.5,0.2,-0.3")[0].kappa,
+    parse_fixture("kappa-poly:0,1")[0].kappa,
+    parse_fixture("kappa-poly:-3,2,5,-1")[0].kappa,
+]
+RK4_KAPPA_IDS = ["zero", "one", "poly", "linear", "sign-change"]
+RK4_STEPS = [(3e-3, 1.0), (7e-4, 1.0), (1e-3, 0.5)]
 
 
 @pytest.fixture(scope="module", params=ORACLE_FIXTURES)
@@ -544,24 +587,28 @@ class TestScalarOracles:
             corollary_sweep(flat, [0.0, 0.1, 0.2, 0.3], rows=rows)
         assert [r[0] for r in rows] == [0.0, 0.1]
 
-    @pytest.mark.parametrize(
-        "kappa",
-        [
-            lambda s: 0.0,
-            lambda s: 1.0,
-            parse_fixture("kappa-poly:0.5,0.2,-0.3")[0].kappa,
-            parse_fixture("kappa-poly:0,1")[0].kappa,
-            parse_fixture("kappa-poly:-3,2,5,-1")[0].kappa,
-        ],
-        ids=["zero", "one", "poly", "linear", "sign-change"],
-    )
-    @pytest.mark.parametrize("step,half_width", [(3e-3, 1.0), (7e-4, 1.0), (1e-3, 0.5)])
+    @pytest.mark.parametrize("kappa", RK4_KAPPAS, ids=RK4_KAPPA_IDS)
+    @pytest.mark.parametrize("step,half_width", RK4_STEPS)
     def test_rk4_matches_oracle_at_other_steps(self, kappa, step, half_width):
         # a scalar curvature broadcasts over the stage abscissae
         spec = KappaCurveSpec(kappa, half_width=half_width)
         built, ref = integrate_from_kappa(spec, step), oracle.integrate_from_kappa(spec, step)
         for name in ("grid", "points", "d1", "d2"):
             assert np.array_equal(getattr(built, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("kappa", RK4_KAPPAS, ids=RK4_KAPPA_IDS)
+    @pytest.mark.parametrize("step,half_width", RK4_STEPS)
+    def test_rk4_matches_stage_form_to_roundoff(self, kappa, step, half_width):
+        # the transfer map is the stage form's step exactly over the
+        # rationals; in floats they round apart, by at most 2 ulp of each
+        # array's largest value on these curves
+        spec = KappaCurveSpec(kappa, half_width=half_width)
+        built = integrate_from_kappa(spec, step)
+        ref = oracle.integrate_from_kappa_stages(spec, step)
+        assert np.array_equal(built.grid, ref.grid)
+        for name in ("points", "d1", "d2"):
+            got, want = getattr(built, name), getattr(ref, name)
+            assert np.max(np.abs(got - want)) <= 64 * np.spacing(np.max(np.abs(want))), name
 
     @pytest.mark.parametrize("p", ORACLE_POINTS)
     def test_gravity_samples_match_oracle(self, curve_pair, p):
