@@ -50,6 +50,9 @@ three-column least squares by Householder QR in Python floats.  A BLAS
 matrix product picks an FMA kernel by CPU, so its bits, and every
 output downstream, would differ between machines; its first call also
 maps a work buffer of a few MB, for matrices of two or three columns.
+Nor do the heights go through numpy's ``power``, whose AVX-512 loop is
+not libm's ``pow``: the schedule is formed in Python floats and the
+fit's powers of delta by multiplication.
 As a mapped value depends on its own node alone, a sweep maps g along
 each row, for the walk to the first node of each height, and maps the
 grid and f only at the four window nodes of each lane.
@@ -193,8 +196,9 @@ def default_deltas(
     ratio: float = DEFAULT_DELTA_RATIO,
     count: int = DEFAULT_DELTA_COUNT,
 ) -> np.ndarray:
-    """Geometric schedule of chord heights."""
-    return delta0 * ratio ** np.arange(count)
+    """Geometric schedule of chord heights, delta0 * ratio**k in Python
+    floats, as ``Config.validate`` computes the top one."""
+    return np.array([delta0 * ratio**k for k in range(count)])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -740,15 +744,16 @@ def fit_flatness(
     The quadratic coefficient estimates the quartic coefficient of the
     underlying expansion, predicted as -kappa'(p)/10; a mismatch beyond
     max(1e-3, 5%) raises VerificationError.  The fit is a Householder QR
-    in Python floats (``_least_squares``) and the fitted values, for the
-    residual, an elementwise sum of products, so no BLAS kernel sets
-    their bits.
+    in Python floats (``_least_squares``) on powers of delta formed by
+    multiplication, and the fitted values, for the residual, an
+    elementwise sum of products, so no BLAS or CPU-picked ``power``
+    kernel sets their bits.
     """
     if len(samples) < MIN_FIT_SAMPLES:
         raise ValueError(f"flatness fit needs at least {MIN_FIT_SAMPLES} samples")
     deltas = np.array([s.delta for s in samples])
     xs = np.array([s.midpoint_x for s in samples])
-    powers = (deltas, deltas**2, deltas**3)
+    powers = (deltas, deltas * deltas, deltas * deltas * deltas)
     coef = _least_squares([column.tolist() for column in powers], xs.tolist())
     if coef is None:
         top = deltas.max()

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import _oracles as oracle
@@ -18,8 +20,9 @@ from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
 _RANK_DEFICIENT = "rank-deficient flatness fit; spread the heights wider or raise them"
 # The three gravity golden files were printed once RK4 stepped the frame
-# by one transfer map per step; against the stage form they moved by
-# roundoff only.
+# by one transfer map per step, and then once the heights were formed
+# in Python floats rather than by numpy's CPU-dependent power; both
+# moved their values by roundoff only.
 # ``gravity --fixture kappa-poly:0.5,0.2,-0.3 --point 0 --format csv``
 GRAVITY_GOLDEN = Path(__file__).parent / "data" / "gravity_kappa_point0.csv"
 # ``gravity --fixture kappa-poly:0,1 --point 0 --format csv``
@@ -349,6 +352,26 @@ class TestGravity:
         result = runner.invoke(main, ["gravity", *args])
         assert result.exit_code == 0
         assert result.stdout_bytes == GRAVITY_LINEAR_GOLDEN.read_bytes()
+
+    @pytest.mark.parametrize(
+        "fixture,golden",
+        [("kappa-poly:0.5,0.2,-0.3", GRAVITY_GOLDEN), ("kappa-poly:0,1", GRAVITY_LINEAR_GOLDEN)],
+    )
+    def test_point_golden_files_without_avx512(self, fixture, golden):
+        # numpy's AVX-512 power loop is not libm's pow; with it switched off
+        # the heights and the fit still print the same bytes
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
+        if probe.returncode != 0:
+            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {probe.stderr[-300:]!r}")
+        args = ["gravity", "--fixture", fixture, "--point", "0", "--format", "csv"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "affgrav", *args], env=env, capture_output=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == golden.read_bytes()
 
     def test_kappa_sweep_golden_file(self, runner):
         args = ["--fixture", "kappa-poly:0.5,0.2,-0.3", "--sweep", "4", "--format", "csv"]
