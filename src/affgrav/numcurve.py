@@ -50,12 +50,12 @@ three-column least squares by Householder QR in Python floats.  A BLAS
 matrix product picks an FMA kernel by CPU, so its bits, and every
 output downstream, would differ between machines; its first call also
 maps a work buffer of a few MB, for matrices of two or three columns.
-Nor do the heights go through numpy's ``power``, whose AVX-512 loop is
-not libm's ``pow``: the schedule is formed in Python floats and the
-fit's powers of delta by multiplication.
 As a mapped value depends on its own node alone, a sweep maps g along
 each row, for the walk to the first node of each height, and maps the
-grid and f only at the four window nodes of each lane.
+grid and f only at the four window nodes of each lane.  Nor do the
+heights go through numpy's ``power``, whose AVX-512 loop is not libm's
+``pow``: the schedule is formed in Python floats and the fit's powers
+of delta by multiplication.
 
 A parametric plot comes with its exact derivatives: its jet returns
 the point and the first three derivatives together, and
