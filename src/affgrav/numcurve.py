@@ -8,9 +8,9 @@ derivative frames, normalized so the base point sits at the origin with
 frame (e1, e2).
 
 On top of that sit the desk-scale experiments: locating the two chord
-intersections at a given height by bisection, collecting the chord
-midpoints, and estimating flatness and straightness of the resulting
-midpoint curve.
+intersections at a given height by safeguarded Newton on the cubic
+interpolant, collecting the chord midpoints, and estimating flatness
+and straightness of the resulting midpoint curve.
 
 The numeric kernels work on whole arrays.  A parametric plot's jet
 takes an array of parameters of any shape and returns its (x, y) pairs
@@ -28,10 +28,11 @@ summed in step order by one accumulate.  The transfer form is the
 stage form's step exactly over the rationals and differs from it in
 floats by rounding only (``tests/_oracles.py`` keeps both).
 Interpolation takes every abscissa in one call.  A single base point
-and a sweep share one sampling pass, which bisects the chord roots of
-every base point, height and side together in lockstep.  A lane's
-midpoints never leave its grid cell, so it reads g and f only through
-that cell's four-node window, gathered once for both without a table
+and a sweep share one sampling pass, which solves for the chord roots
+of every base point, height and side together in lockstep, each lane
+by safeguarded Newton on its cell's cubic.  A lane's iterates never
+leave its grid cell, so it reads g, its slope and f only through that
+cell's four-node window, gathered once for all without a table
 search.  The window is stored node-major: for each of its four nodes
 the other three and the Lagrange denominator, along leading axes.
 Every cubic evaluation, the table interpolation of the
@@ -545,15 +546,15 @@ def _chord_roots(
     its base node j: ``gs[r]`` holds its g, and its grid is ``curve.grid``
     shifted by grid[j].  Its lanes are ordered (right, left) per height.
     Each lane walks outward from the base node to the first node with
-    g >= delta, then bisects the cubic interpolant of g over that grid
-    cell to bracket collapse, reading g and then f through the cell's
-    one window.  The grid shift and f are computed at the window's nodes
-    only; as each value depends on its own node alone, they equal the
-    shifted grid and the mapped points' row there.  All lanes bisect in
-    lockstep; a lane stops on an exact zero, on a midpoint that no
-    longer moves, or on a collapsed bracket.  Returns the (rows, lanes)
-    roots, a mask of the lanes that found none (a NaN residual included)
-    and f at each root.
+    g >= delta, then solves g = delta on the cubic interpolant of g over
+    that grid cell by safeguarded Newton, reading g, its slope and then
+    f through the cell's one window.  The grid shift and f are computed
+    at the window's nodes only; as each value depends on its own node
+    alone, they equal the shifted grid and the mapped points' row there.
+    All lanes iterate in lockstep, 3 times at the default heights; the
+    roots lie within 4 ulp of bisection's (``tests/_oracles.py`` keeps
+    both).  Returns the (rows, lanes) roots, a mask of the lanes that
+    found none (a NaN residual included) and f at each root.
     """
     centers = [j for j, _, _ in maps]
     outer = np.empty((len(gs), 2 * len(deltas)), dtype=np.intp)
@@ -580,9 +581,9 @@ def _chord_roots(
     flo, fhi = gs[row, inner] - delta, gs[row, outer] - delta
     at_lo = ~failed & (flo == 0.0)
     at_hi = ~failed & ~at_lo & (fhi == 0.0)
-    neg_lo = flo < 0  # the sign of g - delta at lo never changes while bisecting
+    neg_lo = flo < 0  # the sign of g - delta at lo never changes while solving
     failed |= ~at_lo & ~at_hi & (neg_lo == (fhi < 0))
-    bisect = ~(failed | at_lo | at_hi)
+    solve = ~(failed | at_lo | at_hi)
     nodes = _window_nodes(np.minimum(inner, outer) + 1, gs.shape[1])
     window, g_values = _basis(curve.grid[nodes] - base), gs[row, nodes]
     # each row's origin and the f column of its map, as (rows, 1) columns
@@ -590,30 +591,50 @@ def _chord_roots(
     at = curve.points[nodes]
     f_values = _mapped(at[..., 0] - ox, at[..., 1] - oy, (tx, ty))
 
-    # bisect to bracket collapse; this lands far inside the |g - delta|
-    # tolerance and keeps the root itself accurate to machine precision.
-    # A lane stops once its midpoint no longer moves or its bracket is at
-    # most 1e-17 max(1, |mid|) wide.  The old midpoint is a bracket end, so
-    # for |mid| > 1 a bracket of nonzero width spans at least the float
-    # spacing at mid, 2^-54 |mid| or more: the constant 1e-17 decides the
-    # same.  lo, hi and mid stay finite, so > negates <=.
-    mid = 0.5 * (lo + hi)
-    active = bisect.copy()
-    for _ in range(200):
-        if not active.any():
-            break
-        fm = _lagrange(window, g_values, mid) - delta
-        active &= fm != 0.0
-        to_lo = active & ((fm < 0) == neg_lo)
-        np.copyto(lo, mid, where=to_lo)
-        np.copyto(hi, mid, where=active ^ to_lo)
-        nxt = 0.5 * (lo + hi)
-        active &= (nxt != mid) & (np.abs(hi - lo) > 1e-17)
-        np.copyto(mid, nxt, where=active)
-    residual = np.abs(_lagrange(window, g_values, mid) - delta)
-    failed |= bisect & ~(residual <= ROOT_TOL)  # a NaN residual fails too
-    roots = np.where(at_lo, lo, np.where(at_hi, hi, mid))
+    # Safeguarded Newton (rtsafe) from the secant point of the bracket.
+    # The sign of F = g - delta, the window's cubic, moves a bracket end
+    # to x; the slope only steers.  A lane stops once its step is at most
+    # 4e-16 |x|, tested before the safeguard, which sends any other step
+    # outside the open bracket, a non-finite one (F' = 0, or 0/0 on a
+    # lane that does not solve) included, to the bracket's midpoint.  It
+    # also stops on F = 0, an unmoved iterate or a bracket at most 1e-17
+    # wide; the old iterate is a bracket end, so for |x| > 1 a nonzero
+    # width is at least the float spacing at x, above 1e-17 |x|.
+    weights = g_values / window[1]
+    active = solve.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = _safeguard(lo + (hi - lo) * (flo / (flo - fhi)), lo, hi)
+        for _ in range(200):
+            if not active.any():
+                break
+            fx = _lagrange(window, g_values, x) - delta
+            active &= fx != 0.0
+            to_lo = active & ((fx < 0) == neg_lo)
+            np.copyto(lo, x, where=to_lo)
+            np.copyto(hi, x, where=active ^ to_lo)
+            step = fx / _slope(window[0], weights, x)
+            active &= ~(np.abs(step) <= 4e-16 * np.abs(x))
+            nxt = _safeguard(x - step, lo, hi)
+            active &= (nxt != x) & (np.abs(hi - lo) > 1e-17)
+            np.copyto(x, nxt, where=active)
+    residual = np.abs(_lagrange(window, g_values, x) - delta)
+    failed |= solve & ~(residual <= ROOT_TOL)  # a NaN residual fails too
+    roots = np.where(at_lo, lo, np.where(at_hi, hi, x))
     return roots, failed, _lagrange(window, f_values, roots)
+
+
+def _slope(others: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The cubic's slope at x from its window's others and the weights
+    w_j = v_j / den_j: sum_j w_j (d0 d1 + (d0 + d1) d2), d = x - others."""
+    d0, d1, d2 = np.swapaxes(x - others, 0, 1)
+    return np.add.reduce(weights * (d0 * d1 + (d0 + d1) * d2), axis=0, initial=0.0)
+
+
+def _safeguard(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """x where it lies inside the open bracket between lo and hi, its
+    midpoint elsewhere; a NaN or infinite x is never inside."""
+    inside = (np.minimum(lo, hi) < x) & (x < np.maximum(lo, hi))
+    return np.where(inside, x, 0.5 * (lo + hi))
 
 
 def _samples_per_row(
@@ -650,8 +671,8 @@ def gravity_samples(curve: NumCurve, p: float, deltas: Sequence[float]) -> list[
 
     The curve is renormalized at the grid node nearest p.  Each height
     line is intersected with it on both sides of the base point; roots
-    are located by bisection on the cubic interpolant of the vertical
-    component, midpoints from the cubic interpolant of the horizontal
+    are located by safeguarded Newton on the cubic interpolant of the
+    vertical component, midpoints from that of the horizontal
     component.  A p off the grid raises ValueError; then errors follow
     height order, right side before left: a missing root raises
     BracketingError, a height <= 0 ValueError.

@@ -14,13 +14,15 @@ product-built ``random_poly_in_class`` read polynomials only through
 their public methods.  The numeric oracles are the
 scalar, one-value-at-a-time forms of the conic jets, the curve
 builders (RK4 as one transfer map per step), the renormalizing affine
-map with its 2x2 inverse, the chord-root search and the base-point
-sweep: the array code in ``numcurve`` and the array jets of ``cli``
-must reproduce them bit for bit.
-Two are independent references instead, matched within a stated
+map with its 2x2 inverse, the chord-root search (safeguarded Newton)
+and the base-point sweep: the array code in ``numcurve`` and the array
+jets of ``cli`` must reproduce them bit for bit.
+Three are independent references instead, matched within a stated
 bound or exactly over the rationals: ``integrate_from_kappa_stages``
-and ``rk4_stage_step``, classical stage-form RK4, and ``near_conic_x``,
-the closed-form first-order gravity curve of a linear curvature.
+and ``rk4_stage_step``, classical stage-form RK4,
+``chord_root_bisection``, the chord root by bisection to bracket
+collapse, and ``near_conic_x``, the closed-form first-order gravity
+curve of a linear curvature.
 """
 
 from __future__ import annotations
@@ -304,11 +306,36 @@ def lagrange4(xs, ys, x: float) -> float:
     return total
 
 
+def lagrange4_slope(xs, ys, x: float) -> float:
+    """Derivative at x of the cubic Lagrange interpolant through four
+    nodes: sum_j (y_j / den_j) (d0 d1 + (d0 + d1) d2), d = x - the others."""
+    total = 0.0
+    for j in range(4):
+        den, d = 1.0, []
+        for m in range(4):
+            if m != j:
+                den *= xs[j] - xs[m]
+                d.append(x - xs[m])
+        total += (ys[j] / den) * (d[0] * d[1] + (d[0] + d[1]) * d[2])
+    return total
+
+
+def _table_start(xs: np.ndarray, x: float) -> int:
+    """The first of the four table nodes around x, clamped to the ends."""
+    i = int(np.searchsorted(xs, x)) - 1
+    return max(0, min(i - 1, len(xs) - 4))
+
+
 def interp_table(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
     """Cubic interpolation of a sorted table at one abscissa."""
-    i = int(np.searchsorted(xs, x)) - 1
-    i = max(0, min(i - 1, len(xs) - 4))
+    i = _table_start(xs, x)
     return lagrange4(xs[i : i + 4], ys[i : i + 4], x)
+
+
+def interp_table_slope(xs: np.ndarray, ys: np.ndarray, x: float) -> float:
+    """The derivative of ``interp_table``'s cubic at x, in its window."""
+    i = _table_start(xs, x)
+    return lagrange4_slope(xs[i : i + 4], ys[i : i + 4], x)
 
 
 def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
@@ -504,9 +531,10 @@ def renormalize(curve: NumCurve, p: float) -> NumCurve:
     )
 
 
-def chord_root(curve: NumCurve, direction: int, delta: float) -> float:
-    """Walk outward to the first node with g >= delta, then bisect the
-    cubic interpolant of g to bracket collapse."""
+def _chord_bracket(curve: NumCurve, direction: int, delta: float):
+    """Walk outward to the first node with g >= delta.  Returns g, the
+    inner and outer node, and g - delta at both; raises BracketingError
+    when no node reaches delta or g - delta keeps its sign."""
     g = curve.points[:, 1]
     i = curve.index_of(0.0)
     side = "right" if direction > 0 else "left"
@@ -517,34 +545,77 @@ def chord_root(curve: NumCurve, direction: int, delta: float) -> float:
         if g[j] >= delta:
             break
         i = j
-
-    def gval(s: float) -> float:
-        return interp_table(curve.grid, g, s)
-
     lo, hi = curve.grid[i], curve.grid[j]
-    flo, fhi = gval(lo) - delta, gval(hi) - delta
-    if flo == 0.0:
-        return float(lo)
-    if fhi == 0.0:
-        return float(hi)
-    if (flo < 0) == (fhi < 0):
+    flo = interp_table(curve.grid, g, lo) - delta
+    fhi = interp_table(curve.grid, g, hi) - delta
+    if flo != 0.0 and fhi != 0.0 and (flo < 0) == (fhi < 0):
         raise BracketingError(delta, side)
+    return g, float(lo), float(hi), flo, fhi
+
+
+def _checked_root(curve: NumCurve, g, direction: int, delta: float, x: float) -> float:
+    """x, once g - delta there passes the ``ROOT_TOL`` residual check."""
+    if not abs(interp_table(curve.grid, g, x) - delta) <= ROOT_TOL:  # a NaN residual fails too
+        raise BracketingError(delta, "right" if direction > 0 else "left")
+    return float(x)
+
+
+def chord_root(curve: NumCurve, direction: int, delta: float) -> float:
+    """Walk outward to the first node with g >= delta, then solve g = delta
+    on the cubic interpolant of g by safeguarded Newton from the secant
+    point of the cell's bracket, one value at a time."""
+    g, lo, hi, flo, fhi = _chord_bracket(curve, direction, delta)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+
+    def safeguard(x: float) -> float:
+        return x if min(lo, hi) < x < max(lo, hi) else 0.5 * (lo + hi)
+
+    x = safeguard(lo + (hi - lo) * (flo / (flo - fhi)))
+    for _ in range(200):
+        fx = interp_table(curve.grid, g, x) - delta
+        if fx == 0.0:
+            break
+        if (fx < 0) == (flo < 0):
+            lo = x
+        else:
+            hi = x
+        slope = interp_table_slope(curve.grid, g, x)
+        step = fx / slope if slope != 0.0 else math.inf
+        if abs(step) <= 4e-16 * abs(x):
+            break
+        nxt = safeguard(x - step)
+        if nxt == x or abs(hi - lo) <= 1e-17 * max(1.0, abs(x)):
+            break
+        x = nxt
+    return _checked_root(curve, g, direction, delta, x)
+
+
+def chord_root_bisection(curve: NumCurve, direction: int, delta: float) -> float:
+    """Walk outward to the first node with g >= delta, then bisect the
+    cubic interpolant of g to bracket collapse: an independent reference
+    for ``chord_root``."""
+    g, lo, hi, flo, fhi = _chord_bracket(curve, direction, delta)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
     mid = 0.5 * (lo + hi)
     for _ in range(200):
-        fm = gval(mid) - delta
+        fm = interp_table(curve.grid, g, mid) - delta
         if fm == 0.0:
             break
         if (fm < 0) == (flo < 0):
-            lo, flo = mid, fm
+            lo = mid
         else:
-            hi, fhi = mid, fm
+            hi = mid
         nxt = 0.5 * (lo + hi)
         if nxt == mid or abs(hi - lo) <= 1e-17 * max(1.0, abs(mid)):
             break
         mid = nxt
-    if not abs(gval(mid) - delta) <= ROOT_TOL:  # a NaN residual fails too
-        raise BracketingError(delta, side)
-    return float(mid)
+    return _checked_root(curve, g, direction, delta, mid)
 
 
 def gravity_samples(curve: NumCurve, deltas) -> list[GravitySample]:

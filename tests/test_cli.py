@@ -283,6 +283,22 @@ class TestVerify:
                 assert rng.getstate() == oracle_rng.getstate(), (seed, draw)
 
 
+def _run_without_avx512(args: list[str]) -> bytes:
+    """stdout of ``python -m affgrav *args`` in a subprocess with numpy's
+    AVX-512 loops switched off; skips where numpy refuses the switch."""
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {probe.stderr[-300:]!r}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "affgrav", *args], env=env, capture_output=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
 class TestGravity:
     def test_parabola_is_straight(self, runner):
         result = runner.invoke(
@@ -360,18 +376,17 @@ class TestGravity:
     def test_point_golden_files_without_avx512(self, fixture, golden):
         # numpy's AVX-512 power loop is not libm's pow; with it switched off
         # the heights and the fit still print the same bytes
-        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True)
-        if probe.returncode != 0:
-            pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES: {probe.stderr[-300:]!r}")
         args = ["gravity", "--fixture", fixture, "--point", "0", "--format", "csv"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "affgrav", *args], env=env, capture_output=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        assert proc.stdout == golden.read_bytes()
+        assert _run_without_avx512(args) == golden.read_bytes()
+
+    def test_conic_sweep_without_avx512(self, runner):
+        # a plot goes through reparametrize_affine, which still takes
+        # det^(1/3) and z^(-k/3) by numpy's power: its sweep prints the
+        # same bytes with the AVX-512 loops off
+        args = ["gravity", "--fixture", "ellipse:2,1", "--sweep", "8", "--format", "json"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert _run_without_avx512(args) == result.stdout_bytes
 
     def test_kappa_sweep_golden_file(self, runner):
         args = ["--fixture", "kappa-poly:0.5,0.2,-0.3", "--sweep", "4", "--format", "csv"]

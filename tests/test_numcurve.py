@@ -759,21 +759,24 @@ class TestScalarOracles:
         assert np.array_equal(got, _interp_table(xs, ys, probes))
 
     def test_midpoint_on_a_cell_lower_node_matches_oracle(self, monkeypatch):
-        # A height a few ulps above g at a right-hand grid node puts the
-        # root just above that node, the lower end of its cell, and some
-        # bisection midpoints land on the node itself.  The chord solve
-        # evaluates them in the cell's window, where the node is the
-        # second; the oracle's searchsorted picks the window one node
-        # lower.  Both windows give g there exactly, so the samples agree,
-        # and the spy shows that the case is reached.
+        # A height equal to g at a left-hand grid node is a root on that
+        # node, the lower end of its cell, where f is read for the
+        # midpoint.  The chord solve reads it in the cell's window, where
+        # the node is the second; the oracle's searchsorted picks the
+        # window one node lower.  Both windows give f there exactly, so
+        # the samples agree, and the spy shows that the case is reached.
+        # A height a few ulps above g at a right-hand node puts a root
+        # just above the node, yet no Newton iterate lands on it: each
+        # lies strictly inside the open bracket.
         curve = integrate_from_kappa(parse_fixture("kappa-poly:1,0,1")[0])
         local = renormalize(curve, 0.0)
         c = local.index_of(0.0)
-        deltas = []
+        on_node = local.points[c - 110 : c - 30, 1].tolist()
+        above = []
         for d in local.points[c + 30 : c + 110, 1].tolist():
             for _ in range(5):
                 d = math.nextafter(d, math.inf)
-                deltas.append(d)
+                above.append(d)
         original, on_lower = _lagrange, []
 
         def spy(window, values, x):
@@ -781,12 +784,17 @@ class TestScalarOracles:
             return original(window, values, x)
 
         monkeypatch.setattr(numcurve, "_lagrange", spy)
-        got = gravity_samples(curve, 0.0, deltas)
+        got = gravity_samples(curve, 0.0, on_node)
         assert any(on_lower)
-        assert got == oracle.gravity_samples(local, deltas)
+        assert [s.s_minus for s in got] == local.grid[c - 110 : c - 30].tolist()
+        assert got == oracle.gravity_samples(local, on_node)
+        on_lower.clear()
+        got = gravity_samples(curve, 0.0, above)
+        assert not any(on_lower)
+        assert got == oracle.gravity_samples(local, above)
         on_lower.clear()
         gravity_samples(curve, 0.0, default_deltas())
-        assert not any(on_lower)  # no midpoint on a lower node
+        assert not any(on_lower)  # no root on a lower node
 
     def test_each_pass_gathers_one_window_for_g_and_f(self, parabola_curve, monkeypatch):
         # one _window_nodes call per _samples_per_row pass, whose nodes
@@ -815,6 +823,124 @@ class TestScalarOracles:
     def test_cumulative_simpson_matches_loop(self):
         y = np.cos(np.linspace(-1.0, 1.0, 101)) ** 3
         assert np.array_equal(_cumulative_simpson(y, 0.02), oracle.cumulative_simpson(y, 0.02))
+
+
+CHORD_FIXTURES = [*ORACLE_FIXTURES, "kappa-poly:0,1"]
+
+
+def _ulps_apart(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+class TestChordSolve:
+    """Safeguarded Newton on each lane's cell cubic, against bisection."""
+
+    @pytest.mark.parametrize("step", [1e-3, 4e-3])
+    @pytest.mark.parametrize("fixture", CHORD_FIXTURES)
+    def test_roots_agree_with_bisection_within_4_ulp(self, fixture, step):
+        # at the default heights the Newton root and the bisection root
+        # of the same cubic lie within 4 ulp of each other (2 at most on
+        # these curves), and the computed g - delta changes sign, or is 0,
+        # within 4 ulp of each Newton root
+        curve = build_curve(parse_fixture(fixture)[0], step)
+        for p in (0.0, 0.3):
+            local = renormalize(curve, p)
+            g = local.points[:, 1]
+            for sample in gravity_samples(curve, p, default_deltas()):
+                for root, direction in ((sample.s_plus, 1), (sample.s_minus, -1)):
+                    bisected = oracle.chord_root_bisection(local, direction, sample.delta)
+                    assert _ulps_apart(root, bisected) <= 4, (p, sample)
+                    near = [root]
+                    for towards in (-math.inf, math.inf):
+                        x = root
+                        for _ in range(4):
+                            x = math.nextafter(x, towards)
+                            near.append(x)
+                    values = [oracle.interp_table(local.grid, g, x) - sample.delta for x in near]
+                    assert min(values) <= 0.0 <= max(values), (p, sample)
+
+    @pytest.mark.parametrize("fixture", ["parabola", "kappa-poly:0.5,0.2,-0.3"])
+    def test_roots_at_tiny_heights_stay_near_the_exact_cubic_root(self, fixture):
+        # At delta ~ 1e-9 the root lies in the base point's cell, where
+        # the computed cubic is only good to ~1e-22: it changes sign over
+        # a band of hundreds of ulp of s, anywhere in which bisection
+        # stops.  Newton follows the cubic's slope and stays within 91
+        # ulp of the exact root of the cubic through the window's float
+        # nodes (Fractions), where bisection strays up to ~1000.
+        curve = build_curve(parse_fixture(fixture)[0])
+        local = renormalize(curve, 0.0)
+        grid, g = local.grid, local.points[:, 1]
+        for sample in gravity_samples(curve, 0.0, default_deltas(1e-9)):
+            delta = Fraction(sample.delta)
+            for root in (sample.s_plus, sample.s_minus):
+                i = int(np.searchsorted(grid, root))
+                start = max(0, min(i - 2, len(grid) - 4))
+                xs = [Fraction(x) for x in grid[start : start + 4].tolist()]
+                ys = [Fraction(y) for y in g[start : start + 4].tolist()]
+
+                def f(x):
+                    return sum(
+                        y * math.prod(x - xm for xm in xs if xm != xj)
+                        / math.prod(xj - xm for xm in xs if xm != xj)
+                        for xj, y in zip(xs, ys)
+                    ) - delta
+
+                lo, hi = Fraction(grid[i - 1]), Fraction(grid[i])
+                negative_lo = f(lo) < 0
+                for _ in range(80):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if (f(mid) < 0) == negative_lo else (lo, mid)
+                assert abs(Fraction(root) - lo) <= 128 * Fraction(math.ulp(root)), sample
+
+    def test_stationary_point_in_the_bracket(self):
+        # g - 6 = 48 u^3 + 24 (u^2 - 1/4) on the cell [2, 3], u = s - 2.5:
+        # -6 and 6 at the cell's ends, so the secant start is u = 0, where
+        # the cubic's slope is 0 in floats too (every weight v_j / den_j
+        # and every product is exact).  The Newton step there is not
+        # finite; the solve falls back to the midpoint, raises no warning
+        # and finds the one root, as the scalar form does.
+        grid = np.arange(-5.0, 6.0)
+        g = np.zeros_like(grid)
+        g[6:] = [-108.0, 0.0, 12.0, 216.0, 500.0]
+        curve = NumCurve(
+            grid=grid,
+            points=np.column_stack([grid, g]),
+            d1=np.tile([1.0, 0.0], (len(grid), 1)),
+            d2=np.tile([0.0, 1.0], (len(grid), 1)),
+            step=1.0,
+        )
+        window, values = _windows(grid[None], np.array([[8]]), g[None])  # nodes 1 to 4
+        assert numcurve._slope(window[0], values / window[1], np.array([[2.5]])) == 0.0
+        assert oracle.interp_table_slope(grid, g, 2.5) == 0.0
+        assert oracle.interp_table(grid, g, 2.5) - 6.0 == -6.0
+        roots, failed, _ = numcurve._chord_roots(
+            curve, [numcurve._affine_map(curve, 0.0)], g[None], np.array([6.0])
+        )
+        root = float(roots[0, 0])
+        assert not failed[0, 0] and 2.5 < root < 3.0
+        assert root == oracle.chord_root(curve, 1, 6.0)
+        assert _ulps_apart(root, oracle.chord_root_bisection(curve, 1, 6.0)) <= 4
+        assert abs(oracle.interp_table(grid, g, root) - 6.0) <= numcurve.ROOT_TOL
+
+    def test_default_heights_take_few_iterations(self, monkeypatch):
+        # the stop test runs before the safeguard: a converged step that
+        # would land on a bracket end stops the lane instead of sending
+        # it to the midpoint, which took 30-40 iterations
+        calls, slope = [], numcurve._slope
+        monkeypatch.setattr(numcurve, "_slope", lambda *a: calls.append(1) or slope(*a))
+        for fixture in ("ellipse:2,1", "kappa-poly:0.5,0.2,-0.3"):
+            calls.clear()
+            corollary_sweep(build_curve(parse_fixture(fixture)[0]), _sweep_points(8))
+            assert 0 < len(calls) <= 4, fixture
+
+    @pytest.mark.parametrize("delta0", [1e-4, 1e-9])
+    def test_sweep_equals_each_point_alone(self, curve_pair, delta0):
+        # at 1e-9 the lanes stop after different numbers of iterations, so
+        # a lane that has stopped must keep its root while others go on
+        built, _ = curve_pair
+        points, deltas = _sweep_points(8), default_deltas(delta0)
+        rows = list(numcurve._sweep_samples(built, points, deltas))
+        assert rows == [next(numcurve._sweep_samples(built, [p], deltas)) for p in points]
 
 
 def test_numcurve_calls_no_blas_or_lapack():
