@@ -521,7 +521,7 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
     kp = float(kappa_prime(cfg.point))
     flat = numcurve.fit_flatness(samples, kp, tol_flat=cfg.tol_flat)
     max_dev, straight = numcurve.straightness_test(samples, cfg.tol_straight)
-    verdict = {
+    fields = {
         "fixture": cfg.fixture,
         "point": cfg.point,
         "fit_coeffs": list(flat.fit_coeffs),
@@ -531,62 +531,50 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
         "max_dev": max_dev,
         "is_straight": bool(straight),
     }
-    if cfg.output == "csv":
-        _echo("delta,s_minus,s_plus,midpoint_x")
-        for s in samples:
-            _echo(f"{s.delta!r},{s.s_minus!r},{s.s_plus!r},{s.midpoint_x!r}")
-        return
-    if cfg.output == "json":
-        verdict["samples"] = [
-            {
-                "delta": s.delta,
-                "s_minus": s.s_minus,
-                "s_plus": s.s_plus,
-                "midpoint_x": s.midpoint_x,
-            }
-            for s in samples
-        ]
-        _echo_json(verdict)
-        return
-    _echo(f"fixture {cfg.fixture} at point {cfg.point}")
-    _echo("delta          s_minus        s_plus         midpoint_x")
-    for s in samples:
-        _echo(f"{s.delta:<14.6g} {s.s_minus:<14.8g} {s.s_plus:<14.8g} {s.midpoint_x: .6e}")
-    _echo(
-        f"flat: {flat.is_flat} (b={flat.fit_coeffs[1]:.6g}, predicted {flat.predicted_b:.6g})"
-    )
-    _echo(f"straight: {straight} (max_dev={max_dev:.3e})")
+    columns = ("delta", "s_minus", "s_plus", "midpoint_x")
+    rows = [(s.delta, s.s_minus, s.s_plus, s.midpoint_x) for s in samples]
+    head = [
+        f"fixture {cfg.fixture} at point {cfg.point}",
+        "delta          s_minus        s_plus         midpoint_x",
+    ]
+    tail = [
+        f"flat: {flat.is_flat} (b={flat.fit_coeffs[1]:.6g}, predicted {flat.predicted_b:.6g})",
+        f"straight: {straight} (max_dev={max_dev:.3e})",
+    ]
+    template = "{:<14.6g} {:<14.8g} {:<14.8g} {: .6e}"
+    _render(cfg.output, fields, ("samples", columns, rows), (head, template, tail))
 
 
 def _gravity_sweep(cfg: Config, curve) -> None:
     from . import numcurve
 
-    per_point: list[tuple[float, float, bool]] = []
+    rows: list[tuple[float, float, bool]] = []
     overall = numcurve.corollary_sweep(
-        curve, cfg.base_points(), cfg.deltas(), cfg.tol_straight, rows=per_point
+        curve, cfg.base_points(), cfg.deltas(), cfg.tol_straight, rows=rows
     )
-    rows = [{"point": p, "max_dev": dev, "is_straight": ok} for p, dev, ok in per_point]
-    if cfg.output == "csv":
-        _echo("point,max_dev,is_straight")
-        for r in rows:
-            _echo(f"{r['point']!r},{r['max_dev']!r},{int(r['is_straight'])}")
-        return
-    if cfg.output == "json":
-        _echo_json(
-            {
-                "fixture": cfg.fixture,
-                "sweep": cfg.sweep,
-                "points": rows,
-                "straight_everywhere": bool(overall),
-            }
-        )
-        return
-    _echo(f"fixture {cfg.fixture}, sweep over {cfg.sweep} base points")
-    for r in rows:
-        _echo(
-            f"point {r['point']: .4f}: max_dev={r['max_dev']:.3e} straight={r['is_straight']}"
-        )
-    _echo(f"straight everywhere: {overall}")
+    fields = {"fixture": cfg.fixture, "sweep": cfg.sweep, "straight_everywhere": bool(overall)}
+    head = [f"fixture {cfg.fixture}, sweep over {cfg.sweep} base points"]
+    tail = [f"straight everywhere: {overall}"]
+    template = "point {: .4f}: max_dev={:.3e} straight={}"
+    table = ("points", ("point", "max_dev", "is_straight"), rows)
+    _render(cfg.output, fields, table, (head, template, tail))
+
+
+def _render(output: str, fields: dict, table: tuple, text: tuple) -> None:
+    """Print one gravity run: its verdict fields and table as JSON, its
+    table alone as CSV (floats by repr, bools as 0/1), or its text lines
+    with one template line per table row."""
+    name, columns, rows = table
+    if output == "json":
+        _echo_json({**fields, name: [dict(zip(columns, row)) for row in rows]})
+    elif output == "csv":
+        _echo(",".join(columns))
+        for row in rows:
+            _echo(",".join(repr(int(v) if isinstance(v, bool) else v) for v in row))
+    else:
+        head, template, tail = text
+        for line in chain(head, (template.format(*row) for row in rows), tail):
+            _echo(line)
 
 
 if __name__ == "__main__":

@@ -395,6 +395,50 @@ class TestGravity:
         assert result.stdout_bytes == GRAVITY_SWEEP_GOLDEN.read_bytes()
 
     @pytest.mark.parametrize(
+        "args,golden",
+        [
+            (["--point", "0"], "gravity_kappa_point0.txt"),
+            (["--point", "0", "--format", "json"], "gravity_kappa_point0.json"),
+            (["--sweep", "4"], "gravity_kappa_sweep.txt"),
+            (["--sweep", "4", "--format", "json"], "gravity_kappa_sweep.json"),
+        ],
+        ids=["point-text", "point-json", "sweep-text", "sweep-json"],
+    )
+    def test_text_and_json_golden_files(self, runner, args, golden):
+        # the two commands whose CSV is golden, in their other two formats
+        result = runner.invoke(main, ["gravity", "--fixture", "kappa-poly:0.5,0.2,-0.3", *args])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == GRAVITY_GOLDEN.with_name(golden).read_bytes()
+
+    @pytest.mark.parametrize(
+        "fixture", ["ellipse:2,1", "hyperbola", "kappa-poly:0,1", "kappa-poly:1,0,1"]
+    )
+    @pytest.mark.parametrize(
+        "mode,table",
+        [(["--point", "0"], "samples"), (["--sweep", "4"], "points")],
+        ids=["point", "sweep"],
+    )
+    def test_csv_table_matches_json_table(self, runner, fixture, mode, table):
+        # CSV prints floats by repr and bools as 0/1, so its table reads
+        # back to the JSON table, value and type alike
+        args = ["gravity", "--fixture", fixture, *mode, "--format"]
+        csv_run, json_run = (runner.invoke(main, [*args, fmt]) for fmt in ("csv", "json"))
+        assert csv_run.exit_code == json_run.exit_code == 0
+        header, *lines = csv_run.output.splitlines()
+        columns = header.split(",")
+        parsed = [
+            {k: v == "1" if v in ("0", "1") else float(v) for k, v in zip(columns, cells)}
+            for cells in (line.split(",") for line in lines)
+        ]
+        want = json.loads(json_run.output)[table]
+        assert all(list(row) == sorted(columns) for row in want)
+
+        def typed(rows):
+            return [{k: (type(v), v) for k, v in row.items()} for row in rows]
+
+        assert typed(parsed) == typed(want)
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["--fixture", "ellipse:2,1", "--sweep", "8"],
