@@ -45,9 +45,11 @@ if TYPE_CHECKING:
 
 __all__ = ["main", "Config", "parse_fixture"]
 
-# Exact-layer names this module once imported at its top.  They still
-# read as attributes here, resolved through the package on each access,
-# so a name patched in its own module reads patched here too.
+# Exact-layer names that read as attributes of this module, resolved
+# through the package on each access, so a name patched in its own module
+# reads patched here too.  They stay because the benchmark's span test
+# (bench/tests/test_bench.py) and tests/test_startup.py read them through
+# ``cli``.
 _EXACT_LAYER_NAMES = frozenset(
     {"expansion", "build_pipeline", "DiffPoly", "GradedClass", "Series", "bell"}
 )

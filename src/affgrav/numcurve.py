@@ -28,17 +28,20 @@ summed in step order by one accumulate.  The transfer form is the
 stage form's step exactly over the rationals and differs from it in
 floats by rounding only (``tests/_oracles.py`` keeps both).
 Interpolation takes every abscissa in one call.  A single base point
-and a sweep share one sampling pass, which solves for the chord roots
-of every base point, height and side together in lockstep, each lane
-by safeguarded Newton on its cell's cubic.  A lane's iterates never
-leave its grid cell, so it reads g, its slope and f only through that
-cell's four-node window, gathered once for all without a table
-search.  The window is stored node-major: for each of its four nodes
-the other three and the Lagrange denominator, along leading axes.
-Every cubic evaluation, the table interpolation of the
-reparametrization included, is then two reductions over those axes: a
-product over each node's others for the basis numerator and a sum over
-the nodes, both in node order.  Each array kernel performs the same
+(``gravity_samples``) and a sweep (``corollary_sweep``) share one
+sampler, ``_sweep_samples``, which checks the heights once and solves
+for the chord roots of every base point of a chunk, height and side
+together in lockstep (``_chord_roots``), each lane by safeguarded
+Newton on its cell's cubic.  A lane's iterates never leave its grid
+cell, so it reads g, its slope and f only through that cell's
+four-node window, gathered once for all without a table search.  The
+window is stored node-major: for each of its four nodes
+(``_window_nodes``) the other three and the Lagrange denominator
+(``_basis``), along leading axes.  Every cubic evaluation
+(``_lagrange``), the table interpolation of the reparametrization
+included, is then two reductions over those axes: a product over each
+node's others for the basis numerator and a sum over the nodes, both
+in node order.  Each array kernel performs the same
 floating-point operations in the same order as its one-value form, so
 results are bit-identical to it;
 ``tests/_oracles.py`` keeps those forms and the tests compare against
@@ -350,27 +353,19 @@ def _interp_table(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
     if len(x) > _BLOCK:
         blocks = range(0, len(x), _BLOCK)
         return np.concatenate([_interp_table(xs, ys, x[i : i + _BLOCK]) for i in blocks])
-    return _lagrange(*_windows(xs[None], np.searchsorted(xs, x)[None], ys[None]), x[None])[0]
-
-
-def _windows(xs: np.ndarray, found: np.ndarray, *tables: np.ndarray) -> tuple:
-    """The four-node window of each abscissa in its row's grid
-    (``_window_nodes``), gathered once for all ``tables`` on that grid.
-    Returns the window of the row's nodes there (``_basis``), then each
-    table's values at the nodes, shape (4, *found.shape)."""
-    window = _window_nodes(found, xs.shape[1])
-    row = np.arange(len(xs))[:, None]
-    return _basis(xs[row, window]), *(ys[row, window] for ys in tables)
+    nodes = _window_nodes(np.searchsorted(xs, x), len(xs))
+    return _lagrange(_basis(xs[nodes]), ys[nodes], x)
 
 
 def _window_nodes(found: np.ndarray, n: int) -> np.ndarray:
     """The indices of the nodes found - 2 to found + 1 of each abscissa
-    of a 2-D ``found`` (as ``searchsorted`` gives it), clamped to the ends
-    of a grid of n nodes, node-major: shape (4, *found.shape)."""
+    of ``found``, an array of any shape as ``searchsorted`` gives it,
+    clamped to the ends of a grid of n nodes, node-major: shape
+    (4, *found.shape)."""
     if n < 4:
         raise ValueError("cubic interpolation needs a table of at least 4 nodes")
     start = np.minimum(np.maximum(found - 2, 0), n - 4)
-    return start + np.arange(4)[:, None, None]
+    return start + np.arange(4).reshape(4, *(1,) * start.ndim)
 
 
 def _basis(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,10 +378,11 @@ def _basis(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lagrange(window: tuple, values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange value at each abscissa from its window and one
-    table's ``values`` there (``_windows``): two reductions over the
-    node-major axes, each basis numerator a product over the node's
-    others and the sum over the nodes, both in node order from 0.0."""
+    """Cubic Lagrange value at each abscissa from its window (``_basis``)
+    and one table's ``values`` at the window's nodes (``_window_nodes``):
+    two reductions over the node-major axes, each basis numerator a
+    product over the node's others and the sum over the nodes, both in
+    node order from 0.0."""
     others, den = window
     num = np.multiply.reduce(x - others, axis=1)
     return np.add.reduce(values * (num / den), axis=0, initial=0.0)
@@ -637,35 +633,6 @@ def _safeguard(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(inside, x, 0.5 * (lo + hi))
 
 
-def _samples_per_row(
-    curve: NumCurve, maps: Sequence[tuple], gs: np.ndarray, deltas: Sequence[float]
-) -> Iterator[list[GravitySample]]:
-    """The chord-midpoint samples of each row's normalized curve, in order.
-
-    Row r is the curve renormalized by ``maps[r]``, with its vertical
-    component g in ``gs[r]``; all rows share one ``_chord_roots`` pass,
-    one window per lane; a row raises its first error, in height order,
-    after earlier rows yield.
-    """
-    deltas = np.asarray(deltas, dtype=float)
-    nonpositive = np.flatnonzero(deltas <= 0)
-    heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
-    roots, failed, f_at = _chord_roots(curve, maps, gs, heights)
-    midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
-    for lanes, r, m in zip(failed, roots, midpoint_x):
-        if lanes.any():
-            lane = int(np.flatnonzero(lanes)[0])
-            raise BracketingError(float(heights[lane // 2]), ("right", "left")[lane % 2])
-        if nonpositive.size:
-            raise ValueError("chord height must be positive")
-        yield [
-            GravitySample(delta=d, s_minus=sm, s_plus=sp, midpoint_x=x)
-            for d, sm, sp, x in zip(
-                heights.tolist(), r[1::2].tolist(), r[0::2].tolist(), m.tolist()
-            )
-        ]
-
-
 def gravity_samples(curve: NumCurve, p: float, deltas: Sequence[float]) -> list[GravitySample]:
     """Chord-midpoint samples at the given heights: the sweep's pass for p.
 
@@ -686,14 +653,24 @@ def _sweep_samples(
     """The chord-midpoint samples of the curve renormalized at each base
     point, in order.
 
-    Each base point's map is applied to g along the whole row, which the
-    walk to the first node of each height reads; the chord roots read
-    the grid and f only at their windows' nodes, which ``_chord_roots``
-    maps itself.  Base points are solved a chunk at a time, each chunk in
-    one pass.  A chunk stacks at most ``_SWEEP_TABLE`` entries of g and,
-    beyond one point, at most ``_BLOCK`` lanes.  An error surfaces at the
-    base point where a loop over the points would have raised it.
+    The heights up to the first one <= 0 are solved for.  Each base
+    point's map is applied to g along the whole row, which the walk to
+    the first node of each height reads; the chord roots read the grid
+    and f only at their windows' nodes, which ``_chord_roots`` maps
+    itself.  Base points are solved a chunk at a time, all rows of a
+    chunk in one ``_chord_roots`` pass with one window per lane.  A chunk
+    stacks at most ``_SWEEP_TABLE`` entries of g and, beyond one point,
+    at most ``_BLOCK`` lanes.  An error surfaces at the base point where a
+    loop over the points would have raised it: a point off the grid or
+    with a singular frame raises its ValueError after the points before
+    it yield; a row raises its first missing root in height order, right
+    side before left, as BracketingError, and then a height <= 0 as
+    ValueError.
     """
+    deltas = np.asarray(deltas, dtype=float)
+    nonpositive = np.flatnonzero(deltas <= 0)
+    heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
+    height_list = heights.tolist()
     n = len(curve)
     size = max(1, min(_BLOCK // (2 * max(1, len(deltas))), _SWEEP_TABLE // n))
     gs = np.empty((min(size, len(base_points)), n))
@@ -710,7 +687,20 @@ def _sweep_samples(
             gs[r] = _mapped(x - ox, y - oy, g_column)
             maps.append(affine)
         if maps:
-            yield from _samples_per_row(curve, maps, gs[: len(maps)], deltas)
+            roots, failed, f_at = _chord_roots(curve, maps, gs[: len(maps)], heights)
+            midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
+            for lanes, row, mid in zip(failed, roots, midpoint_x):
+                if lanes.any():
+                    lane = int(np.flatnonzero(lanes)[0])
+                    raise BracketingError(height_list[lane // 2], ("right", "left")[lane % 2])
+                if nonpositive.size:
+                    raise ValueError("chord height must be positive")
+                yield [
+                    GravitySample(delta=d, s_minus=sm, s_plus=sp, midpoint_x=mx)
+                    for d, sm, sp, mx in zip(
+                        height_list, row[1::2].tolist(), row[0::2].tolist(), mid.tolist()
+                    )
+                ]
         if error is not None:
             raise error
 

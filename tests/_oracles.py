@@ -17,12 +17,13 @@ builders (RK4 as one transfer map per step), the renormalizing affine
 map with its 2x2 inverse, the chord-root search (safeguarded Newton)
 and the base-point sweep: the array code in ``numcurve`` and the array
 jets of ``cli`` must reproduce them bit for bit.
-Three are independent references instead, matched within a stated
+Four are independent references instead, matched within a stated
 bound or exactly over the rationals: ``integrate_from_kappa_stages``
 and ``rk4_stage_step``, classical stage-form RK4,
 ``chord_root_bisection``, the chord root by bisection to bracket
-collapse, and ``near_conic_x``, the closed-form first-order gravity
-curve of a linear curvature.
+collapse, ``near_conic_x``, the closed-form first-order gravity curve
+of a linear curvature, and ``conic_chord_ends``, the closed-form chord
+ends of a conic.
 """
 
 from __future__ import annotations
@@ -664,6 +665,24 @@ def corollary_sweep(curve, base_points, deltas=None, tol_straight=None, rows=Non
 
 
 # -- closed forms ----------------------------------------------------------------
+
+
+def conic_chord_ends(k0: float, delta: float) -> float:
+    """The arclength s+ = -s- at which the chord at height delta meets a
+    curve of constant affine curvature k0, normalized at its base point.
+
+    That curve is (sin(sqrt(k0) s)/sqrt(k0), (1 - cos(sqrt(k0) s))/k0),
+    the cosh form for k0 < 0 and (s, s^2/2) for k0 = 0, so s+ is
+    arccos(1 - k0 delta)/sqrt(k0), arccosh(1 - k0 delta)/sqrt(-k0) or
+    sqrt(2 delta).  The arccos and arccosh are taken in their half-angle
+    forms 2 arcsin(sqrt(k0 delta/2)) and 2 arsinh(sqrt(-k0 delta/2)),
+    which lose no digits to 1 - k0 delta at small heights.
+    """
+    if k0 > 0:
+        return 2 * math.asin(math.sqrt(k0 * delta / 2)) / math.sqrt(k0)
+    if k0 < 0:
+        return 2 * math.asinh(math.sqrt(-k0 * delta / 2)) / math.sqrt(-k0)
+    return math.sqrt(2 * delta)
 
 
 def near_conic_x(delta: float, k0: float, eps: float) -> float:

@@ -35,12 +35,13 @@ from affgrav import (
 from affgrav.cli import _CONICS, parse_fixture
 from affgrav.defaults import STRAIGHT_TOL_FLOOR
 from affgrav.numcurve import (
+    _basis,
     _cumulative_simpson,
     _interp_table,
     _lagrange,
     _least_squares,
     _transfer,
-    _windows,
+    _window_nodes,
 )
 
 
@@ -279,6 +280,32 @@ class TestGravitySampling:
         for s in gravity_samples(curve, 0.0, default_deltas()):
             want = oracle.near_conic_x(s.delta, k0, eps)
             assert abs(s.midpoint_x / want - 1) <= 1e-6, s
+
+    @pytest.mark.parametrize("step", [1e-3, 2e-3])
+    @pytest.mark.parametrize(
+        "conic, k0",
+        [("parabola", 0.0), ("circle", 1.0), ("hyperbola", -1.0), ("ellipse:2,1", 2 ** (-2 / 3))],
+    )
+    def test_conic_chord_ends_match_closed_form(self, conic, k0, step):
+        # The chord ends of a conic and of its constant-curvature twin,
+        # on the plot and the RK4 route, miss the closed form by the cubic
+        # window's step^4 magnified by 1/g'(s+) ~ 1/sqrt(2 delta): at most
+        # 0.019 step^4/sqrt(delta) over these cases (7.7e-12 at step 2e-3,
+        # 4.1e-13 at 1e-3), checked with C = 0.05.  The 1e-13 covers the
+        # plot route's roundoff floor, 2.6e-14 on the parabola.
+        plot = build_curve(parse_fixture(conic)[0], step)
+        twin = build_curve(parse_fixture(f"kappa-poly:{k0!r}")[0], step)
+        for p in (0.0, 0.3):
+            routes = [gravity_samples(curve, p, default_deltas()) for curve in (plot, twin)]
+            for by_plot, by_rk4 in zip(*routes):
+                bound = 0.05 * step**4 / math.sqrt(by_plot.delta) + 1e-13
+                want = oracle.conic_chord_ends(k0, by_plot.delta)
+                for s in (by_plot, by_rk4):
+                    assert abs(s.s_plus - want) <= bound, (p, s)
+                    assert abs(s.s_minus + want) <= bound, (p, s)
+                    assert abs(s.midpoint_x) <= 1e-14, (p, s)
+                assert abs(by_plot.s_plus - by_rk4.s_plus) <= bound, (p, by_plot, by_rk4)
+                assert abs(by_plot.s_minus - by_rk4.s_minus) <= bound, (p, by_plot, by_rk4)
 
     def test_bracketing_failure(self, parabola_curve):
         with pytest.raises(BracketingError):
@@ -533,6 +560,18 @@ def _sweep_points(count, start=-0.5):
     return [float(p) for p in np.linspace(start, 0.5, count)]
 
 
+def _spy_chord_roots(monkeypatch):
+    """The number of rows of each ``_chord_roots`` pass from here on."""
+    passes, chord_roots = [], numcurve._chord_roots
+
+    def spy(curve, maps, *args):
+        passes.append(len(maps))
+        return chord_roots(curve, maps, *args)
+
+    monkeypatch.setattr(numcurve, "_chord_roots", spy)
+    return passes
+
+
 def _sweep_outcomes(curve, points, deltas):
     """The library's and the oracle's sweep: outcome and per-point rows."""
     got, want = [], []
@@ -713,13 +752,15 @@ class TestScalarOracles:
         assert ((terms[3] + terms[2]) + terms[1]) + terms[0] != 1.0
         want = oracle.lagrange4(xs, ys, x)
         assert want == 1.0
-        window, values = _windows(xs[None], np.array([[1]]), ys[None])
+        nodes = _window_nodes(np.array([[1]]), len(xs))
+        window, values = _basis(xs[nodes]), ys[nodes]
         assert window[0].shape == (4, 3, 1, 1)
         assert _lagrange(window, values, np.array([[x]])) == want
         assert _interp_table(xs, ys, np.array([x])) == want
         # the same window as every lane of a (2, 3) block
         lanes = np.ones((2, 3), dtype=int)
-        window, values = _windows(np.tile(xs, (2, 1)), lanes, np.tile(ys, (2, 1)))
+        nodes = _window_nodes(lanes, len(xs))
+        window, values = _basis(xs[nodes]), ys[nodes]
         assert (_lagrange(window, values, np.full((2, 3), x)) == want).all()
 
         # the basis numerators: on these windows a product over the other
@@ -738,9 +779,10 @@ class TestScalarOracles:
         rng = np.random.default_rng(3)
         nodes = np.sort(rng.uniform(-1.0, 1.0, (200, 4)), axis=1)
         values, probes = rng.uniform(-1.0, 1.0, (200, 4)), rng.uniform(-1.0, 1.0, 200)
-        got = _lagrange(*_windows(nodes, np.ones((200, 1), dtype=int), values), probes[:, None])
+        # each row its own window: the nodes along the leading axis
+        got = _lagrange(_basis(nodes.T), values.T, probes)
         want = [oracle.lagrange4(*args) for args in zip(nodes, values, probes.tolist())]
-        assert got[:, 0].tolist() == want
+        assert got.tolist() == want
         assert want != [backwards(*args) for args in zip(nodes, values, probes.tolist())]
 
     def test_cell_window_matches_interp_table_inside_cells(self):
@@ -755,7 +797,8 @@ class TestScalarOracles:
         probes = xs[cells] + rng.uniform(0.0, 1.0, len(cells)) * (xs[cells + 1] - xs[cells])
         probes[::4] = xs[cells[::4] + 1]  # the upper node
         probes[1::4] = xs[cells[1::4]]  # the lower node
-        got = _lagrange(*_windows(xs[None], cells[None] + 1, ys[None]), probes[None])[0]
+        nodes = _window_nodes(cells + 1, len(xs))
+        got = _lagrange(_basis(xs[nodes]), ys[nodes], probes)
         assert np.array_equal(got, _interp_table(xs, ys, probes))
 
     def test_midpoint_on_a_cell_lower_node_matches_oracle(self, monkeypatch):
@@ -797,21 +840,16 @@ class TestScalarOracles:
         assert not any(on_lower)  # no root on a lower node
 
     def test_each_pass_gathers_one_window_for_g_and_f(self, parabola_curve, monkeypatch):
-        # one _window_nodes call per _samples_per_row pass, whose nodes
+        # one _window_nodes call per _chord_roots pass, whose nodes
         # carry g and f: for a single point and for each chunk of a sweep
-        gathers, passes = [], []
-        window_nodes, per_row = numcurve._window_nodes, numcurve._samples_per_row
+        gathers, window_nodes = [], numcurve._window_nodes
 
         def window_nodes_spy(found, n):
             gathers.append(found.shape[0])
             return window_nodes(found, n)
 
-        def per_row_spy(curve, maps, *args):
-            passes.append(len(maps))
-            return per_row(curve, maps, *args)
-
         monkeypatch.setattr(numcurve, "_window_nodes", window_nodes_spy)
-        monkeypatch.setattr(numcurve, "_samples_per_row", per_row_spy)
+        passes = _spy_chord_roots(monkeypatch)
         gravity_samples(parabola_curve, 0.1, default_deltas())
         assert passes == gathers == [1]
         passes.clear()
@@ -909,7 +947,8 @@ class TestChordSolve:
             d2=np.tile([0.0, 1.0], (len(grid), 1)),
             step=1.0,
         )
-        window, values = _windows(grid[None], np.array([[8]]), g[None])  # nodes 1 to 4
+        nodes = _window_nodes(np.array([[8]]), len(grid))  # nodes 1 to 4
+        window, values = _basis(grid[nodes]), g[nodes]
         assert numcurve._slope(window[0], values / window[1], np.array([[2.5]])) == 0.0
         assert oracle.interp_table_slope(grid, g, 2.5) == 0.0
         assert oracle.interp_table(grid, g, 2.5) - 6.0 == -6.0
@@ -941,6 +980,18 @@ class TestChordSolve:
         points, deltas = _sweep_points(8), default_deltas(delta0)
         rows = list(numcurve._sweep_samples(built, points, deltas))
         assert rows == [next(numcurve._sweep_samples(built, [p], deltas)) for p in points]
+
+    @pytest.mark.parametrize("delta0", [1e-3, 1e-4, 1e-9])
+    @pytest.mark.parametrize("fixture", ["kappa-poly:0.5,0.2,-0.3", "ellipse:2,1", "hyperbola"])
+    def test_sweep_across_default_chunks_equals_each_point(self, fixture, delta0, monkeypatch):
+        # at 8 heights a chunk holds 16 base points, so 41 points run as
+        # chunks of 16, 16 and 9 with the default table bounds
+        curve = build_curve(parse_fixture(fixture)[0])
+        points, deltas = _sweep_points(41), default_deltas(delta0)
+        passes = _spy_chord_roots(monkeypatch)
+        rows = list(numcurve._sweep_samples(curve, points, deltas))
+        assert passes == [16, 16, 9]
+        assert rows == [gravity_samples(curve, p, deltas) for p in points]
 
 
 def test_numcurve_calls_no_blas_or_lapack():
