@@ -176,23 +176,19 @@ def _ellipse_jet(np, a, b):
     return jet
 
 
-def _libm_hyperbola(np, u):
-    """(cosh u, -sinh u) from the math module, whose values numpy's own
-    cosh and sinh do not reproduce bit for bit on every platform."""
-    u = np.asarray(u, dtype=float)
-    flat = memoryview(u.ravel())  # yields floats one at a time, unlike tolist()
-    both = np.fromiter(
-        chain(map(math.cosh, flat), map(math.sinh, flat)), float, count=2 * len(flat)
-    ).reshape(2, *u.shape)
-    return both[0], -both[1]
-
-
 def _hyperbola_jet(np):
     """The jet of (cosh u, -sinh u): its derivatives repeat with period
-    two, each a sign flip of the point's pair."""
+    two, each a sign flip of the point's pair.  cosh and sinh come from
+    the math module, whose values numpy's own do not reproduce bit for
+    bit on every platform."""
 
     def jet(u):
-        x, y = _libm_hyperbola(np, u)
+        u = np.asarray(u, dtype=float)
+        flat = memoryview(u.ravel())  # yields floats one at a time, unlike tolist()
+        both = np.fromiter(
+            chain(map(math.cosh, flat), map(math.sinh, flat)), float, count=2 * len(flat)
+        ).reshape(2, *u.shape)
+        x, y = both[0], -both[1]
         return (x, y), (-y, -x), (x, y), (-y, -x)
 
     return jet
@@ -526,15 +522,10 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
     fields = {
         "fixture": cfg.fixture,
         "point": cfg.point,
-        "fit_coeffs": list(flat.fit_coeffs),
-        "predicted_b": flat.predicted_b,
-        "is_flat": flat.is_flat,
-        "fit_residual": flat.residual,
+        **flat._asdict(),
         "max_dev": max_dev,
         "is_straight": bool(straight),
     }
-    columns = ("delta", "s_minus", "s_plus", "midpoint_x")
-    rows = [(s.delta, s.s_minus, s.s_plus, s.midpoint_x) for s in samples]
     head = [
         f"fixture {cfg.fixture} at point {cfg.point}",
         "delta          s_minus        s_plus         midpoint_x",
@@ -544,7 +535,8 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
         f"straight: {straight} (max_dev={max_dev:.3e})",
     ]
     template = "{:<14.6g} {:<14.8g} {:<14.8g} {: .6e}"
-    _render(cfg.output, fields, ("samples", columns, rows), (head, template, tail))
+    table = ("samples", numcurve.GravitySample._fields, samples)
+    _render(cfg.output, fields, table, (head, template, tail))
 
 
 def _gravity_sweep(cfg: Config, curve) -> None:

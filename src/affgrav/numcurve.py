@@ -74,7 +74,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -175,9 +175,12 @@ class NumCurve:
         return j
 
 
-@dataclass(frozen=True)
-class GravitySample:
-    """One chord-midpoint measurement at height delta."""
+class GravitySample(NamedTuple):
+    """One chord-midpoint measurement at height delta.
+
+    The field names, in order, are the columns of ``gravity``'s samples
+    table in JSON and CSV.
+    """
 
     delta: float
     s_minus: float
@@ -185,14 +188,16 @@ class GravitySample:
     midpoint_x: float
 
 
-@dataclass(frozen=True)
-class FlatnessResult:
-    """Least-squares view of the midpoint abscissa as a function of height."""
+class FlatnessResult(NamedTuple):
+    """Least-squares view of the midpoint abscissa as a function of height.
+
+    The field names are the fit's keys in ``gravity``'s single-point JSON.
+    """
 
     fit_coeffs: tuple[float, float, float]
     predicted_b: float
     is_flat: bool
-    residual: float
+    fit_residual: float
 
 
 def default_deltas(
@@ -695,12 +700,8 @@ def _sweep_samples(
                     raise BracketingError(height_list[lane // 2], ("right", "left")[lane % 2])
                 if nonpositive.size:
                     raise ValueError("chord height must be positive")
-                yield [
-                    GravitySample(delta=d, s_minus=sm, s_plus=sp, midpoint_x=mx)
-                    for d, sm, sp, mx in zip(
-                        height_list, row[1::2].tolist(), row[0::2].tolist(), mid.tolist()
-                    )
-                ]
+                s_minus, s_plus = row[1::2].tolist(), row[0::2].tolist()
+                yield list(map(GravitySample, height_list, s_minus, s_plus, mid.tolist()))
         if error is not None:
             raise error
 
@@ -787,7 +788,7 @@ def fit_flatness(
         fit_coeffs=(a, b, c),
         predicted_b=predicted,
         is_flat=abs(b) <= tol_flat,
-        residual=residual,
+        fit_residual=residual,
     )
 
 

@@ -15,7 +15,16 @@ from click.testing import CliRunner
 from affgrav import DiffPoly, GradedClass, Series, expansion, powerseries
 from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, _random_poly_in_class, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
-from affgrav.numcurve import KappaCurveSpec, ParametricCurveSpec
+from affgrav.numcurve import (
+    FlatnessResult,
+    GravitySample,
+    KappaCurveSpec,
+    ParametricCurveSpec,
+    build_curve,
+    default_deltas,
+    fit_flatness,
+    gravity_samples,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "expand_order8.json"
 _RANK_DEFICIENT = "rank-deficient flatness fit; spread the heights wider or raise them"
@@ -420,12 +429,24 @@ class TestGravity:
     )
     def test_csv_table_matches_json_table(self, runner, fixture, mode, table):
         # CSV prints floats by repr and bools as 0/1, so its table reads
-        # back to the JSON table, value and type alike
+        # back to the JSON table, value and type alike; a point run prints
+        # the GravitySample fields as its columns and the FlatnessResult
+        # fields under their own names
         args = ["gravity", "--fixture", fixture, *mode, "--format"]
         csv_run, json_run = (runner.invoke(main, [*args, fmt]) for fmt in ("csv", "json"))
         assert csv_run.exit_code == json_run.exit_code == 0
         header, *lines = csv_run.output.splitlines()
         columns = header.split(",")
+        if table == "samples":
+            assert columns == list(GravitySample._fields)
+            spec, kappa_prime = parse_fixture(fixture)
+            samples = gravity_samples(build_curve(spec), 0.0, default_deltas())
+            flat = fit_flatness(samples, float(kappa_prime(0.0)))
+            doc = json.loads(json_run.output)
+            assert {k: doc[k] for k in FlatnessResult._fields} == {
+                **flat._asdict(),
+                "fit_coeffs": list(flat.fit_coeffs),
+            }
         parsed = [
             {k: v == "1" if v in ("0", "1") else float(v) for k, v in zip(columns, cells)}
             for cells in (line.split(",") for line in lines)

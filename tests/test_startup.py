@@ -113,6 +113,17 @@ def test_every_listed_name_resolves():
     assert {"build_pipeline", "NumCurve", "expansion", "numcurve"} <= set(names)
     for name in names:
         getattr(affgrav, name)
+    # the lazy table lists each module's public names, constants aside;
+    # errors has no __all__, and its public names are its exception classes
+    for module, listed in affgrav._EXPORTS.items():
+        m = getattr(affgrav, module)
+        if module == "errors":
+            public = [
+                n for n, v in vars(m).items() if isinstance(v, type) and issubclass(v, Exception)
+            ]
+        else:
+            public = [n for n in m.__all__ if not n.isupper()]
+        assert sorted(listed) == sorted(public), module
 
 
 def test_cli_names_of_the_exact_layer_are_the_modules_own():
