@@ -823,11 +823,14 @@ def corollary_sweep(
     at a time for large sweeps); when ``rows`` is a list, the sweep
     appends one ``(point, max_dev, is_straight)`` tuple per base point
     to it.  Errors are raised as a loop of ``gravity_samples`` over the
-    points would raise them.
+    points would raise them; an empty list of base points raises
+    ValueError.
     """
     if deltas is None:
         deltas = default_deltas()
     base_points = list(base_points)
+    if not base_points:
+        raise ValueError("a corollary sweep needs at least one base point")
     all_straight = True
     kappas = []
     for p, samples in zip(base_points, _sweep_samples(curve, base_points, deltas)):

@@ -7,14 +7,15 @@ explicitness structure of coefficient sequences.
 Conventions.  A series of order N stores ordinary coefficients c0..cN
 and every operation is exact through the stated output order.  All
 products go through one kernel, the truncated Cauchy product
-``Series.mul``.  Inversion and composition are one triangular solve,
-``compositional_inverse``: with b the inverse of a, the series b and
-F(b) both satisfy W(a(s)) = F(s) (F = s for b itself), which is solved
-coefficient by coefficient against one table of the inner series'
-powers a, a*a, a*a*a, ...  The partial Bell polynomials ``bell``
-(classical normalization, acting on derivative-scaled sequences) are
-summed over integer partitions, independently of ``Series.mul``; the
-verify suite checks the two against each other through
+``Series.mul``, which pairs only nonzero coefficients.  Inversion and
+composition are one triangular solve, ``compositional_inverse``: with
+b the inverse of a, the series b and F(b) both satisfy W(a(s)) = F(s)
+(F = s for b itself), which is solved coefficient by coefficient
+against one table of the inner series' powers a, a*a, a*a*a, ...  The
+partial Bell polynomials ``bell`` (classical normalization, acting on
+derivative-scaled sequences) are summed over integer partitions,
+independently of ``Series.mul``; the verify suite checks the two
+against each other through
 l! B_{k,l}(a) = k! [s^k] A(s)^l with A(s) = sum a_i s^i / i!.  No series
 operation uses ``bell``.
 """
@@ -150,13 +151,6 @@ class Series:
         parts = [f"[{k}] {c}" for k, c in enumerate(self._coeffs)]
         return "\n".join(parts)
 
-    def valuation(self) -> int | None:
-        """Index of the first nonzero coefficient, None for the zero series."""
-        for k, c in enumerate(self._coeffs):
-            if c:
-                return k
-        return None
-
     def truncate(self, order: int) -> Series:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
@@ -193,40 +187,26 @@ class Series:
             power = power * factor
         return Series(coeffs)
 
-    def mul(self, other: Series, order: int | None = None) -> Series:
-        """Cauchy product, exact through the requested order.
+    def mul(self, other: Series) -> Series:
+        """Cauchy product through the lower of the operand orders.
 
-        The default output order is min of the operand orders.  A higher
-        order may be requested when the operands' valuations guarantee
-        that no unknown coefficient beyond either truncation could
-        contribute; a zero series of order n counts as valuation n + 1,
-        since its coefficients past n are unknown.  Coefficients below
-        the sum of the valuations are zero without a kernel call, and
-        coefficient k sums only the pairs whose factors both lie at or
-        above their series' valuation.  A non-series operand raises
-        TypeError; ``scale`` multiplies by a scalar.
+        Only nonzero coefficients are paired: coefficient k sums a_i b_j
+        over the nonzero a_i and b_j with i + j = k, so leading zeros,
+        interior zeros and a zero operand send no pair to the kernel.  A
+        non-series operand raises TypeError; ``scale`` multiplies by a
+        scalar.
         """
         if not isinstance(other, Series):
             raise TypeError(f"a series multiplies a Series, not {type(other).__name__}")
-        a, b, na, nb = self._coeffs, other._coeffs, self.order, other.order
-        if order is None:
-            order = min(na, nb)
-        va, vb = self.valuation(), other.valuation()
-        va = na + 1 if va is None else va
-        vb = nb + 1 if vb is None else vb
-        exact_to = min(na + vb, nb + va)
-        if order > exact_to:
-            raise ValueError(f"product not exact beyond order {exact_to}, requested {order}")
-        low = min(va + vb, order + 1)
-        return Series(
-            [DiffPoly.zero()] * low
-            + [
-                DiffPoly.sum_of_products(
-                    (a[i], b[k - i]) for i in range(max(va, k - nb), min(k - vb, na) + 1)
-                )
-                for k in range(low, order + 1)
-            ]
-        )
+        n = min(self.order, other.order)
+        a, b = ([(i, c) for i, c in enumerate(s._coeffs[: n + 1]) if c] for s in (self, other))
+        pairs = [[] for _ in range(n + 1)]
+        for i, p in a:
+            for j, q in b:
+                if i + j > n:
+                    break
+                pairs[i + j].append((p, q))
+        return Series(map(DiffPoly.sum_of_products, pairs))
 
     def s_derivative(self) -> Series:
         """Formal derivative in the series variable (not the curvature)."""

@@ -158,6 +158,16 @@ def const_series(values, order: int | None = None) -> Series:
     return Series(coeffs)
 
 
+def padded_square(b: Series) -> Series:
+    """b*b through order N + 1 for b of order N with zero constant term.
+
+    The square of b padded with one zero coefficient: coefficient N + 1
+    of b*b pairs the unknown b[N + 1] only with b[0] = 0."""
+    assert b[0].is_zero, b[0]
+    padded = Series([*b.coeffs, DiffPoly.zero()])
+    return padded.mul(padded)
+
+
 def rational_coeffs(series: Series) -> list[Fraction]:
     """Extract plain rationals from a constant-coefficient series."""
     out = []

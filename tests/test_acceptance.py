@@ -20,6 +20,7 @@ from _oracles import (
     is_alternating,
     jet_value,
     kill_odd_derivatives,
+    padded_square,
     poly_compose_trunc,
     rational_coeffs,
 )
@@ -196,7 +197,7 @@ def test_criterion_4_lemma_property_suite():
             coeffs[2] = r * r * rng.choice([1, 2])  # field square roots exist
             a = const_series(coeffs)
             b = a.sqrt() if rng.choice([1, -1]) > 0 else -a.sqrt()
-            assert b.mul(b, order=order) == a
+            assert padded_square(b) == a
             assert is_alternating(b, n - 1, 1)
         elif kind == "compose":
             n, m = rng.randint(1, 4), rng.randint(1, 4)

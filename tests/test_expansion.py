@@ -4,7 +4,7 @@ from math import factorial, prod
 
 import pytest
 
-from _oracles import compose, is_alternating, kill_odd_derivatives
+from _oracles import compose, is_alternating, kill_odd_derivatives, padded_square
 from affgrav import (
     DiffPoly,
     GradedClass,
@@ -110,7 +110,7 @@ class TestInversionSeries:
     def test_u_squares_to_g(self, pipe):
         u = pipe.u
         full_g = component_series(build_frame(pipe.order + 1))[1]
-        assert u.mul(u, order=pipe.order + 1) == full_g
+        assert padded_square(u) == full_g
 
     def test_g_of_v_is_t_squared(self, pipe):
         gt = compose(pipe.g, pipe.v)
@@ -368,55 +368,48 @@ class TestPipelineValidation:
 
 
 class TestPipelineWork:
-    """The power table of U starts from G = 2g, and products skip the pairs
-    that the operands' valuations make zero."""
+    """The power table of U starts from G = 2g, and products pair only
+    nonzero coefficients."""
 
     @pytest.mark.parametrize("order", [6, 14, 26])
     def test_no_series_is_squared(self, monkeypatch, cold_caches, order):
         true_mul = Series.mul
         squared = []
 
-        def spy(self, other, order=None):
+        def spy(self, other):
             if other is self:
                 squared.append(self.order)
-            return true_mul(self, other, order)
+            return true_mul(self, other)
 
         monkeypatch.setattr(Series, "mul", spy)
         build_pipeline(order)
         assert squared == []
 
-    def test_products_form_no_pair_below_a_valuation(self, monkeypatch, cold_caches):
-        # g_3 = 0 puts zeros inside U and its powers (U_2 = 0); those pairs
-        # still reach the kernel, which drops them.  What no product may pass
-        # is a coefficient under its operand's valuation, or no pair at all
-        # for a coefficient under the sum of the valuations.
+    def test_products_pass_no_zero_factor(self, monkeypatch, cold_caches):
+        # g_3 = 0 puts zeros inside U and each of its powers (U_2 = 0), on
+        # top of their leading zeros; no product hands the kernel a pair
+        # with such a factor
         true_mul, true_kernel = Series.mul, DiffPoly.sum_of_products
-        below = []  # per open product: ids of coefficients under a valuation
-        seen, products = [], []
+        open_products, pairs = [], []
 
-        def kernel(pairs):
-            pairs = list(pairs)
-            if below:
-                seen.extend(c for pair in pairs for c in pair if id(c) in below[-1])
-                if not pairs:
-                    seen.append("no pair")
-            return true_kernel(pairs)
+        def kernel(batch):
+            batch = list(batch)
+            if open_products:
+                pairs.extend(batch)
+            return true_kernel(batch)
 
-        def mul(self, other, order=None):
-            under = [c for s in (self, other) for c in s.coeffs[: s.valuation()]]
-            assert not any(under)
-            products.append(len(under))
-            below.append({id(c) for c in under})
+        def mul(self, other):
+            open_products.append(self)
             try:
-                return true_mul(self, other, order)
+                return true_mul(self, other)
             finally:
-                below.pop()
+                open_products.pop()
 
         monkeypatch.setattr(Series, "mul", mul)
         monkeypatch.setattr(DiffPoly, "sum_of_products", staticmethod(kernel))
         build_pipeline(16)
-        assert products and all(products)
-        assert seen == []
+        assert pairs
+        assert [pair for pair in pairs if not all(pair)] == []
 
 
 def _weight(exponents) -> int:

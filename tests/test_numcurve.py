@@ -229,6 +229,10 @@ class TestAffineCurvature:
         with pytest.raises(ValueError, match="outside grid"):
             corollary_sweep(parabola_curve, [0.0, s, 0.1], rows=rows)
         assert [p for p, _, _ in rows] == [0.0]
+        # an empty sweep is refused before any base point is sampled
+        with pytest.raises(ValueError, match="needs at least one base point"):
+            corollary_sweep(parabola_curve, [], rows=rows)
+        assert [p for p, _, _ in rows] == [0.0]
 
 
 class TestGravitySampling:

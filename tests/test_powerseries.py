@@ -13,6 +13,7 @@ from _oracles import (
     const_series,
     invert_by_substitution,
     is_alternating,
+    padded_square,
     poly_compose_trunc,
     poly_mul_trunc,
     rational_coeffs,
@@ -295,7 +296,7 @@ class TestSqrt:
         a = const_series([0, 0, 1, 1, 0])
         root = a.sqrt()
         assert rational_coeffs(root) == [0, 1, F(1, 2), F(-1, 8)]
-        assert root.mul(root, order=4) == a
+        assert padded_square(root) == a
 
     @given(
         st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=5), min_size=5, max_size=5)
@@ -304,7 +305,7 @@ class TestSqrt:
     def test_square_recovers_input(self, tail):
         a = const_series([0, 0, 1] + tail)
         root = a.sqrt()
-        assert root.mul(root, order=a.order) == a
+        assert padded_square(root) == a
 
     def test_rejects_bad_leading_terms(self):
         with pytest.raises(ValueError):
@@ -321,40 +322,28 @@ class TestSqrt:
 
 
 class TestMulGuard:
-    def test_requested_order_beyond_exactness(self):
-        a = const_series([0, 1, 1])
-        with pytest.raises(ValueError):
-            a.mul(a, order=4)  # only exact through order 3
-
-    def test_valuation_extends_reach(self):
-        a = const_series([0, 0, 1, 1])
-        assert rational_coeffs(a.mul(a, order=5)) == [0, 0, 0, 0, 1, 2]
-
-    def test_zero_operand_is_exact_only_through_its_order(self):
-        # the zero series of order 2 counts as valuation 3: its coefficients
-        # past order 2 are unknown
-        with pytest.raises(ValueError, match="not exact beyond order 3"):
-            Series.zero(2).mul(Series.identity(3), order=50)
-        assert Series.zero(2).mul(Series.zero(3), order=6) == Series.zero(6)
-
     @pytest.mark.parametrize("va", range(4))
     @pytest.mark.parametrize("vb", range(4))
     def test_matches_truncated_product_oracle(self, va, vb):
         rng = random.Random(10 * va + vb)
+
+        def seeded(lead, n, firsts):
+            # zeros below the leading index and, as U_2 = 0 inside U, one
+            # zero above it
+            c = [F(0)] * lead + [F(rng.choice(firsts), rng.randint(1, 4))]
+            c += [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n - lead)]
+            if n > lead:
+                c[rng.randint(lead + 1, n)] = F(0)
+            return c
+
         for na in range(va, va + 5):
             for nb in range(vb, vb + 5):
-                a = [F(0)] * va + [F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))]
-                a += [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(na - va)]
-                b = [F(0)] * vb + [F(rng.choice([-2, 1, 3]), rng.randint(1, 4))]
-                b += [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nb - vb)]
+                a, b = seeded(va, na, [-3, -1, 2, 5]), seeded(vb, nb, [-2, 1, 3])
                 sa, sb = const_series(a), const_series(b)
-                exact_to = min(na + vb, nb + va)
-                for order in range(exact_to + 1):
-                    assert rational_coeffs(sa.mul(sb, order=order)) == poly_mul_trunc(
-                        a, b, order
-                    ), (a, b, order)
-                with pytest.raises(ValueError, match="not exact beyond"):
-                    sa.mul(sb, order=exact_to + 1)
+                n = min(na, nb)
+                assert rational_coeffs(sa.mul(sb)) == poly_mul_trunc(a, b, n), (a, b)
+                # a zero operand gives the zero series of the lower order
+                assert Series.zero(na).mul(sb) == sb.mul(Series.zero(na)) == Series.zero(n)
 
 
 class TestExactEntries:
