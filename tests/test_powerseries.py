@@ -1,3 +1,4 @@
+import inspect
 import operator
 import random
 from fractions import Fraction as F
@@ -322,6 +323,37 @@ class TestSqrt:
 
 
 class TestMulGuard:
+    def test_takes_only_the_other_series(self):
+        # the product stops at the lower operand order; nothing reaches past it
+        assert list(inspect.signature(Series.mul).parameters) == ["self", "other"]
+        a = const_series([0, 1, 1])
+        with pytest.raises(TypeError):
+            a.mul(a, order=2)
+
+    def test_zero_operand_is_exact_only_through_its_order(self):
+        # the zero series of order 2 knows nothing past order 2, so its
+        # product with a longer series stops there, on either side
+        assert Series.zero(2).mul(Series.identity(3)) == Series.zero(2)
+        assert Series.identity(3).mul(Series.zero(2)) == Series.zero(2)
+        assert Series.zero(2).mul(Series.zero(3)) == Series.zero(2)
+
+    def test_pairs_only_nonzero_coefficients(self, monkeypatch):
+        true_kernel = DiffPoly.sum_of_products
+        pairs = []
+
+        def kernel(batch):
+            batch = list(batch)
+            pairs.extend(batch)
+            return true_kernel(batch)
+
+        monkeypatch.setattr(DiffPoly, "sum_of_products", staticmethod(kernel))
+        a = const_series([0, 1, 0, 2, 0, 3])  # leading and interior zeros
+        b = const_series([0, 0, 5, 0, 7, 1, 4])  # b[6] lies past a's order
+        # the nonzero pairs through order 5: a1 b2, a1 b4 and a3 b2
+        assert rational_coeffs(a.mul(b)) == [0, 0, 0, 5, 0, 17]
+        assert len(pairs) == 3
+        assert all(p and q for p, q in pairs)
+
     @pytest.mark.parametrize("va", range(4))
     @pytest.mark.parametrize("vb", range(4))
     def test_matches_truncated_product_oracle(self, va, vb):
