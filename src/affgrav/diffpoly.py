@@ -15,6 +15,15 @@ would mix Q and sqrt2 * Q raises ValueError, as a mixed ``QR2Scalar``
 does when it is built.  The inspection methods hand coefficients out as
 ``QR2Scalar``.
 
+Products.  One loop, ``_accumulate``, forms every product of two
+polynomials: it adds f * p * q into a dict of numerators.  It has two
+entries.  ``p * q`` calls it once, over the denominator of p times that
+of q, and builds no batch.  ``DiffPoly.sum_of_products`` calls it once
+per pair of a batch, over the batch's common denominator.  A zero factor
+never enters the loop, and callers with no pair to sum (a coefficient of
+a series product that no pair reaches) take the zero polynomial without
+calling the batched entry.
+
 Monomial keys.  Each monomial is stored as one packed int (Kronecker
 substitution): bits ``B*o .. B*o + B - 1`` hold the exponent of ``ko``,
 with ``B = 8``, so the constant monomial is key 0 and a product of
@@ -134,6 +143,20 @@ def _check_storable(keys: Iterable[int]) -> None:
         raise ValueError(f"a derivative order of the result exceeds {_MAX_KAPPA_ORDER}")
 
 
+def _accumulate(nums: dict[int, int], p: DiffPoly, q: DiffPoly, f: int) -> None:
+    """Add f * p * q into ``nums``, numerators keyed by product monomial:
+    the one product loop, entered by ``p * q`` and by ``sum_of_products``.
+    The terms of q are copied to a list once, since they are walked once
+    per term of p."""
+    get = nums.get
+    q_items = list(q._terms.items())
+    for e1, n1 in p._terms.items():
+        n1 *= f
+        for e2, n2 in q_items:
+            key = e1 + e2
+            nums[key] = get(key, 0) + n1 * n2
+
+
 def _split(c) -> tuple[int, int, int]:
     """An exact scalar as (numerator, denominator > 0, sqrt2 bit);
     TypeError unless it is an int, Fraction or QR2Scalar."""
@@ -228,35 +251,34 @@ class DiffPoly:
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
         """The sum of p * q over the pairs, over one common denominator;
-        the kernel of every series product.  An integer weight rides in
-        one factor of its pair, e.g. ``(p.scale(w), q)``.  Two sqrt2
-        factors double a product; products with different sqrt2 bits
-        raise ValueError, and so does a product monomial with an exponent
-        above 127.
+        the batched entry into the product loop ``_accumulate``, which
+        ``p * q`` enters directly.  An integer weight rides in one factor
+        of its pair, e.g. ``(p.scale(w), q)``.  Two sqrt2 factors double a
+        product; products with different sqrt2 bits raise ValueError, and
+        so does a product monomial with an exponent above 127.
 
-        Pairs with a zero factor are dropped first, so the first pair kept
-        sets the bit every later pair must match.  Each pair's terms of q
-        are copied to a list once, since they are walked once per term of
-        p."""
-        pairs = [(p, q) for p, q in pairs if p._terms and q._terms]
-        if not pairs:
+        One pass over the pairs (a one-shot iterator will do) drops those
+        with a zero factor, so the first pair kept sets the bit every later
+        pair must match, and takes the lcm of the kept denominators as it
+        goes.  An empty batch gives zero; callers with no pair leave the
+        call out."""
+        kept = []
+        den = 1
+        for p, q in pairs:
+            if p._terms and q._terms:
+                d = p._den * q._den
+                if den % d:
+                    den = lcm(den, d)
+                kept.append((p, q, d))
+        if not kept:
             return _reduced(1, {}, 0)
-        dens = [p._den * q._den for p, q in pairs]
-        den = lcm(*dens)
-        p, q = pairs[0]
+        p, q, _ = kept[0]
         bit = p._bit ^ q._bit
         nums: dict[int, int] = {}
-        get = nums.get
-        for (p, q), d in zip(pairs, dens):
+        for p, q, d in kept:
             if p._bit ^ q._bit != bit:
                 raise ValueError(_MIXED)
-            f = den // d << (p._bit & q._bit)
-            q_items = list(q._terms.items())
-            for e1, n1 in p._terms.items():
-                n1 *= f
-                for e2, n2 in q_items:
-                    key = e1 + e2
-                    nums[key] = get(key, 0) + n1 * n2
+            _accumulate(nums, p, q, den // d << (p._bit & q._bit))
         _check_storable(nums)
         return _reduced(den, nums, bit)
 
@@ -363,7 +385,12 @@ class DiffPoly:
 
     def __mul__(self, other) -> DiffPoly:
         if isinstance(other, DiffPoly):
-            return DiffPoly.sum_of_products(((self, other),))
+            if not (self._terms and other._terms):
+                return _reduced(1, {}, 0)
+            nums: dict[int, int] = {}
+            _accumulate(nums, self, other, 1 << (self._bit & other._bit))
+            _check_storable(nums)
+            return _reduced(self._den * other._den, nums, self._bit ^ other._bit)
         if isinstance(other, (int, Fraction, QR2Scalar)):
             return self.scale(other)
         return NotImplemented

@@ -7,11 +7,15 @@ explicitness structure of coefficient sequences.
 Conventions.  A series of order N stores ordinary coefficients c0..cN
 and every operation is exact through the stated output order.  All
 products go through one kernel, the truncated Cauchy product
-``Series.mul``, which pairs only nonzero coefficients.  Inversion and
-composition are one triangular solve, ``compositional_inverse``: with
-b the inverse of a, the series b and F(b) both satisfy W(a(s)) = F(s)
-(F = s for b itself), which is solved coefficient by coefficient
-against one table of the inner series' powers a, a*a, a*a*a, ...  The
+``Series.mul``, which pairs only nonzero coefficients and hands each
+coefficient's pairs to ``DiffPoly.sum_of_products`` as one batch; a
+coefficient no pair reaches is the zero polynomial, with no call.  The
+square root and the solve below likewise skip the batch where their sums
+are empty.  Inversion and composition are one triangular solve,
+``compositional_inverse``: with b the inverse of a, the series b and
+F(b) both satisfy W(a(s)) = F(s) (F = s for b itself), which is solved
+coefficient by coefficient against one table of the inner series'
+powers a, a*a, a*a*a, ...  The
 partial Bell polynomials ``bell`` (classical normalization, acting on
 derivative-scaled sequences) are summed over integer partitions,
 independently of ``Series.mul``; the verify suite checks the two
@@ -192,9 +196,11 @@ class Series:
 
         Only nonzero coefficients are paired: coefficient k sums a_i b_j
         over the nonzero a_i and b_j with i + j = k, so leading zeros,
-        interior zeros and a zero operand send no pair to the kernel.  A
-        non-series operand raises TypeError; ``scale`` multiplies by a
-        scalar.
+        interior zeros and a zero operand send no pair to the kernel.
+        Each coefficient's pairs go to ``DiffPoly.sum_of_products`` as one
+        batch; a coefficient with no pair is one shared zero polynomial,
+        with no kernel call.  A non-series operand raises TypeError;
+        ``scale`` multiplies by a scalar.
         """
         if not isinstance(other, Series):
             raise TypeError(f"a series multiplies a Series, not {type(other).__name__}")
@@ -206,7 +212,8 @@ class Series:
                 if i + j > n:
                     break
                 pairs[i + j].append((p, q))
-        return Series(map(DiffPoly.sum_of_products, pairs))
+        zero = DiffPoly.zero()
+        return Series([DiffPoly.sum_of_products(row) if row else zero for row in pairs])
 
     def s_derivative(self) -> Series:
         """Formal derivative in the series variable (not the curvature)."""
@@ -272,9 +279,11 @@ class Series:
         for k in range(1, n + 1):
             scale = inv_a1**k
             for f, w in zip(targets, solved):
-                acc = DiffPoly.sum_of_products((w[l], powers[l][k]) for l in range(1, k))
+                rhs = f[k]
+                if k > 1:
+                    rhs = rhs - DiffPoly.sum_of_products((w[l], powers[l][k]) for l in range(1, k))
                 # a1 = 1 in the pipeline (U_1 = 1): no rescale to rebuild
-                w.append(f[k] - acc if scale == 1 else (f[k] - acc) * scale)
+                w.append(rhs if scale == 1 else rhs * scale)
         return tuple(Series(w) for w in solved)
 
     def sqrt(self) -> Series:
@@ -300,11 +309,13 @@ class Series:
         half_inv = QR2Scalar(Fraction(1, 2)) * b1.inverse()
         for k in range(2, n + 1):
             # self[k+1] = 2 b1 b[k] + sum_{l=2}^{k-1} b[l] b[k+1-l]; the sum
-            # pairs l with k+1-l, so take each pair once
-            cross = DiffPoly.sum_of_products(
-                (out[l], out[k + 1 - l]) for l in range(2, (k + 2) // 2)
-            )
-            acc = self[k + 1] - cross * 2
+            # pairs l with k+1-l, so take each pair once (none below k = 4)
+            acc = self[k + 1]
+            if k > 3:
+                cross = DiffPoly.sum_of_products(
+                    (out[l], out[k + 1 - l]) for l in range(2, (k + 2) // 2)
+                )
+                acc = acc - cross * 2
             if k % 2 == 1:
                 acc = acc - out[(k + 1) // 2] * out[(k + 1) // 2]
             out.append(acc * half_inv)

@@ -469,6 +469,63 @@ class TestCanonicalForm:
         assert (got._bit, got._den, got._terms) == (0, 1, {})
 
 
+class TestProductEntries:
+    """``p * q`` and the batched ``sum_of_products`` enter one product
+    loop: they agree with each other and with the tuple oracle, zero
+    operands and sqrt2 bits included.  TestStorageRange checks that both
+    raise past the exponent bound."""
+
+    SQRT2 = QR2Scalar.sqrt2()
+
+    @staticmethod
+    def stored(poly):
+        return poly._bit, poly._den, poly._terms
+
+    @settings(max_examples=60)
+    @given(
+        graded_polys(),
+        graded_polys(),
+        st.tuples(rational_factors, st.integers(0, 1)),
+        st.tuples(rational_factors, st.integers(0, 1)),
+    )
+    def test_entries_agree(self, pc1, pc2, scale1, scale2):
+        # each factor is scaled by a rational (0 gives a zero operand) and
+        # by sqrt2 or not, so denominators and bits vary
+        p, q = (
+            pc[0].scale(c).scale(self.SQRT2 if bit else 1)
+            for pc, (c, bit) in ((pc1, scale1), (pc2, scale2))
+        )
+        a, b = ({m.exponents: m.coeff for m in x.monomials()} for x in (p, q))
+        product = p * q
+        assert self.stored(product) == self.stored(DiffPoly.sum_of_products([(p, q)]))
+        assert product == DiffPoly(tuple_sum_of_products([(a, b)], [1]))
+        assert_canonical(product)
+
+    @pytest.mark.parametrize("other", [k(1), k(1) * QR2Scalar.sqrt2(), DiffPoly.zero()])
+    def test_zero_operand(self, other):
+        zero = DiffPoly.zero()
+        for got in (zero * other, other * zero, DiffPoly.sum_of_products([(zero, other)])):
+            assert self.stored(got) == (0, 1, {})
+
+    def test_product_builds_no_batch(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(DiffPoly, "sum_of_products", staticmethod(calls.append))
+        assert (k(0) * F(1, 2)) * (k(1) * self.SQRT2) == DiffPoly.monomial(
+            QR2Scalar(0, F(1, 2)), {0: 1, 1: 1}
+        )
+        assert calls == []
+
+    def test_one_shot_batch_with_a_leading_zero_pair_refuses_mixed_bits(self):
+        pairs = iter([(k(0), DiffPoly.zero()), (k(0), k(1)), (k(0) * self.SQRT2, k(1))])
+        with pytest.raises(ValueError, match="mix"):
+            DiffPoly.sum_of_products(pairs)
+
+    def test_zero_pair_is_dropped_before_the_bit_is_set(self):
+        s = self.SQRT2
+        pairs = iter([(DiffPoly.zero(), k(1)), (k(0) * s, k(1)), (k(1), k(0) * s)])
+        assert DiffPoly.sum_of_products(pairs) == 2 * k(0) * k(1) * s
+
+
 class TestIntegerRendering:
     """``str`` prints each stored numerator over the denominator exactly as
     the equal Fraction or QR2Scalar prints."""
@@ -512,6 +569,8 @@ class TestStorageRange:
             p * p
         with pytest.raises(ValueError, match="exponent"):
             DiffPoly.sum_of_products([(k(0), k(1)), (p.scale(2), p)])
+        with pytest.raises(ValueError, match="exponent"):  # a one-shot batch
+            DiffPoly.sum_of_products(iter([(k(0), k(1)), (p * F(1, 2), p)]))
 
     def test_exponent_bound_is_inclusive(self):
         top = DiffPoly.monomial(1, {3: 64}) * DiffPoly.monomial(1, {3: 63})

@@ -18,7 +18,7 @@ from affgrav import (
     theorem2_symbolic,
     wronskian_series,
 )
-from affgrav import expansion
+from affgrav import cli, expansion
 from affgrav.expansion import MAX_ORDER, MIN_ORDER, component_series
 from affgrav.powerseries import Series
 
@@ -368,8 +368,8 @@ class TestPipelineValidation:
 
 
 class TestPipelineWork:
-    """The power table of U starts from G = 2g, and products pair only
-    nonzero coefficients."""
+    """The power table of U starts from G = 2g, products pair only
+    nonzero coefficients, and no batch handed to the kernel is empty."""
 
     @pytest.mark.parametrize("order", [6, 14, 26])
     def test_no_series_is_squared(self, monkeypatch, cold_caches, order):
@@ -410,6 +410,26 @@ class TestPipelineWork:
         build_pipeline(16)
         assert pairs
         assert [pair for pair in pairs if not all(pair)] == []
+
+    @pytest.mark.parametrize(
+        "run",
+        [lambda: build_pipeline(16), lambda: cli.run_verification(14, 0)],
+        ids=["build_pipeline-16", "verify-14"],
+    )
+    def test_no_kernel_call_is_empty(self, monkeypatch, cold_caches, run):
+        # a sum with no pair is the zero polynomial, taken without a call
+        true_kernel = DiffPoly.sum_of_products
+        sizes = []
+
+        def kernel(batch):
+            batch = list(batch)
+            sizes.append(len(batch))
+            return true_kernel(batch)
+
+        monkeypatch.setattr(DiffPoly, "sum_of_products", staticmethod(kernel))
+        run()
+        assert sizes
+        assert 0 not in sizes
 
 
 def _weight(exponents) -> int:

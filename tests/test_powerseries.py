@@ -339,20 +339,30 @@ class TestMulGuard:
 
     def test_pairs_only_nonzero_coefficients(self, monkeypatch):
         true_kernel = DiffPoly.sum_of_products
-        pairs = []
+        batches = []
 
         def kernel(batch):
             batch = list(batch)
-            pairs.extend(batch)
+            batches.append(batch)
             return true_kernel(batch)
 
         monkeypatch.setattr(DiffPoly, "sum_of_products", staticmethod(kernel))
         a = const_series([0, 1, 0, 2, 0, 3])  # leading and interior zeros
         b = const_series([0, 0, 5, 0, 7, 1, 4])  # b[6] lies past a's order
         # the nonzero pairs through order 5: a1 b2, a1 b4 and a3 b2
-        assert rational_coeffs(a.mul(b)) == [0, 0, 0, 5, 0, 17]
+        product = a.mul(b)
+        assert rational_coeffs(product) == [0, 0, 0, 5, 0, 17]
+        pairs = [pair for batch in batches for pair in batch]
         assert len(pairs) == 3
         assert all(p and q for p, q in pairs)
+        # one call each for coefficients 3 and 5; the four with no pair
+        # make none and share one zero polynomial
+        assert [len(batch) for batch in batches] == [1, 2]
+        zeros = [product[i] for i in (0, 1, 2, 4)]
+        assert all(z is zeros[0] and z.is_zero for z in zeros)
+        batches.clear()
+        assert Series.zero(3).mul(b) == Series.zero(3)
+        assert batches == []
 
     @pytest.mark.parametrize("va", range(4))
     @pytest.mark.parametrize("vb", range(4))
