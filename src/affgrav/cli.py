@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 from importlib import import_module
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -90,13 +91,14 @@ class Config:
         its grid with two nodes to spare at either end, the stencil
         ``affine_curvature`` needs.
         """
+        single = self.sweep == 0  # a sweep reads neither --point nor --tol-flat
         reals = {
             "step": self.step,
             "delta0": self.delta0,
             "delta-ratio": self.delta_ratio,
-            "tol-flat": self.tol_flat,
+            "tol-flat": self.tol_flat if single else None,
             "tol-straight": self.tol_straight,
-            "point": self.point,
+            "point": self.point if single else None,
         }
         for name, value in reals.items():
             if value is not None and not math.isfinite(value):
@@ -117,11 +119,11 @@ class Config:
             raise ValueError("--sweep takes 0 (single point) or at least 2 base points")
         if self.sweep > MAX_SWEEP:
             raise ValueError(f"--sweep must be at most {MAX_SWEEP}")
-        if self.sweep == 0 and self.delta_count < MIN_FIT_SAMPLES:
+        if single and self.delta_count < MIN_FIT_SAMPLES:
             raise ValueError(
                 f"a single-point flatness fit needs --delta-count >= {MIN_FIT_SAMPLES}"
             )
-        if self.tol_flat <= 0:
+        if single and self.tol_flat <= 0:
             raise ValueError("tol-flat must be positive")
         if self.tol_straight is not None and self.tol_straight <= 0:
             raise ValueError("tol-straight must be positive")
@@ -242,21 +244,17 @@ def parse_fixture(text: str):
     if name in _CONICS:
         spec = ParametricCurveSpec(make_jet(np, *(args or defaults)), (-1.0, 1.0))
         return spec, lambda p: 0.0
-    coeffs = list(args)
+    derivative = [i * c for i, c in enumerate(args)][1:]
+    return KappaCurveSpec(partial(_horner, args), half_width=1.0), partial(_horner, derivative)
 
-    def kappa(s):  # a float or, elementwise, a float array
-        total = 0.0
-        for c in reversed(coeffs):
-            total = total * s + c
-        return total
 
-    def kappa_prime(p: float) -> float:
-        total = 0.0
-        for i in range(len(coeffs) - 1, 0, -1):
-            total = total * p + i * coeffs[i]
-        return total
-
-    return KappaCurveSpec(kappa, half_width=1.0), kappa_prime
+def _horner(coeffs: list[float], s):
+    """sum_i coeffs[i] s^i by Horner's rule from 0.0, at a float or,
+    elementwise, a float array."""
+    total = 0.0
+    for c in reversed(coeffs):
+        total = total * s + c
+    return total
 
 
 # -- verification suites -----------------------------------------------------------

@@ -29,13 +29,14 @@ stage form's step exactly over the rationals and differs from it in
 floats by rounding only (``tests/_oracles.py`` keeps both).
 Interpolation takes every abscissa in one call.  A single base point
 (``gravity_samples``) and a sweep (``corollary_sweep``) share one
-sampler, ``_sweep_samples``, which checks the heights once and solves
-for the chord roots of every base point of a chunk, height and side
-together in lockstep (``_chord_roots``), each lane by safeguarded
-Newton on its cell's cubic.  A lane's iterates never leave its grid
-cell, so it reads g, its slope and f only through that cell's
-four-node window, gathered once for all without a table search.  The
-window is stored node-major: for each of its four nodes
+sampler, ``_sweep_samples``.  It checks the whole request first, the
+heights and every base point's map, so a refused request solves no
+root; then it solves for the chord roots of every base point of a
+chunk, height and side together in lockstep (``_chord_roots``), each
+lane by safeguarded Newton on its cell's cubic.  A lane's iterates
+never leave its grid cell, so it reads g, its slope and f only through
+that cell's four-node window, gathered once for all without a table
+search.  The window is stored node-major: for each of its four nodes
 (``_window_nodes``) the other three and the Lagrange denominator
 (``_basis``), along leading axes.  Every cubic evaluation
 (``_lagrange``), the table interpolation of the reparametrization
@@ -538,14 +539,15 @@ def _first_reach(g_out: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 
 def _chord_roots(
-    curve: NumCurve, maps: Sequence[tuple], gs: np.ndarray, deltas: np.ndarray
+    curve: NumCurve, maps: Sequence[tuple], deltas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of g(s) = delta right and left of each base point and f at
     them, for all base points, heights and sides in one pass.
 
     Row r is the curve renormalized by ``maps[r]`` (``_affine_map``) at
-    its base node j: ``gs[r]`` holds its g, and its grid is ``curve.grid``
-    shifted by grid[j].  Its lanes are ordered (right, left) per height.
+    its base node j: its g is that map applied along the whole grid, and
+    its grid is ``curve.grid`` shifted by grid[j].  Its lanes are ordered
+    (right, left) per height.
     Each lane walks outward from the base node to the first node with
     g >= delta, then solves g = delta on the cubic interpolant of g over
     that grid cell by safeguarded Newton, reading g, its slope and then
@@ -557,6 +559,8 @@ def _chord_roots(
     both).  Returns the (rows, lanes) roots, a mask of the lanes that
     found none (a NaN residual included) and f at each root.
     """
+    px, py = curve.points.T
+    gs = np.array([_mapped(px - ox, py - oy, g_column) for _, (ox, oy), (_, g_column) in maps])
     centers = [j for j, _, _ in maps]
     outer = np.empty((len(gs), 2 * len(deltas)), dtype=np.intp)
     for r, (g, center) in enumerate(zip(gs, centers)):
@@ -641,13 +645,15 @@ def _safeguard(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def gravity_samples(curve: NumCurve, p: float, deltas: Sequence[float]) -> list[GravitySample]:
     """Chord-midpoint samples at the given heights: the sweep's pass for p.
 
-    The curve is renormalized at the grid node nearest p.  Each height
-    line is intersected with it on both sides of the base point; roots
-    are located by safeguarded Newton on the cubic interpolant of the
-    vertical component, midpoints from that of the horizontal
-    component.  A p off the grid raises ValueError; then errors follow
-    height order, right side before left: a missing root raises
-    BracketingError, a height <= 0 ValueError.
+    The curve is renormalized at the grid node nearest p, and the
+    samples are those of that node, whatever the p asked for.  Each
+    height line is intersected with it on both sides of the base point;
+    roots are located by safeguarded Newton on the cubic interpolant of
+    the vertical component, midpoints from that of the horizontal
+    component.  The request is checked before any root is solved: a
+    height <= 0 raises ValueError, then a p off the grid or with a
+    singular frame.  A missing root raises BracketingError, the first in
+    height order, right side before left.
     """
     return next(_sweep_samples(curve, [p], deltas))
 
@@ -658,52 +664,35 @@ def _sweep_samples(
     """The chord-midpoint samples of the curve renormalized at each base
     point, in order.
 
-    The heights up to the first one <= 0 are solved for.  Each base
-    point's map is applied to g along the whole row, which the walk to
-    the first node of each height reads; the chord roots read the grid
-    and f only at their windows' nodes, which ``_chord_roots`` maps
-    itself.  Base points are solved a chunk at a time, all rows of a
-    chunk in one ``_chord_roots`` pass with one window per lane.  A chunk
+    The request is checked when the sampler is called, before any root
+    is solved: a height <= 0 raises ValueError, then the first base
+    point off the grid or with a singular frame.  Base points are then
+    solved a chunk at a time, all rows of a chunk in one ``_chord_roots``
+    pass with one window per lane, and yielded row by row.  A chunk
     stacks at most ``_SWEEP_TABLE`` entries of g and, beyond one point,
-    at most ``_BLOCK`` lanes.  An error surfaces at the base point where a
-    loop over the points would have raised it: a point off the grid or
-    with a singular frame raises its ValueError after the points before
-    it yield; a row raises its first missing root in height order, right
-    side before left, as BracketingError, and then a height <= 0 as
-    ValueError.
+    at most ``_BLOCK`` lanes.  A row with a missing root raises
+    BracketingError, the first in height order, right side before left,
+    after the rows before it.
     """
     deltas = np.asarray(deltas, dtype=float)
-    nonpositive = np.flatnonzero(deltas <= 0)
-    heights = deltas[: nonpositive[0]] if nonpositive.size else deltas
-    height_list = heights.tolist()
-    n = len(curve)
-    size = max(1, min(_BLOCK // (2 * max(1, len(deltas))), _SWEEP_TABLE // n))
-    gs = np.empty((min(size, len(base_points)), n))
-    x, y = curve.points.T
-    for i in range(0, len(base_points), size):
-        maps, error = [], None
-        for r, p in enumerate(base_points[i : i + size]):
-            try:
-                affine = _affine_map(curve, p)
-            except ValueError as exc:  # off the grid, or a singular frame
-                error = exc
-                break
-            _, (ox, oy), (_, g_column) = affine
-            gs[r] = _mapped(x - ox, y - oy, g_column)
-            maps.append(affine)
-        if maps:
-            roots, failed, f_at = _chord_roots(curve, maps, gs[: len(maps)], heights)
+    if (deltas <= 0).any():
+        raise ValueError("chord height must be positive")
+    maps = [_affine_map(curve, p) for p in base_points]
+    heights = deltas.tolist()
+    size = max(1, min(_BLOCK // (2 * max(1, len(deltas))), _SWEEP_TABLE // len(curve)))
+
+    def rows() -> Iterator[list[GravitySample]]:
+        for i in range(0, len(maps), size):
+            roots, failed, f_at = _chord_roots(curve, maps[i : i + size], deltas)
             midpoint_x = 0.5 * (f_at[:, 1::2] + f_at[:, 0::2])
             for lanes, row, mid in zip(failed, roots, midpoint_x):
                 if lanes.any():
                     lane = int(np.flatnonzero(lanes)[0])
-                    raise BracketingError(height_list[lane // 2], ("right", "left")[lane % 2])
-                if nonpositive.size:
-                    raise ValueError("chord height must be positive")
+                    raise BracketingError(heights[lane // 2], ("right", "left")[lane % 2])
                 s_minus, s_plus = row[1::2].tolist(), row[0::2].tolist()
-                yield list(map(GravitySample, height_list, s_minus, s_plus, mid.tolist()))
-        if error is not None:
-            raise error
+                yield list(map(GravitySample, heights, s_minus, s_plus, mid.tolist()))
+
+    return rows()
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -822,23 +811,26 @@ def corollary_sweep(
     points, heights and sides are found in one pass (a chunk of points
     at a time for large sweeps); when ``rows`` is a list, the sweep
     appends one ``(point, max_dev, is_straight)`` tuple per base point
-    to it.  Errors are raised as a loop of ``gravity_samples`` over the
-    points would raise them; an empty list of base points raises
-    ValueError.
+    to it.  The request is checked before any root is solved, so a
+    refused one appends no row: ValueError for no base points, then as
+    ``_sweep_samples`` checks, then for the first point too close to the
+    grid's ends for ``affine_curvature``.  A missing root raises
+    BracketingError, the first in point, height, side order, after the
+    rows before it.
     """
     if deltas is None:
         deltas = default_deltas()
     base_points = list(base_points)
     if not base_points:
         raise ValueError("a corollary sweep needs at least one base point")
+    samples = _sweep_samples(curve, base_points, deltas)
+    kappas = [affine_curvature(curve, p) for p in base_points]
     all_straight = True
-    kappas = []
-    for p, samples in zip(base_points, _sweep_samples(curve, base_points, deltas)):
-        dev, ok = straightness_test(samples, tol_straight)
+    for p, row in zip(base_points, samples):
+        dev, ok = straightness_test(row, tol_straight)
         if rows is not None:
             rows.append((p, dev, bool(ok)))
         all_straight = all_straight and ok
-        kappas.append(affine_curvature(curve, p))
     spread = max(kappas) - min(kappas)
     scale = max(1.0, abs(float(np.mean(kappas))))
     kappa_constant = spread <= KAPPA_SPREAD_TOL * scale

@@ -629,13 +629,18 @@ def chord_root_bisection(curve: NumCurve, direction: int, delta: float) -> float
     return _checked_root(curve, g, direction, delta, mid)
 
 
+def _check_heights(deltas) -> None:
+    if any(delta <= 0 for delta in deltas):
+        raise ValueError("chord height must be positive")
+
+
 def gravity_samples(curve: NumCurve, deltas) -> list[GravitySample]:
-    """Chord midpoints one height and one side at a time."""
+    """Chord midpoints one height and one side at a time, once every
+    height is checked."""
+    _check_heights(deltas)
     f = curve.points[:, 0]
     out = []
     for delta in deltas:
-        if delta <= 0:
-            raise ValueError("chord height must be positive")
         s_plus = chord_root(curve, +1, float(delta))
         s_minus = chord_root(curve, -1, float(delta))
         f_plus = interp_table(curve.grid, f, s_plus)
@@ -652,18 +657,20 @@ def gravity_samples(curve: NumCurve, deltas) -> list[GravitySample]:
 
 
 def corollary_sweep(curve, base_points, deltas=None, tol_straight=None, rows=None) -> bool:
-    """The sweep one base point at a time: renormalize, sample, judge."""
+    """The sweep one base point at a time: renormalize, sample, judge,
+    once the heights, every renormalization and every curvature are
+    checked."""
     if deltas is None:
         deltas = default_deltas()
+    _check_heights(deltas)
+    curves = [renormalize(curve, p) for p in base_points]
+    kappas = [affine_curvature(curve, p) for p in base_points]
     all_straight = True
-    kappas = []
-    for p in base_points:
-        local = renormalize(curve, p)
+    for p, local in zip(base_points, curves):
         dev, ok = straightness_test(gravity_samples(local, deltas), tol_straight)
         if rows is not None:
             rows.append((p, dev, bool(ok)))
         all_straight = all_straight and ok
-        kappas.append(affine_curvature(curve, p))
     spread = max(kappas) - min(kappas)
     scale = max(1.0, abs(float(np.mean(kappas))))
     if (spread <= KAPPA_SPREAD_TOL * scale) != all_straight:

@@ -506,6 +506,17 @@ class TestGravity:
         assert result.exit_code == 0
         assert result.output.splitlines()[-1] == "straight everywhere: True"
 
+    @pytest.mark.parametrize(
+        "args", [["--point", "nan"], ["--tol-flat", "-1"], ["--point", "1e308", "--tol-flat", "nan"]]
+    )
+    def test_sweep_ignores_point_and_tol_flat(self, runner, args):
+        # a sweep reads neither value, so neither is checked
+        base = ["gravity", "--fixture", "ellipse:2,1", "--sweep", "3", "--format", "json"]
+        result, plain = runner.invoke(main, [*base, *args]), runner.invoke(main, base)
+        assert result.exit_code == plain.exit_code == 0
+        assert result.stdout_bytes == plain.stdout_bytes
+        assert result.stderr_bytes == plain.stderr_bytes == b""
+
     def test_sweep_verification_failure_exit_code(self, runner):
         # two symmetric points see the same curvature, so the constant-curvature
         # cross-check contradicts the not-straight verdict

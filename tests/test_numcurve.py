@@ -220,7 +220,7 @@ class TestAffineCurvature:
     @pytest.mark.parametrize("s", [1e308, -math.inf, math.inf, math.nan])
     def test_far_off_grid_is_refused_before_rounding(self, parabola_curve, s):
         # a ValueError, not an OverflowError after an overflow warning or
-        # a NaN-to-integer error; in a sweep it surfaces at that point
+        # a NaN-to-integer error; a sweep raises it before any row
         with pytest.raises(ValueError, match="outside grid"):
             renormalize(parabola_curve, s)
         with pytest.raises(ValueError, match="too close to the grid boundary"):
@@ -228,11 +228,11 @@ class TestAffineCurvature:
         rows = []
         with pytest.raises(ValueError, match="outside grid"):
             corollary_sweep(parabola_curve, [0.0, s, 0.1], rows=rows)
-        assert [p for p, _, _ in rows] == [0.0]
+        assert rows == []
         # an empty sweep is refused before any base point is sampled
         with pytest.raises(ValueError, match="needs at least one base point"):
             corollary_sweep(parabola_curve, [], rows=rows)
-        assert [p for p, _, _ in rows] == [0.0]
+        assert rows == []
 
 
 class TestGravitySampling:
@@ -624,11 +624,11 @@ class TestScalarOracles:
         for run in (renormalize, lambda c, p: gravity_samples(c, p, default_deltas())):
             with pytest.raises(ValueError, match="singular frame"):
                 run(flat, 0.2)
-        # the sweep raises at that base point, after the rows before it
+        # the sweep raises it before any row
         rows = []
         with pytest.raises(ValueError, match="singular frame"):
             corollary_sweep(flat, [0.0, 0.1, 0.2, 0.3], rows=rows)
-        assert [r[0] for r in rows] == [0.0, 0.1]
+        assert rows == []
 
     @pytest.mark.parametrize("kappa", RK4_KAPPAS, ids=RK4_KAPPA_IDS)
     @pytest.mark.parametrize("step,half_width", RK4_STEPS)
@@ -727,6 +727,28 @@ class TestScalarOracles:
     def test_sweep_base_point_off_grid_raises_in_order(self, parabola_curve, points):
         got, want = _sweep_outcomes(parabola_curve, points, [0.05, 0.2])
         assert got == want
+
+    @pytest.mark.parametrize(
+        "points,deltas,message,by_sampler",
+        [
+            (lambda grid: [0.0, 0.1, 5.0], [0.01, 0.02], "outside grid", True),
+            (lambda grid: [0.0], [0.01, 0.02, 0.0], "chord height must be positive", True),
+            # the sampler could solve this point; the curvature stencil cannot
+            (lambda grid: [0.0, 0.1, grid[-2]], [0.01, 0.02], "too close to the grid", False),
+        ],
+        ids=["off-grid-point", "zero-height", "point-at-grid-end"],
+    )
+    def test_refused_request_solves_no_root(
+        self, parabola_curve, monkeypatch, points, deltas, message, by_sampler
+    ):
+        passes, rows = _spy_chord_roots(monkeypatch), []
+        points = [float(p) for p in points(parabola_curve.grid)]
+        with pytest.raises(ValueError, match=message):
+            corollary_sweep(parabola_curve, points, deltas, rows=rows)
+        if by_sampler:  # when it is called, before any row is asked for
+            with pytest.raises(ValueError, match=message):
+                numcurve._sweep_samples(parabola_curve, points, deltas)
+        assert passes == [] and rows == []
 
     @pytest.mark.parametrize("deltas", [list(default_deltas()), [0.05, 0.1, 0.2], [0.05, 0.2, 0.0]])
     @pytest.mark.parametrize("start", [-0.5, 0.0])
@@ -957,7 +979,7 @@ class TestChordSolve:
         assert oracle.interp_table_slope(grid, g, 2.5) == 0.0
         assert oracle.interp_table(grid, g, 2.5) - 6.0 == -6.0
         roots, failed, _ = numcurve._chord_roots(
-            curve, [numcurve._affine_map(curve, 0.0)], g[None], np.array([6.0])
+            curve, [numcurve._affine_map(curve, 0.0)], np.array([6.0])
         )
         root = float(roots[0, 0])
         assert not failed[0, 0] and 2.5 < root < 3.0
