@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from importlib import import_module
-from itertools import chain
+from itertools import chain, starmap
 from typing import TYPE_CHECKING
 
 import click
@@ -327,8 +327,9 @@ def _suite_bell_identity() -> None:
                 raise VerificationError("bell.identity", f"k={k}, l={l}")
 
 
-def run_verification(order: int, seed: int) -> list[dict]:
-    """Run the seven suites in order on one pipeline built at ``order``."""
+def run_verification(order: int, seed: int) -> list[tuple[str, bool, str]]:
+    """Run the seven suites in order on one pipeline built at ``order``:
+    one (name, ok, detail) row each, the columns ``verify`` prints."""
     from . import expansion
 
     pipe = expansion.build_pipeline(order)
@@ -341,14 +342,14 @@ def run_verification(order: int, seed: int) -> list[dict]:
         ("theorem1", lambda: expansion.theorem1_criterion(pipe)),
         ("theorem2", lambda: expansion.theorem2_symbolic(pipe)),
     ]
-    results = []
+    rows = []
     for name, check in suites:
         try:
             check()
-            results.append({"name": name, "ok": True, "detail": ""})
+            rows.append((name, True, ""))
         except VerificationError as exc:
-            results.append({"name": name, "ok": False, "detail": f"{exc.check}: {exc.detail}"})
-    return results
+            rows.append((name, False, f"{exc.check}: {exc.detail}"))
+    return rows
 
 
 # -- output helpers ------------------------------------------------------------------
@@ -368,6 +369,10 @@ def _echo(message: str, err: bool = False) -> None:
 
 def _echo_json(obj) -> None:
     _echo(json.dumps(obj, sort_keys=True, indent=2))
+
+
+def _suite_line(name: str, ok: bool, detail: str) -> str:
+    return f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else "")
 
 
 def _seed_from_env() -> int:
@@ -446,24 +451,13 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
         _echo("SELF-TEST FAILED: injected fault was not detected", err=True)
         ctx.exit(1)
 
-    results = run_verification(order, seed)
-    ok = all(r["ok"] for r in results)
-    if fmt == "json":
-        _echo_json({"order": order, "seed": seed, "suites": results, "pass": ok})
-    else:
-        _echo(f"seed: {seed}")
-        for r in results:
-            mark = "PASS" if r["ok"] else "FAIL"
-            line = f"{mark} {r['name']}"
-            if r["detail"]:
-                line += f": {r['detail']}"
-            _echo(line)
-        if ok:
-            _echo(f"PASS: {len(results)} suites")
-        else:
-            failed = sum(not r["ok"] for r in results)
-            _echo(f"FAIL: {failed} of {len(results)} suites")
-    ctx.exit(0 if ok else 1)
+    rows = run_verification(order, seed)
+    failed = sum(not ok for _, ok, _ in rows)
+    tail = f"FAIL: {failed} of {len(rows)} suites" if failed else f"PASS: {len(rows)} suites"
+    table = ("suites", ("name", "ok", "detail"), rows)
+    text = ([f"seed: {seed}"], _suite_line, [tail])
+    _render(fmt, {"order": order, "seed": seed, "pass": not failed}, table, text)
+    ctx.exit(1 if failed else 0)
 
 
 @main.command("gravity")
@@ -532,9 +526,9 @@ def _gravity_single(cfg: Config, curve, kappa_prime) -> None:
         f"flat: {flat.is_flat} (b={flat.fit_coeffs[1]:.6g}, predicted {flat.predicted_b:.6g})",
         f"straight: {straight} (max_dev={max_dev:.3e})",
     ]
-    template = "{:<14.6g} {:<14.8g} {:<14.8g} {: .6e}"
+    line = "{:<14.6g} {:<14.8g} {:<14.8g} {: .6e}".format
     table = ("samples", numcurve.GravitySample._fields, samples)
-    _render(cfg.output, fields, table, (head, template, tail))
+    _render(cfg.output, fields, table, (head, line, tail))
 
 
 def _gravity_sweep(cfg: Config, curve) -> None:
@@ -547,15 +541,17 @@ def _gravity_sweep(cfg: Config, curve) -> None:
     fields = {"fixture": cfg.fixture, "sweep": cfg.sweep, "straight_everywhere": bool(overall)}
     head = [f"fixture {cfg.fixture}, sweep over {cfg.sweep} base points"]
     tail = [f"straight everywhere: {overall}"]
-    template = "point {: .4f}: max_dev={:.3e} straight={}"
+    line = "point {: .4f}: max_dev={:.3e} straight={}".format
     table = ("points", ("point", "max_dev", "is_straight"), rows)
-    _render(cfg.output, fields, table, (head, template, tail))
+    _render(cfg.output, fields, table, (head, line, tail))
 
 
 def _render(output: str, fields: dict, table: tuple, text: tuple) -> None:
-    """Print one gravity run: its verdict fields and table as JSON, its
+    """Print one gravity or verify run: its fields and table as JSON, its
     table alone as CSV (floats by repr, bools as 0/1), or its text lines
-    with one template line per table row."""
+    with one line per table row, made by the text's line function.
+    ``expand`` prints on its own, as its JSON is a dict of series, not
+    rows of a table."""
     name, columns, rows = table
     if output == "json":
         _echo_json({**fields, name: [dict(zip(columns, row)) for row in rows]})
@@ -564,9 +560,9 @@ def _render(output: str, fields: dict, table: tuple, text: tuple) -> None:
         for row in rows:
             _echo(",".join(repr(int(v) if isinstance(v, bool) else v) for v in row))
     else:
-        head, template, tail = text
-        for line in chain(head, (template.format(*row) for row in rows), tail):
-            _echo(line)
+        head, line, tail = text
+        for text_line in chain(head, starmap(line, rows), tail):
+            _echo(text_line)
 
 
 if __name__ == "__main__":

@@ -584,11 +584,11 @@ def _chord_roots(
     base = curve.grid[center]  # each row's s = 0
     lo, hi = curve.grid[inner] - base, curve.grid[outer] - base
     flo, fhi = gs[row, inner] - delta, gs[row, outer] - delta
-    at_lo = ~failed & (flo == 0.0)
-    at_hi = ~failed & ~at_lo & (fhi == 0.0)
-    neg_lo = flo < 0  # the sign of g - delta at lo never changes while solving
-    failed |= ~at_lo & ~at_hi & (neg_lo == (fhi < 0))
-    solve = ~(failed | at_lo | at_hi)
+    # the walk leaves g < delta at the inner node (or NaN, which fails
+    # unless the outer node is a root) and g >= delta at the outer one
+    at_hi = ~failed & (fhi == 0.0)
+    failed |= ~at_hi & ~(flo < 0)
+    solve = ~(failed | at_hi)
     nodes = _window_nodes(np.minimum(inner, outer) + 1, gs.shape[1])
     window, g_values = _basis(curve.grid[nodes] - base), gs[row, nodes]
     # each row's origin and the f column of its map, as (rows, 1) columns
@@ -614,7 +614,7 @@ def _chord_roots(
                 break
             fx = _lagrange(window, g_values, x) - delta
             active &= fx != 0.0
-            to_lo = active & ((fx < 0) == neg_lo)
+            to_lo = active & (fx < 0)
             np.copyto(lo, x, where=to_lo)
             np.copyto(hi, x, where=active ^ to_lo)
             step = fx / _slope(window[0], weights, x)
@@ -624,7 +624,7 @@ def _chord_roots(
             np.copyto(x, nxt, where=active)
     residual = np.abs(_lagrange(window, g_values, x) - delta)
     failed |= solve & ~(residual <= ROOT_TOL)  # a NaN residual fails too
-    roots = np.where(at_lo, lo, np.where(at_hi, hi, x))
+    roots = np.where(at_hi, hi, x)
     return roots, failed, _lagrange(window, f_values, roots)
 
 
@@ -650,9 +650,10 @@ def gravity_samples(curve: NumCurve, p: float, deltas: Sequence[float]) -> list[
     height line is intersected with it on both sides of the base point;
     roots are located by safeguarded Newton on the cubic interpolant of
     the vertical component, midpoints from that of the horizontal
-    component.  The request is checked before any root is solved: a
-    height <= 0 raises ValueError, then a p off the grid or with a
-    singular frame.  A missing root raises BracketingError, the first in
+    component.  The request is checked before any root is solved, as
+    ``_sweep_samples`` checks it: ValueError for heights that are not a
+    nonempty 1-D list, then for a height <= 0, then for one that is not
+    finite, then for a p off the grid or with a singular frame.  A missing root raises BracketingError, the first in
     height order, right side before left.
     """
     return next(_sweep_samples(curve, [p], deltas))
@@ -665,8 +666,10 @@ def _sweep_samples(
     point, in order.
 
     The request is checked when the sampler is called, before any root
-    is solved: a height <= 0 raises ValueError, then the first base
-    point off the grid or with a singular frame.  Base points are then
+    is solved.  ValueError is raised for heights that are not a nonempty
+    1-D list, then for a height <= 0, then for a NaN height or an
+    infinite one, then for the first base point off the grid or with a
+    singular frame.  Base points are then
     solved a chunk at a time, all rows of a chunk in one ``_chord_roots``
     pass with one window per lane, and yielded row by row.  A chunk
     stacks at most ``_SWEEP_TABLE`` entries of g and, beyond one point,
@@ -675,11 +678,15 @@ def _sweep_samples(
     after the rows before it.
     """
     deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1 or not len(deltas):
+        raise ValueError("chord heights must be a nonempty 1-D list")
     if (deltas <= 0).any():
         raise ValueError("chord height must be positive")
+    if not np.isfinite(deltas).all():
+        raise ValueError("chord height must be finite")
     maps = [_affine_map(curve, p) for p in base_points]
     heights = deltas.tolist()
-    size = max(1, min(_BLOCK // (2 * max(1, len(deltas))), _SWEEP_TABLE // len(curve)))
+    size = max(1, min(_BLOCK // (2 * len(deltas)), _SWEEP_TABLE // len(curve)))
 
     def rows() -> Iterator[list[GravitySample]]:
         for i in range(0, len(maps), size):

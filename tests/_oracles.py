@@ -630,8 +630,13 @@ def chord_root_bisection(curve: NumCurve, direction: int, delta: float) -> float
 
 
 def _check_heights(deltas) -> None:
+    """The sampler's rule: a nonempty 1-D list of finite positive heights."""
+    if np.ndim(deltas) != 1 or len(deltas) == 0:
+        raise ValueError("chord heights must be a nonempty 1-D list")
     if any(delta <= 0 for delta in deltas):
         raise ValueError("chord height must be positive")
+    if not all(math.isfinite(delta) for delta in deltas):
+        raise ValueError("chord height must be finite")
 
 
 def gravity_samples(curve: NumCurve, deltas) -> list[GravitySample]:

@@ -750,6 +750,35 @@ class TestScalarOracles:
                 numcurve._sweep_samples(parabola_curve, points, deltas)
         assert passes == [] and rows == []
 
+    @pytest.mark.parametrize(
+        "deltas,message",
+        [
+            ([math.nan], "chord height must be finite"),
+            ([0.01, math.inf], "chord height must be finite"),
+            ([math.nan, -1.0], "chord height must be positive"),
+            ([0.01, -math.inf], "chord height must be positive"),
+            ([], "chord heights must be a nonempty 1-D list"),
+            ([[0.01, 0.02]], "chord heights must be a nonempty 1-D list"),
+            (0.01, "chord heights must be a nonempty 1-D list"),
+        ],
+        ids=["nan", "inf", "nan-then-negative", "minus-inf", "empty", "2-d", "scalar"],
+    )
+    def test_refused_heights_solve_no_root(self, parabola_curve, monkeypatch, deltas, message):
+        # the single point, the sampler and the sweep refuse these heights
+        # before their first chord pass, with the oracle's message
+        passes, rows = _spy_chord_roots(monkeypatch), []
+        calls = [
+            lambda: gravity_samples(parabola_curve, 0.0, deltas),
+            lambda: numcurve._sweep_samples(parabola_curve, [0.0, 0.1], deltas),
+            lambda: corollary_sweep(parabola_curve, [0.0, 0.1], deltas, rows=rows),
+            lambda: oracle.gravity_samples(parabola_curve, deltas),
+            lambda: oracle.corollary_sweep(parabola_curve, [0.0, 0.1], deltas),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+        assert passes == [] and rows == []
+
     @pytest.mark.parametrize("deltas", [list(default_deltas()), [0.05, 0.1, 0.2], [0.05, 0.2, 0.0]])
     @pytest.mark.parametrize("start", [-0.5, 0.0])
     def test_chunked_sweep_matches_oracle(self, curve_pair, monkeypatch, deltas, start):
