@@ -265,19 +265,20 @@ def _random_poly_in_class(rng: random.Random, k: int, sigma: int) -> DiffPoly:
 
     Each of one to three monomials is a coefficient in {-2, -1, 1, 2}
     times zero to three factors k0..k<k>, with one more factor k1 when
-    the count of odd orders has the wrong parity.
+    the count of odd orders has the wrong parity.  The terms are drawn
+    first and summed in one constructor call.
     """
-    from collections import Counter
-
     from .diffpoly import DiffPoly
 
-    poly = DiffPoly.zero()
-    for _ in range(rng.randint(1, 3)):
-        coeff = rng.randint(1, 5) - 3 or 1
-        orders = [rng.randint(0, k) for _ in range(rng.randint(0, 3))]
-        if sum(o % 2 for o in orders) % 2 != sigma % 2:
+    randint = rng.randint
+    terms = []
+    for _ in range(randint(1, 3)):
+        coeff = randint(1, 5) - 3 or 1
+        orders = [randint(0, k) for _ in range(randint(0, 3))]
+        if sum(orders) % 2 != sigma % 2:  # the parity of the count of odd orders
             orders.append(1)
-        poly = poly + DiffPoly.monomial(coeff, Counter(orders))
+        terms.append((coeff, orders))
+    poly = DiffPoly._from_factor_lists(terms)
     if poly.is_zero:
         return DiffPoly.kappa(1) if sigma % 2 else DiffPoly.kappa(0)
     return poly
@@ -309,7 +310,7 @@ def _suite_grading_closure(seed: int) -> None:
 
 
 def _suite_bell_identity() -> None:
-    # l! B_{k,l}(a) = k! [s^k] A^l with A = sum a_i s^i / i!
+    # B_{k,l}(a) = (k!/l!) [s^k] A^l with A = sum a_i s^i / i!
     from fractions import Fraction
 
     from .diffpoly import DiffPoly
@@ -323,7 +324,7 @@ def _suite_bell_identity() -> None:
         powers.append(powers[-1].mul(big_a))
     for k in range(1, 10):
         for l in range(1, k + 1):
-            if bell(k, l, generic) * math.factorial(l) != powers[l][k] * math.factorial(k):
+            if bell(k, l, generic) != powers[l][k] * (math.factorial(k) // math.factorial(l)):
                 raise VerificationError("bell.identity", f"k={k}, l={l}")
 
 
@@ -446,7 +447,10 @@ def cmd_verify(ctx: click.Context, order: int, fmt: str, self_test: bool) -> Non
         try:
             expansion.lemma4_check(*expansion.component_series(frame))
         except VerificationError as exc:
-            _echo(f"SELF-TEST OK: detected {exc.check}")
+            if fmt == "json":
+                _echo_json({"order": order, "self_test": True, "detected": exc.check})
+            else:
+                _echo(f"SELF-TEST OK: detected {exc.check}")
             ctx.exit(0)
         _echo("SELF-TEST FAILED: injected fault was not detected", err=True)
         ctx.exit(1)

@@ -248,6 +248,23 @@ class DiffPoly:
         num, den, bit = _split(coeff)
         return _reduced(den, {_pack(exps): num} if num else {}, bit)
 
+    @classmethod
+    def _from_factor_lists(cls, terms: Iterable[tuple[int, list[int]]]) -> DiffPoly:
+        """The sum of coeff * k<o1> * k<o2> * ... over (integer coeff,
+        factor orders) pairs, built in one pass: a list may repeat an
+        order, and each factor adds one unit to its order's field, so a
+        list's key is the sum of those units.  ValueError for a list of
+        more than 127 factors or an order outside 0..127."""
+        nums: dict[int, int] = {}
+        get = nums.get
+        for coeff, orders in terms:
+            if len(orders) > _MAX_EXPONENT:
+                raise ValueError(f"{len(orders)} factors cannot be stored")
+            key = sum([1 << (_B * o) for o in orders])
+            nums[key] = get(key, 0) + coeff
+        _check_storable(nums)
+        return _reduced(1, nums, 0)
+
     @staticmethod
     def sum_of_products(pairs: Iterable[tuple[DiffPoly, DiffPoly]]) -> DiffPoly:
         """The sum of p * q over the pairs, over one common denominator;

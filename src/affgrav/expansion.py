@@ -41,7 +41,7 @@ from .defaults import DEFAULT_ORDER, MAX_ORDER, MIN_ORDER
 from .diffpoly import DiffPoly, GradedClass
 from .errors import VerificationError
 from .powerseries import Series
-from .scalar import QR2Scalar
+from .scalar import QR2Scalar, _scalar
 
 __all__ = [
     "FrameCoefficients",
@@ -245,15 +245,35 @@ def lemma4_check(f: Series, g: Series) -> Lemma4Report:
     return Lemma4Report(order=order, p_residuals=tuple(p), q_residuals=tuple(q))
 
 
+def _leading_laws(k: int) -> tuple[QR2Scalar, QR2Scalar, QR2Scalar]:
+    """The coefficients (l_h[k], l_u[k], l_v[k]) of k(k-3) in h_k, u_k and
+    v_k for k >= 3, each built as one exact scalar:
+
+    - l_h[k] = -3 sqrt2^k / (k+1)!
+    - l_u[k] = l_g[k+1] / sqrt2 = -(k-2) sqrt2 / (2 (k+1)!), the square-root
+      step, since g2 = 1/2 and Lemma 4 gives l_g[k+1] = -(k-2)/(k+1)!
+    - l_v[k] = -u1^(-k-1) l_u[k] = (k-2) sqrt2^k / (k+1)!, the inverse step,
+      since u1 = 1/sqrt2
+    """
+    den = factorial(k + 1)
+    half, bit = k >> 1, k & 1  # sqrt2^k = 2^half * sqrt2^bit
+    return (
+        _scalar(Fraction(-3 << half, den), bit),
+        _scalar(Fraction(-(k - 2), 2 * den), 1),
+        _scalar(Fraction((k - 2) << half, den), bit),
+    )
+
+
 def h_leading_law(pipe: Pipeline) -> list[QR2Scalar]:
     """Leading coefficients of a pipeline's h, with those of u and v.
 
     Returns the list l_h[0..N], where l_h[k] is the coefficient of
     k(k-3) in h_k: 0 for k < 3 and -3 sqrt(2)^k / (k+1)! from there.
-    Checks the values read off h, u and v against closed forms: l_h's
-    own, and the square-root and inverse steps from Lemma 4's law
-    l_g[k+1] = -(k-2)/(k+1)!, which ``lemma4_check`` checks on the
-    pipeline's g_full.  Raises VerificationError.
+    Checks the values read off h, u and v against closed forms, one
+    exact scalar each (``_leading_laws``): l_h's own, and the square-root
+    and inverse steps from Lemma 4's law l_g[k+1] = -(k-2)/(k+1)!, which
+    ``lemma4_check`` checks on the pipeline's g_full.  Raises
+    VerificationError.
     """
     sqrt2 = QR2Scalar.sqrt2()
     u1 = QR2Scalar(0, Fraction(1, 2))
@@ -264,16 +284,12 @@ def h_leading_law(pipe: Pipeline) -> list[QR2Scalar]:
     leads = [QR2Scalar(0)] * 3
     for k in range(3, pipe.order + 1):
         lh = pipe.h[k].coefficient_of({k - 3: 1})
-        expect = QR2Scalar(-3) * sqrt2**k * Fraction(1, factorial(k + 1))
+        expect, lu, lv = _leading_laws(k)
         if lh != expect:
             raise VerificationError("hlaw.extracted", f"k={k}: got {lh}, want {expect}")
-        # square-root step: l_u[k] = l_g[k+1] / sqrt2 since g2 = 1/2
-        lu = QR2Scalar(Fraction(-(k - 2), factorial(k + 1))) / sqrt2
         got_u = pipe.u[k].coefficient_of({k - 3: 1})
         if got_u != lu:
             raise VerificationError("hlaw.sqrt_step", f"k={k}: got {got_u}, want {lu}")
-        # inverse step: l_v[k] = -u1^(-k-1) l_u[k]
-        lv = -(u1 ** (-k - 1)) * lu
         got_v = pipe.v[k].coefficient_of({k - 3: 1})
         if got_v != lv:
             raise VerificationError("hlaw.inverse_step", f"k={k}: got {got_v}, want {lv}")

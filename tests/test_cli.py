@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from affgrav import DiffPoly, GradedClass, Series, expansion, powerseries
+from affgrav import DiffPoly, GradedClass, Series, cli, expansion, powerseries
 from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, _random_poly_in_class, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import (
@@ -157,6 +157,26 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--order", "8", "--self-test"])
         assert result.exit_code == 0
         assert "SELF-TEST OK: detected lemma4.leading.f" in result.output
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_self_test_prints_its_detection_in_the_asked_format(self, runner, fmt):
+        args = ["verify", "--order", "6", "--self-test", "--format", fmt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0 and result.stderr == ""
+        if fmt == "json":
+            want = {"order": 6, "self_test": True, "detected": "lemma4.leading.f"}
+            assert result.stdout == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        else:
+            assert result.stdout == "SELF-TEST OK: detected lemma4.leading.f\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_self_test_that_detects_nothing_fails(self, runner, monkeypatch, fmt):
+        monkeypatch.setattr(expansion, "lemma4_check", lambda f, g: None)
+        args = ["verify", "--order", "6", "--self-test", "--format", fmt]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == "SELF-TEST FAILED: injected fault was not detected\n"
 
     @pytest.mark.parametrize("fmt,suffix", [("text", ".txt"), ("json", ".json")])
     def test_golden_files(self, runner, fmt, suffix):
@@ -318,6 +338,40 @@ class TestVerify:
                 want = oracle.random_poly_in_class(oracle_rng, k, sigma)
                 assert got == want and str(got) == str(want), (seed, draw)
                 assert rng.getstate() == oracle_rng.getstate(), (seed, draw)
+
+    @pytest.mark.parametrize("seed", [0, 5, 17])
+    def test_grading_cases_are_built_without_monomials_or_sums(self, monkeypatch, seed):
+        # the suite's own Leibniz check adds, so the spies count apart the
+        # calls made while a case is being built
+        calls = {"monomial": [0, 0], "__add__": [0, 0]}  # [all, while building]
+        building = [False]
+
+        def counting(name, true):
+            def spy(*args, **kwargs):
+                calls[name][0] += 1
+                calls[name][1] += building[0]
+                return true(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(DiffPoly, "monomial", counting("monomial", DiffPoly.monomial))
+        monkeypatch.setattr(DiffPoly, "__add__", counting("__add__", DiffPoly.__add__))
+        true_build = cli._random_poly_in_class
+        cases = []
+
+        def build(*args):
+            building[0] = True
+            try:
+                cases.append(true_build(*args))
+            finally:
+                building[0] = False
+            return cases[-1]
+
+        monkeypatch.setattr(cli, "_random_poly_in_class", build)
+        cli._suite_grading_closure(seed)
+        assert len(cases) == 80
+        assert calls["monomial"] == [0, 0]
+        assert calls["__add__"] == [40, 0]  # one Leibniz sum per case, none in the cases
 
 
 def _break_bell(monkeypatch) -> None:

@@ -662,3 +662,36 @@ class TestSingleTermConstructors:
                 DiffPoly.monomial(coeff, exponents)
             return
         assert self.stored(DiffPoly.monomial(coeff, exponents)) == want
+
+
+class TestFactorListConstructor:
+    """``DiffPoly._from_factor_lists`` sums integer coefficients times
+    products of factor lists, as products and sums of kappas build them."""
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [],
+            [(3, [])],
+            [(2, [0, 1, 0]), (-1, [1])],
+            [(1, [2, 0]), (-1, [0, 2]), (5, [3, 3, 3])],  # the first two cancel
+            [(-2, [127]), (1, [0] * 127)],
+        ],
+        ids=["empty", "constant", "repeated-order", "cancelling", "bounds"],
+    )
+    def test_matches_the_product_built_sum(self, terms):
+        want = DiffPoly.zero()
+        for coeff, orders in terms:
+            mono = DiffPoly.constant(coeff)
+            for o in orders:
+                mono = mono * k(o)
+            want = want + mono
+        got = DiffPoly._from_factor_lists(terms)
+        assert (got._bit, got._den, got._terms) == (want._bit, want._den, want._terms)
+
+    @pytest.mark.parametrize(
+        "orders", [[0] * 128, [128], [-1], [0, 200]], ids=["exponent", "order", "negative", "far-order"]
+    )
+    def test_unstorable_factor_lists_are_refused(self, orders):
+        with pytest.raises(ValueError):
+            DiffPoly._from_factor_lists([(1, orders)])

@@ -217,6 +217,20 @@ class TestHLeadingLaw:
         assert leads[4] == QR2Scalar(F(-1, 10))       # -3*4/120
         assert leads[5] == QR2Scalar(0, F(-1, 60))    # -3*4*sqrt2/720
 
+    def test_closed_forms_are_the_papers_chains_and_the_pipelines_leads(self):
+        # each closed form equals the chain it stands for, and the leading
+        # coefficient of h, u and v through the ceiling order
+        pipe = build_pipeline(MAX_ORDER)
+        u1 = QR2Scalar(0, F(1, 2))
+        for kk in range(3, MAX_ORDER + 1):
+            l_h = QR2Scalar(-3) * SQRT2**kk * F(1, factorial(kk + 1))
+            l_g = QR2Scalar(F(-(kk + 1 - 3), factorial(kk + 1)))  # Lemma 4's l_g[k+1]
+            l_u = l_g / SQRT2
+            l_v = -(u1 ** (-kk - 1)) * l_u
+            assert expansion._leading_laws(kk) == (l_h, l_u, l_v), kk
+            read = tuple(s[kk].coefficient_of({kk - 3: 1}) for s in (pipe.h, pipe.u, pipe.v))
+            assert read == (l_h, l_u, l_v), kk
+
     def test_derives_no_second_g(self, monkeypatch):
         # the square-root step takes l_g from Lemma 4's law, not a frame;
         # no pipeline check builds a frame, a component series or a pipeline
