@@ -6,6 +6,15 @@ paths import ``numcurve`` (and with it numpy), and ``expand``, ``verify``
 and their suites import the exact layer (``expansion``, ``powerseries``,
 ``diffpoly``, ``scalar``).  So ``--help`` starts with neither, ``expand``
 and ``verify`` without numpy, and ``gravity`` without the exact layer.
+
+``run`` is the program's entry point, for the ``affgrav`` script and
+``python -m affgrav``: it sets ``OPENBLAS_NUM_THREADS=1`` unless the
+variable is already set, then calls ``main``.  No command runs a BLAS
+kernel, and numpy's OpenBLAS otherwise starts a worker thread at import
+that busy-waits beside the importing thread, at the cost of a cold
+``gravity`` run.
+Importing this module or calling ``main`` in-process leaves
+``os.environ`` as it is.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ if TYPE_CHECKING:
     from .diffpoly import DiffPoly
     from .numcurve import NumCurve
 
-__all__ = ["main", "Config", "parse_fixture"]
+__all__ = ["main", "run", "Config", "parse_fixture"]
 
 # Exact-layer names that read as attributes of this module, resolved
 # through the package on each access, so a name patched in its own module
@@ -569,5 +578,13 @@ def _render(output: str, fields: dict, table: tuple, text: tuple) -> None:
             _echo(text_line)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Run the program as a process: cap OpenBLAS at one thread, unless
+    the caller chose a count, before anything can load numpy, then run
+    ``main``."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     main()
+
+
+if __name__ == "__main__":
+    run()

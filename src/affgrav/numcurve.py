@@ -55,6 +55,9 @@ three-column least squares by Householder QR in Python floats.  A BLAS
 matrix product picks an FMA kernel by CPU, so its bits, and every
 output downstream, would differ between machines; its first call also
 maps a work buffer of a few MB, for matrices of two or three columns.
+As no BLAS thread has work to do, the program's entry point
+(``cli.run``) caps OpenBLAS at one thread before numpy loads, which
+spares a cold run the worker thread numpy's import would start.
 As a mapped value depends on its own node alone, a sweep maps g along
 each row, for the walk to the first node of each height, and maps the
 grid and f only at the four window nodes of each lane.  Nor do the

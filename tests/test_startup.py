@@ -1,23 +1,40 @@
-"""Each half of the package loads only where a command uses it: in a
-fresh interpreter, importing the CLI and running ``--help``, ``expand``,
-``verify`` or a ``gravity`` run whose options or fixture are refused
-leave numpy out of ``sys.modules``, and importing the CLI, ``--help``
-and ``gravity`` leave the exact layer out of it."""
+"""How the program starts, in a fresh interpreter each.
+
+Each half of the package loads only where a command uses it: importing
+the CLI and running ``--help``, ``expand``, ``verify`` or a ``gravity``
+run whose options or fixture are refused leave numpy out of
+``sys.modules``, and importing the CLI, ``--help`` and ``gravity`` leave
+the exact layer out of it.
+
+The program's one entry point, ``cli.run``, behind both the ``affgrav``
+script and ``python -m affgrav``, caps OpenBLAS at one thread unless
+``OPENBLAS_NUM_THREADS`` is already set, so a ``gravity`` run exits with
+one native thread; importing the package and calling ``cli.main``
+in-process leave the environment as it is."""
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 EXACT_LAYER = {f"affgrav.{name}" for name in ("diffpoly", "scalar", "powerseries", "expansion")}
-# Prints sys.modules as the interpreter exits, after a command's SystemExit too.
+BLAS = "OPENBLAS_NUM_THREADS"
+# Prints, as the interpreter exits (after a command's SystemExit too),
+# sys.modules, OPENBLAS_NUM_THREADS and the number of native threads
+# (None without /proc/self/task).
 REPORT = (
-    "import atexit, json, sys\n"
-    "atexit.register(lambda: print(json.dumps(sorted(sys.modules))))\n"
+    "import atexit, json, os, sys\n"
+    "atexit.register(lambda: print(json.dumps({\n"
+    "    'modules': sorted(sys.modules),\n"
+    f"    'blas_threads': os.environ.get({BLAS!r}),\n"
+    "    'threads': len(os.listdir(t)) if os.path.isdir(t := '/proc/self/task') else None,\n"
+    "})))\n"
 )
 
 
@@ -25,18 +42,28 @@ REPORT = (
 REFUSED_FIXTURES = ["foo:x", "ellipse:2", "kappa-poly:", "kappa-poly:1,,2"]
 
 
-def modules_after(statement: str) -> set[str]:
-    """Modules loaded once ``statement`` has run in a fresh interpreter."""
+def report_after(statement: str, blas_threads: str | None = None) -> dict:
+    """REPORT's record once ``statement`` has run in a fresh interpreter,
+    whose OPENBLAS_NUM_THREADS is ``blas_threads`` (None: unset)."""
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    env.pop(BLAS, None)
+    if blas_threads is not None:
+        env[BLAS] = blas_threads
     proc = subprocess.run(
         [sys.executable, "-c", REPORT + statement],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def modules_after(statement: str) -> set[str]:
+    """Modules loaded once ``statement`` has run in a fresh interpreter."""
+    return set(report_after(statement)["modules"])
 
 
 def command(*args: str) -> str:
@@ -104,6 +131,43 @@ def test_numeric_start_does_not_import_the_exact_layer(statement):
 )
 def test_exact_layer_still_loads_where_it_is_used(statement):
     assert EXACT_LAYER <= modules_after(statement)
+
+
+GRAVITY = ["gravity", "--fixture", "ellipse:2,1", "--sweep", "3"]
+
+
+def test_program_caps_openblas_at_one_thread():
+    report = report_after(command(*GRAVITY))
+    assert "numpy" in report["modules"]
+    assert report["blas_threads"] == "1"
+    if report["threads"] is not None:
+        assert report["threads"] == 1
+
+
+def test_program_keeps_a_blas_thread_count_already_set():
+    assert report_after(command(*GRAVITY), blas_threads="3")["blas_threads"] == "3"
+
+
+def test_library_use_leaves_the_environment_alone():
+    call = f"affgrav.cli.main({GRAVITY!r}, standalone_mode=False)"
+    report = report_after(f"import affgrav.cli\n{call}")
+    assert "numpy" in report["modules"]
+    assert report["blas_threads"] is None
+
+
+def test_module_run_goes_through_the_entry_point(monkeypatch):
+    from affgrav import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda: calls.append("run"))
+    runpy.run_module("affgrav", run_name="__main__")
+    assert calls == ["run"]
+
+
+def test_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"affgrav": "affgrav.cli:run"}
 
 
 def test_every_listed_name_resolves():
