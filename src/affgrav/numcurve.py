@@ -30,15 +30,15 @@ floats by rounding only (``tests/_oracles.py`` keeps both).
 Interpolation takes every abscissa in one call.  A single base point
 (``gravity_samples``) and a sweep (``corollary_sweep``) share one
 sampler, ``_sweep_samples``.  It checks the whole request first, the
-heights and every base point's map, so a refused request solves no
-root; then it solves for the chord roots of every base point of a
-chunk, height and side together in lockstep (``_chord_roots``), each
-lane by safeguarded Newton on its cell's cubic.  A lane's iterates
-never leave its grid cell, so it reads g, its slope and f only through
-that cell's four-node window, gathered once for all without a table
-search.  The window is stored node-major: for each of its four nodes
-(``_window_nodes``) the other three and the Lagrange denominator
-(``_basis``), along leading axes.  Every cubic evaluation
+heights, every base point's two-node margin at the grid's ends and
+its map, so a refused request solves no root; then it solves for the
+chord roots of every base point of a chunk, height and side together
+in lockstep (``_chord_roots``), each lane by safeguarded Newton on its
+cell's cubic.  A lane's iterates never leave its grid cell, so it
+reads g, its slope and f only through that cell's four-node window,
+gathered once for all without a table search.  The window is stored
+node-major: for each of its four nodes (``_window_nodes``) the other
+three and the Lagrange denominator (``_basis``), along leading axes.  Every cubic evaluation
 (``_lagrange``), the table interpolation of the reparametrization
 included, is then two reductions over those axes: a product over each
 node's others for the basis numerator and a sum over the nodes, both
@@ -287,8 +287,7 @@ def integrate_from_kappa(spec: KappaCurveSpec, step: float = DEFAULT_STEP) -> Nu
     frame (c', c'') through those maps; the positions of each direction
     are one product per step, p0 c' + p1 c'', summed after it in step
     order by one accumulate.  A curvature that overflows gives a
-    non-finite curve without a warning, for the caller to refuse
-    (``Config.validate`` does).
+    non-finite curve without a warning; ``build_curve`` refuses it.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -411,8 +410,8 @@ def reparametrize_affine(spec: ParametricCurveSpec, step: float = DEFAULT_STEP) 
     base point.
 
     A plot whose det[c_u, c_uu] overflows is refused as too large; an
-    arclength too long for the step fails the grid-size check, and the
-    caller refuses non-finite points or frames (``Config.validate`` does).
+    arclength too long for the step fails the grid-size check, and
+    ``build_curve`` refuses non-finite points or frames.
     """
     u0, u1 = spec.domain
     if not u1 > u0:
@@ -460,10 +459,13 @@ def _affine_frames(jet, us: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def build_curve(spec: KappaCurveSpec | ParametricCurveSpec, step: float = DEFAULT_STEP) -> NumCurve:
     """The normalized curve of either spec: RK4 from a curvature, affine
-    reparametrization of a plot."""
-    if isinstance(spec, KappaCurveSpec):
-        return integrate_from_kappa(spec, step=step)
-    return reparametrize_affine(spec, step=step)
+    reparametrization of a plot.  A curve whose points or frames are not
+    finite, from a curvature or plot that overflows, raises ValueError."""
+    build = integrate_from_kappa if isinstance(spec, KappaCurveSpec) else reparametrize_affine
+    curve = build(spec, step=step)
+    if not all(np.isfinite(a).all() for a in (curve.points, curve.d1, curve.d2)):
+        raise ValueError("the built curve is not finite: its points or frames overflow")
+    return curve
 
 
 def _affine_map(curve: NumCurve, p: float) -> tuple[int, tuple, tuple]:
@@ -582,7 +584,7 @@ def _chord_roots(
     # its denominator, so the window gives the node's g exactly: the ends
     # are read off the table.  That needs finite values and nonzero
     # denominators; these are at least 2 step^3, 0 only for a step below
-    # ~1e-108, a curve the command line refuses as not finite.
+    # ~1e-108, a curve ``build_curve`` refuses as not finite.
     row = np.arange(len(gs))[:, None]
     base = curve.grid[center]  # each row's s = 0
     lo, hi = curve.grid[inner] - base, curve.grid[outer] - base
@@ -656,8 +658,9 @@ def gravity_samples(curve: NumCurve, p: float, deltas: Sequence[float]) -> list[
     component.  The request is checked before any root is solved, as
     ``_sweep_samples`` checks it: ValueError for heights that are not a
     nonempty 1-D list, then for a height <= 0, then for one that is not
-    finite, then for a p off the grid or with a singular frame.  A missing root raises BracketingError, the first in
-    height order, right side before left.
+    finite, then for a p off the grid, without two nodes to spare at
+    either grid end or with a singular frame.  A missing root raises
+    BracketingError, the first in height order, right side before left.
     """
     return next(_sweep_samples(curve, [p], deltas))
 
@@ -671,14 +674,14 @@ def _sweep_samples(
     The request is checked when the sampler is called, before any root
     is solved.  ValueError is raised for heights that are not a nonempty
     1-D list, then for a height <= 0, then for a NaN height or an
-    infinite one, then for the first base point off the grid or with a
-    singular frame.  Base points are then
-    solved a chunk at a time, all rows of a chunk in one ``_chord_roots``
-    pass with one window per lane, and yielded row by row.  A chunk
-    stacks at most ``_SWEEP_TABLE`` entries of g and, beyond one point,
-    at most ``_BLOCK`` lanes.  A row with a missing root raises
-    BracketingError, the first in height order, right side before left,
-    after the rows before it.
+    infinite one, then for the first base point off the grid, without
+    two nodes to spare at either grid end or with a singular frame.
+    Base points are then solved a chunk at a time, all rows of a chunk in
+    one ``_chord_roots`` pass with one window per lane, and yielded row
+    by row.  A chunk stacks at most ``_SWEEP_TABLE`` entries of g and,
+    beyond one point, at most ``_BLOCK`` lanes.  A row with a missing
+    root raises BracketingError, the first in height order, right side
+    before left, after the rows before it.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or not len(deltas):
@@ -687,7 +690,18 @@ def _sweep_samples(
         raise ValueError("chord height must be positive")
     if not np.isfinite(deltas).all():
         raise ValueError("chord height must be finite")
-    maps = [_affine_map(curve, p) for p in base_points]
+    grid, maps = curve.grid, []
+    for p in base_points:
+        # Small heights put the chord ends in the cells beside the base
+        # node, whose windows reach two nodes either side of it; clamped
+        # one-sided at a grid end they lose digits (kappa-poly:1, step 0.01,
+        # heights from 1e-6: max_dev 8.2e-8 at p = 0.99, 7.0e-13 at 0.98).
+        if not 2 <= curve.index_of(p) <= len(grid) - 3:
+            raise ValueError(
+                f"base point {p} is not inside the grid [{grid[0]:.6g}, {grid[-1]:.6g}]"
+                " with two nodes to spare"
+            )
+        maps.append(_affine_map(curve, p))
     heights = deltas.tolist()
     size = max(1, min(_BLOCK // (2 * len(deltas)), _SWEEP_TABLE // len(curve)))
 
@@ -823,8 +837,8 @@ def corollary_sweep(
     appends one ``(point, max_dev, is_straight)`` tuple per base point
     to it.  The request is checked before any root is solved, so a
     refused one appends no row: ValueError for no base points, then as
-    ``_sweep_samples`` checks, then for the first point too close to the
-    grid's ends for ``affine_curvature``.  A missing root raises
+    ``_sweep_samples`` checks.  Its two-node margin also keeps every
+    point inside ``affine_curvature``'s stencil.  A missing root raises
     BracketingError, the first in point, height, side order, after the
     rows before it.
     """

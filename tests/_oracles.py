@@ -663,12 +663,20 @@ def gravity_samples(curve: NumCurve, deltas) -> list[GravitySample]:
 
 def corollary_sweep(curve, base_points, deltas=None, tol_straight=None, rows=None) -> bool:
     """The sweep one base point at a time: renormalize, sample, judge,
-    once the heights, every renormalization and every curvature are
-    checked."""
+    once the heights, every base node's two nodes to spare at either
+    grid end, every renormalization and every curvature are checked."""
     if deltas is None:
         deltas = default_deltas()
     _check_heights(deltas)
-    curves = [renormalize(curve, p) for p in base_points]
+    curves = []
+    for p in base_points:
+        j = curve.index_of(p)
+        if min(j, len(curve.grid) - 1 - j) < 2:
+            raise ValueError(
+                f"base point {p} is not inside the grid [{curve.grid[0]:.6g},"
+                f" {curve.grid[-1]:.6g}] with two nodes to spare"
+            )
+        curves.append(renormalize(curve, p))
     kappas = [affine_curvature(curve, p) for p in base_points]
     all_straight = True
     for p, local in zip(base_points, curves):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from affgrav import DiffPoly, GradedClass, Series, cli, expansion, powerseries
+from affgrav import DiffPoly, GradedClass, Series, cli, expansion, numcurve, powerseries
 from affgrav.cli import MAX_DELTA_COUNT, MAX_SWEEP, _random_poly_in_class, main, parse_fixture
 from affgrav.expansion import MAX_ORDER
 from affgrav.numcurve import (
@@ -64,6 +64,24 @@ def _drop_last_term(poly: DiffPoly) -> DiffPoly:
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+# A true verification failure: with every straightness verdict forced
+# False, ``gravity --fixture circle --sweep 3`` contradicts the circle's
+# constant curvature and exits 1 with this line on stderr.
+_CIRCLE_FAILURE = (
+    "verification failure: corollary.cross_check: "
+    "straight everywhere=False but curvature spread=5.65e-14"
+)
+
+
+@pytest.fixture()
+def not_straight(monkeypatch):
+    """Force every straightness verdict False, keeping max_dev."""
+    test = numcurve.straightness_test
+    monkeypatch.setattr(
+        numcurve, "straightness_test", lambda samples, tol=None: (test(samples, tol)[0], False)
+    )
 
 
 class TestExpand:
@@ -611,16 +629,12 @@ class TestGravity:
         assert result.stdout_bytes == plain.stdout_bytes
         assert result.stderr_bytes == plain.stderr_bytes == b""
 
-    def test_sweep_verification_failure_exit_code(self, runner):
-        # two symmetric points see the same curvature, so the constant-curvature
-        # cross-check contradicts the not-straight verdict
-        result = runner.invoke(main, ["gravity", "--fixture", "kappa-poly:1,0,1", "--sweep", "2"])
+    def test_sweep_verification_failure_exit_code(self, runner, not_straight):
+        result = runner.invoke(main, ["gravity", "--fixture", "circle", "--sweep", "3"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # no traceback
-        assert result.stderr.splitlines() == [
-            "verification failure: corollary.cross_check: "
-            "straight everywhere=False but curvature spread=0"
-        ]
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [_CIRCLE_FAILURE]
 
     def test_unknown_fixture(self, runner):
         result = runner.invoke(main, ["gravity", "--fixture", "nosuch"])
@@ -635,9 +649,9 @@ class TestGravity:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (["--point", "5"], "base point 5.0 is not inside the grid"),
-            (["--point", "1e308"], "base point 1e+308 is not inside the grid"),
-            (["--point", "-1e308"], "base point -1e+308 is not inside the grid"),
+            (["--point", "5"], "s=5.0 outside grid [-0.998, 0.998]"),
+            (["--point", "1e308"], "s=1e+308 outside grid"),
+            (["--point", "-1e308"], "s=-1e+308 outside grid"),
             (["--point", "nan"], "--point must be finite"),
             (["--delta-count", "3"], "needs --delta-count >= 6"),
             (["--delta0", "nan"], "--delta0 must be finite"),
@@ -650,7 +664,7 @@ class TestGravity:
             (["--fixture", "ellipse:2"], "ellipse takes two positive semi-axes"),
             (["--sweep", "-3"], "--sweep takes 0 (single point) or at least 2"),
             (["--sweep", "1"], "--sweep takes 0 (single point) or at least 2"),
-            (["--fixture", "ellipse:0.1,0.1", "--sweep", "3"], "base point -0.5 is not inside"),
+            (["--fixture", "ellipse:0.1,0.1", "--sweep", "3"], "s=-0.5 outside grid"),
             (["--fixture", "kappa-poly:1", "--step", "0.4", "--sweep", "3"], "base point -0.5"),
             (["--fixture", "foo:x"], "unknown fixture 'foo:x'"),
             (["--fixture", "kappa-poly:nan"], "fixture arguments must be finite"),
@@ -660,9 +674,9 @@ class TestGravity:
             (["--fixture", "parabola:5", "--sweep", "3"], "parabola takes no arguments"),
             (["--fixture", "circle:1,2"], "circle takes no arguments"),
             (["--fixture", "hyperbola:3"], "hyperbola takes no arguments"),
-            (["--fixture", "kappa-poly:1e300"], "kappa-poly:1e300 gives a curve that is not finite"),
-            (["--fixture", "kappa-poly:1e200,1"], "gives a curve that is not finite"),
-            (["--fixture", "kappa-poly:1e308,1e308"], "gives a curve that is not finite"),
+            (["--fixture", "kappa-poly:1e300"], "the built curve is not finite"),
+            (["--fixture", "kappa-poly:1e200,1"], "the built curve is not finite"),
+            (["--fixture", "kappa-poly:1e308,1e308"], "the built curve is not finite"),
             (["--fixture", "kappa-poly:0,1", "--step", "1e-9"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e300,1"], "exceeds MAX_GRID_NODES"),
             (["--fixture", "ellipse:1e308,1e308"], "plot too large: max |det[c_u, c_uu]| = inf overflows"),
@@ -712,7 +726,7 @@ class TestGravity:
 
 
 class TestInProcessRuns:
-    def test_runs_release_their_output_streams(self, runner):
+    def test_runs_release_their_output_streams(self, runner, not_straight):
         # click.echo's default stream lookup would cache, and so keep alive,
         # every stdout and stderr that CliRunner swaps in
         def live_streams():
@@ -722,8 +736,8 @@ class TestInProcessRuns:
         before = live_streams()
         for args in (["expand", "--order", "6"], ["verify", "--order", "6"]):
             assert runner.invoke(main, args).exit_code == 0
-        args = ["gravity", "--fixture", "kappa-poly:1,0,1", "--sweep", "2"]
-        assert runner.invoke(main, args).exit_code == 1  # writes to stderr
+        result = runner.invoke(main, ["gravity", "--fixture", "circle", "--sweep", "3"])
+        assert result.exit_code == 1 and result.stderr == _CIRCLE_FAILURE + "\n"
         assert live_streams() == before
 
 
@@ -738,11 +752,11 @@ def _defect(letter: str, what: str, args: str, key: str, want: bool):
 
 # Each command prints a wrong verdict, or exits 1 for a right curve; the
 # case asserts the right outcome.  A change that mends a defect sees its
-# cases XPASS, and drops them here.  Defect (e)'s command is also the
-# exit-1 run of test_sweep_verification_failure_exit_code and
-# TestInProcessRuns.test_runs_release_their_output_streams: mending (e)
-# means pointing both at a true verification failure.  Defects (i) and
-# (j) have no exact answer at the command line yet, so they are not here.
+# cases XPASS, and drops them here.  The exit-1 runs of the tests above
+# are true verification failures, forced in-process (``not_straight``),
+# so mending (e) leaves them standing.  Defect (i) has no exact answer
+# at the command line yet, so it is not here; (j) has its register case
+# in tests/test_metamorphic.py, through the shift relation.
 DEFECTS = [
     *(
         _defect(

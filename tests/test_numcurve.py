@@ -337,10 +337,53 @@ class TestGravitySampling:
             gravity_samples(parabola_curve, 0.0, [0.0])
 
     def test_rejects_a_grid_below_four_nodes(self):
-        # no cell of a 3-node grid has a four-node window
+        # no cell of a 3-node grid has a four-node window, and its middle
+        # node has no two nodes to spare, so the sampler refuses it first
         tiny = integrate_from_kappa(KappaCurveSpec(lambda s: 0.0 * s), step=1.0)
-        with pytest.raises(ValueError, match="at least 4 nodes"):
+        with pytest.raises(ValueError, match="with two nodes to spare"):
             gravity_samples(tiny, 0.0, [0.1])
+        with pytest.raises(ValueError, match="at least 4 nodes"):
+            _window_nodes(np.array([1]), 3)
+
+    @pytest.mark.parametrize("fixture", ["kappa-poly:1e300", "kappa-poly:1e200,1"])
+    def test_build_curve_refuses_a_curve_that_is_not_finite(self, fixture):
+        # RK4 overflows on these; integrate_from_kappa alone returns the
+        # non-finite curve
+        spec = parse_fixture(fixture)[0]
+        assert not np.isfinite(integrate_from_kappa(spec).d1).all()
+        with pytest.raises(ValueError, match="^the built curve is not finite"):
+            build_curve(spec)
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [[0], [1], [-2], [-1], [2, 1], [3, -1, 0], [5, -2, 1]],
+        ids=["0", "1", "n-2", "n-1", "2,1", "3,n-1,0", "5,n-2,1"],
+    )
+    def test_refuses_a_base_point_without_two_nodes_to_spare(
+        self, parabola_curve, monkeypatch, nodes
+    ):
+        # the first point, in point order, whose node is 0, 1, n - 2 or
+        # n - 1, before any chord pass
+        passes, rows = _spy_chord_roots(monkeypatch), []
+        grid = parabola_curve.grid
+        points = [float(grid[j]) for j in nodes]
+        first = next(p for p, j in zip(points, nodes) if j in (0, 1, -2, -1))
+        message = f"^base point {first} is not inside the grid .* with two nodes to spare$"
+        with pytest.raises(ValueError, match=message):
+            gravity_samples(parabola_curve, first, [0.01])
+        with pytest.raises(ValueError, match=message):
+            corollary_sweep(parabola_curve, points, [0.01], rows=rows)
+        with pytest.raises(ValueError, match=message):
+            oracle.corollary_sweep(parabola_curve, points, [0.01])
+        assert passes == [] and rows == []
+
+    def test_accepts_base_points_two_nodes_from_the_ends(self, parabola_curve):
+        grid = parabola_curve.grid
+        points = [float(grid[2]), float(grid[-3])]
+        for p in points:
+            assert gravity_samples(parabola_curve, p, [1e-6])[0].delta == 1e-6
+        got, want = _sweep_outcomes(parabola_curve, points, [1e-6])
+        assert got == want and got[0] == ("ok", True)
 
 
 class TestFlatness:
@@ -723,31 +766,36 @@ class TestScalarOracles:
         assert outcome == ("bracketing", 0.2, "right") and 0 < len(rows) < 8
         assert (outcome, rows) == want
 
-    @pytest.mark.parametrize("points", [[0.0, 0.5, 5.0], [0.0, 5.0, 0.5], [5.0, 0.0]])
+    @pytest.mark.parametrize(
+        "points",
+        # 0.999 and -0.999 are on the grid, one node from its ends
+        [[0.0, 0.5, 5.0], [0.0, 5.0, 0.5], [5.0, 0.0], [0.0, 0.999, 5.0], [5.0, -0.999]],
+    )
     def test_sweep_base_point_off_grid_raises_in_order(self, parabola_curve, points):
         got, want = _sweep_outcomes(parabola_curve, points, [0.05, 0.2])
         assert got == want
 
     @pytest.mark.parametrize(
-        "points,deltas,message,by_sampler",
+        "points,deltas,message",
         [
-            (lambda grid: [0.0, 0.1, 5.0], [0.01, 0.02], "outside grid", True),
-            (lambda grid: [0.0], [0.01, 0.02, 0.0], "chord height must be positive", True),
-            # the sampler could solve this point; the curvature stencil cannot
-            (lambda grid: [0.0, 0.1, grid[-2]], [0.01, 0.02], "too close to the grid", False),
+            (lambda grid: [0.0, 0.1, 5.0], [0.01, 0.02], "outside grid"),
+            (lambda grid: [0.0], [0.01, 0.02, 0.0], "chord height must be positive"),
+            # its node lacks two nodes to spare, which the sampler refuses
+            # before affine_curvature's stencil could
+            (lambda grid: [0.0, 0.1, grid[-2]], [0.01, 0.02], "with two nodes to spare"),
         ],
         ids=["off-grid-point", "zero-height", "point-at-grid-end"],
     )
     def test_refused_request_solves_no_root(
-        self, parabola_curve, monkeypatch, points, deltas, message, by_sampler
+        self, parabola_curve, monkeypatch, points, deltas, message
     ):
         passes, rows = _spy_chord_roots(monkeypatch), []
         points = [float(p) for p in points(parabola_curve.grid)]
         with pytest.raises(ValueError, match=message):
             corollary_sweep(parabola_curve, points, deltas, rows=rows)
-        if by_sampler:  # when it is called, before any row is asked for
-            with pytest.raises(ValueError, match=message):
-                numcurve._sweep_samples(parabola_curve, points, deltas)
+        # when the sampler is called, before any row is asked for
+        with pytest.raises(ValueError, match=message):
+            numcurve._sweep_samples(parabola_curve, points, deltas)
         assert passes == [] and rows == []
 
     @pytest.mark.parametrize(
